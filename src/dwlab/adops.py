@@ -8,6 +8,16 @@ The envelope entry is
 
 the extremal member of the (D,E,F)-almost-diagonal class: boundedness of
 the envelope operator implies boundedness of everything it dominates.
+
+For a target level j_Q and a source level j_R with d = |j_Q - j_R|,
+the entry depends only on d and on the integer offset k_Q - 2^d k_R
+(j_Q >= j_R) or 2^d k_Q - k_R (j_Q < j_R): the almost-diagonal matrix
+is Toeplitz within each pair of levels (Frazier-Jawerth, J. Funct.
+Anal. 93 (1990)).  ``ad_apply`` and ``majorant`` therefore run as
+strided FFT convolutions on per-level window arrays, O(L^2 N log N)
+time and O(N) memory for N window cubes on L levels.  The dense
+``_entry_matrix`` table is kept as the oracle for the tests and for
+``compose_check``.
 """
 
 from __future__ import annotations
@@ -17,8 +27,14 @@ from typing import Optional
 
 import numpy as np
 
-from .dyadic import CubeId, Truncation, cube_geometry, enumerate_cubes
-from .seqspace import CoeffSeq
+from .dyadic import (
+    CubeId,
+    Truncation,
+    cube_geometry,
+    enumerate_cubes,
+    separation,
+)
+from .seqspace import CoeffSeq, SeqSpaceError
 
 
 class ADError(ValueError):
@@ -47,18 +63,20 @@ class Thresholds:
 def ad_entry(Q: CubeId, R: CubeId, p: ADParams):
     if Q.n != R.n:
         raise ADError("cubes live in different dimensions")
-    xq, lq, _ = cube_geometry(Q)
-    xr, lr, _ = cube_geometry(R)
-    sep = 1.0 + float(np.linalg.norm(xq - xr)) / max(lq, lr)
+    lq, lr = 2.0 ** (-Q.j), 2.0 ** (-R.j)
     if lq <= lr:
         ratio = (lq / lr) ** p.E
     else:
         ratio = (lr / lq) ** p.F
-    return sep ** (-p.D) * ratio
+    return separation(Q, R) ** (-p.D) * ratio
 
 
 def _entry_matrix(rows, cols, p: ADParams):
-    """Vectorized envelope entries for cube lists (rows x cols)."""
+    """Vectorized envelope entries for cube lists (rows x cols).
+
+    Dense O(rows x cols) time and memory: the oracle that the tests hold
+    ``ad_apply`` to, and the kernel of ``compose_check``.
+    """
     xr = np.array([cube_geometry(Q)[0] for Q in rows])
     xc = np.array([cube_geometry(R)[0] for R in cols])
     lr = np.array([2.0 ** (-Q.j) for Q in rows])
@@ -74,22 +92,139 @@ def _entry_matrix(rows, cols, p: ADParams):
     return sep ** (-p.D) * ratio
 
 
+# ---------------------------------------------------------------------------
+# Per-level window arrays and convolution kernels
+# ---------------------------------------------------------------------------
+
+def _level_arrays(tv: CoeffSeq, t: Truncation):
+    """Scatter ``tv`` into {j: complex array of shape (m,) + (c_j,)*n},
+    indexed by window-local k - k_lo(j); only levels with entries."""
+    groups = {}
+    for Q, z in tv.entries.items():
+        if not t.contains(Q):
+            raise ADError(f"coefficient cube {Q} outside the window")
+        ks, zs = groups.setdefault(Q.j, ([], []))
+        ks.append(Q.k)
+        zs.append(z)
+    arrays = {}
+    for j, (ks, zs) in sorted(groups.items()):
+        lo, hi = t.k_range(j)
+        a = np.zeros((tv.m,) + (hi - lo,) * t.n, dtype=complex)
+        a[(slice(None),) + tuple((np.array(ks) - lo).T)] = np.array(zs).T
+        arrays[j] = a
+    return arrays
+
+
+def _to_seq(levels, t: Truncation, m):
+    """Gather {j: array of shape (m,) + (c_j,)*n} into a CoeffSeq over the
+    window cubes, leaving out zero entries; one finiteness check a level."""
+    out = CoeffSeq(m)
+    for j, a in levels.items():
+        rows = np.ascontiguousarray(a.reshape(m, -1).T, dtype=complex)
+        if not np.all(np.isfinite(rows.view(float))):
+            raise SeqSpaceError("non-finite coefficient")
+        cubes = enumerate_cubes(t, level=j)
+        keep = np.flatnonzero(np.any(rows != 0, axis=1))
+        out.entries.update((cubes[i], rows[i]) for i in keep)
+    return out
+
+
+def _fft_len(c):
+    """Least power of two >= 2c - 1: a circular convolution of that
+    length sees every offset in (-c, c) without wrap-around."""
+    return 1 << (2 * c - 2).bit_length()
+
+
+def _kernel(L, n, scale, D):
+    """(1 + |o|/scale)^{-D} over integer offset vectors o, laid out
+    circularly on an L^n grid (offset o at index o mod L)."""
+    o = np.fft.fftfreq(L, 1.0 / L)
+    grids = np.meshgrid(*([o] * n), indexing="ij", sparse=True)
+    dist = np.sqrt(sum(g * g for g in grids))
+    return (1.0 + dist / scale) ** (-D)
+
+
+def _envelope_apply(p: ADParams, tv: CoeffSeq, t: Truncation):
+    """ad_apply for the (D, E, F) envelope by level-pair convolutions.
+
+    For levels b <= a with d = a - b, the offset k_Q - 2^d k_R (target
+    on level a) or 2^d k_Q - k_R (target on level b) equals the same
+    expression in window-local indices, and both directions share the
+    level-a kernel B(o) = (1 + |o|/2^d)^{-D}:
+      - target a: upsample the level-b array by 2^d onto the level-a
+        grid and convolve with 2^{-dE} B;
+      - target b: convolve the level-a array with 2^{-dF} B and keep
+        every 2^d-th output.
+    Complex entries run as a real and an imaginary pass.
+    """
+    n = t.n
+    arrays = _level_arrays(tv, t)
+    cplx = any(np.any(a.imag) for a in arrays.values())
+    src = {j: np.concatenate([a.real, a.imag]) if cplx else a.real
+           for j, a in arrays.items()}
+    batch = 2 * tv.m if cplx else tv.m
+    axes = tuple(range(1, n + 1))
+    count = {j: t.root_extent << (j - t.j_min)
+             for j in range(t.j_min, t.j_max + 1)}
+    out = {j: np.zeros((batch,) + (c,) * n) for j, c in count.items()}
+    for a, c in count.items():
+        L = _fft_len(c)
+        shape = (L,) * n
+        src_hat = (np.fft.rfftn(src[a], s=shape, axes=axes)
+                   if a in src else None)
+        acc = None
+        for b in range(t.j_min, a + 1):
+            d = a - b
+            if b not in src and src_hat is None:
+                continue
+            B_hat = np.fft.rfftn(_kernel(L, n, 2.0 ** d, p.D))
+            if b in src:
+                if d == 0:
+                    up_hat = src_hat
+                else:
+                    up = np.zeros((batch,) + (c,) * n)
+                    up[(slice(None),) + (slice(None, None, 1 << d),) * n] = src[b]
+                    up_hat = np.fft.rfftn(up, s=shape, axes=axes)
+                term = (2.0 ** (-d)) ** p.E * B_hat * up_hat
+                acc = term if acc is None else acc + term
+            if d > 0 and src_hat is not None:
+                conv = np.fft.irfftn((2.0 ** (-d)) ** p.F * B_hat * src_hat,
+                                     s=shape, axes=axes)
+                out[b] += conv[(slice(None),) + (slice(0, c, 1 << d),) * n]
+        if acc is not None:
+            conv = np.fft.irfftn(acc, s=shape, axes=axes)
+            out[a] += conv[(slice(None),) + (slice(0, c),) * n]
+    if cplx:
+        out = {j: v[:tv.m] + 1j * v[tv.m:] for j, v in out.items()}
+    return _to_seq(out, t, tv.m)
+
+
 def ad_apply(U, tv: CoeffSeq, t: Truncation):
     """(Ut)_Q = sum_R u_{Q,R} t_R over the window.
 
     ``U`` is either ADParams (the extremal envelope) or an explicit
     {(Q, R): value} table.
+
+    The envelope entry depends only on the two levels and the offset
+    k_Q - 2^d k_R (or 2^d k_Q - k_R), so for ADParams the operator is
+    one strided FFT convolution per (target level, source level) pair:
+    O(L^2 N log N) time and O(N) memory for N window cubes on L levels,
+    in place of the dense N x |supp t| table that ``_entry_matrix``
+    still builds as the test oracle.  The FFT error is absolute, about
+    1e-16 of the largest contributions at a target, so an entry many
+    orders below its neighbourhood (far from a lone source under a
+    large D) is only accurate to that absolute level.  Every source
+    cube must lie in the window (ADError otherwise).
     """
+    if not len(tv):
+        return CoeffSeq(tv.m)
+    if isinstance(U, ADParams):
+        return _envelope_apply(U, tv, t)
     out = CoeffSeq(tv.m)
     targets = enumerate_cubes(t)
     support = tv.cubes()
-    if not support:
-        return out
     vals = np.stack([tv[R] for R in support])
-    if isinstance(U, ADParams):
-        M = _entry_matrix(targets, support, U)
-    else:
-        M = np.array([[U.get((Q, R), 0.0) for R in support] for Q in targets])
+    M = np.array([[U.get((Q, R), 0.0) for R in support] for Q in targets])
     res = M @ vals
     for Q, z in zip(targets, res):
         if np.any(z != 0):
@@ -147,29 +282,43 @@ def majorant(tv: CoeffSeq, r, lam, t: Truncation):
 
         t*_Q = [ sum_{l(R)=l(Q)} |t_R|^r / (1 + l(R)^{-1}|x_Q - x_R|)^{lam r} ]^{1/r}
 
-    (sup modification for r = infinity), indexed on every window cube.
+    (sup modification for r = infinity), indexed on every window cube of
+    each level where ``tv`` has entries.
+
+    In window-local indices l(R)^{-1}|x_Q - x_R| = |k_Q - k_R|, so at
+    finite r each level is one FFT convolution of |t|^r with
+    (1 + |o|)^{-lam r}: O(L N log N) time, O(N) memory.  The o = 0 term
+    is added exactly, so t*_Q >= |t_Q| holds without rounding slack.
+    The r = infinity sup is not a convolution and stays a dense
+    per-level (cubes x support) maximum.  Every cube of ``tv`` must lie
+    in the window (ADError otherwise).
     """
     if not (r > 0 or np.isinf(r)):
         raise ADError("need r > 0")
-    out = CoeffSeq(1)
-    by_level = {}
-    for R, z in tv.entries.items():
-        by_level.setdefault(R.j, []).append((R, abs(np.linalg.norm(z))))
-    for j, items in by_level.items():
-        cubes = enumerate_cubes(t, level=j)
-        xr = np.array([cube_geometry(R)[0] for R, _ in items])
-        mag = np.array([v for _, v in items])
-        xq = np.array([cube_geometry(Q)[0] for Q in cubes])
-        ell = 2.0 ** (-j)
-        pen = 1.0 + np.linalg.norm(xq[:, None, :] - xr[None, :, :], axis=-1) / ell
+    n = t.n
+    out = {}
+    for j, a in _level_arrays(tv, t).items():
+        mag = np.linalg.norm(a, axis=0)
         if np.isinf(r):
-            vals = np.max(mag[None, :] / pen**lam, axis=1)
+            idx = np.indices(mag.shape).reshape(n, -1).T
+            src = np.flatnonzero(mag)
+            pen = 1.0 + np.linalg.norm(idx[:, None, :] - idx[None, src, :],
+                                       axis=-1)
+            vals = np.max(mag.ravel()[src][None, :] / pen**lam, axis=1,
+                          initial=0.0)
         else:
-            vals = np.sum(mag[None, :] ** r / pen ** (lam * r), axis=1) ** (1.0 / r)
-        for Q, v in zip(cubes, vals):
-            if v > 0:
-                out[Q] = np.array([v])
-    return out
+            shape = (_fft_len(mag.shape[0]),) * n
+            axes = tuple(range(n))
+            K = _kernel(shape[0], n, 1.0, lam * r)
+            K.flat[0] = 0.0
+            w = mag**r
+            conv = np.fft.irfftn(
+                np.fft.rfftn(K) * np.fft.rfftn(w, s=shape, axes=axes),
+                s=shape, axes=axes)
+            conv = conv[(slice(0, mag.shape[0]),) * n]
+            vals = (w + np.maximum(conv, 0.0)) ** (1.0 / r)
+        out[j] = vals.reshape((1,) + mag.shape)
+    return _to_seq(out, t, 1)
 
 
 def compose_check(p1: ADParams, p2: ADParams, t: Truncation):

@@ -231,10 +231,11 @@ def exp_ad_bound(seed=DEFAULT_SEED):
     for t in _windows(ladder):
         ratios = []
         for tv in _sample_seqs(t, 1, 10, seed):
-            base = seq_norm(tv.magnitudes(), params, t)
+            mags = tv.magnitudes()
+            base = seq_norm(mags, params, t)
             if base == 0:
                 continue
-            out = ad_apply(ad, tv.magnitudes(), t)
+            out = ad_apply(ad, mags, t)
             ratios.append(seq_norm(out, params, t) / base)
         stats[f"j_max={t.j_max}"] = {"min": min(ratios), "max": max(ratios)}
         intervals.append((min(ratios), max(ratios)))

@@ -4,6 +4,7 @@ import pytest
 from dwlab.adops import (
     ADError,
     ADParams,
+    _entry_matrix,
     ad_apply,
     ad_entry,
     ad_thresholds,
@@ -11,8 +12,11 @@ from dwlab.adops import (
     majorant,
     molecule_thresholds,
 )
-from dwlab.dyadic import CubeId, Truncation
+from dwlab.dyadic import CubeId, Truncation, cube_geometry, enumerate_cubes
 from dwlab.seqspace import CoeffSeq, build_random, build_single_point
+
+_TH = ad_thresholds(0.0, 2.0, 2.0, "F", 0.0, 0.0, 0.0)
+F22 = ADParams(_TH.D_min + 0.25, _TH.E_min + 0.25, _TH.F_min + 0.25)
 
 
 def test_ad_entry_hand_values():
@@ -40,6 +44,45 @@ def test_ad_apply_explicit_table():
     out = ad_apply(table, tv, t)
     assert abs(out[CubeId(0, (0,))][0] - 1.0) < 1e-15
     assert abs(out[CubeId(1, (1,))][0]) == 0.0
+
+
+def _assert_matches_dense(U, tv, t):
+    out = ad_apply(U, tv, t)
+    cubes = enumerate_cubes(t)
+    support = tv.cubes()
+    want = _entry_matrix(cubes, support, U) @ np.stack([tv[R] for R in support])
+    got = np.stack([out[Q] for Q in cubes])
+    assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
+
+
+@pytest.mark.parametrize("t, m, U", [
+    (Truncation(1, 0, 8, 1), 1, F22),
+    (Truncation(1, 0, 9, 1), 1, ADParams(6.0, 3.0, 2.0)),
+    (Truncation(1, 2, 7, 3), 2, F22),
+    (Truncation(1, 1, 6, 3), 2, ADParams(6.0, 3.0, 2.0)),
+    (Truncation(2, 0, 4, 1), 1, ADParams(6.0, 3.0, 2.0)),
+    (Truncation(2, 1, 4, 3), 2, F22),
+])
+def test_ad_apply_matches_dense_oracle(t, m, U):
+    tv = build_random(t, m=m, seed=17, density=0.3, sigma=0.5)
+    _assert_matches_dense(U, tv.magnitudes(), t)  # real, m = 1
+    _assert_matches_dense(U, tv, t)  # complex m-vectors
+
+
+def test_ad_apply_single_point_and_empty():
+    t = Truncation(1, 0, 6, 1)
+    _assert_matches_dense(F22, build_single_point(CubeId(3, (5,)), 2.0 - 1.0j), t)
+    t2 = Truncation(2, 1, 4, 3)
+    _assert_matches_dense(F22, build_single_point(CubeId(2, (0, -2)), 1.5), t2)
+    assert len(ad_apply(F22, CoeffSeq(2), t)) == 0
+
+
+def test_ad_apply_rejects_cubes_outside_window():
+    t = Truncation(1, 0, 3, 1)
+    with pytest.raises(ADError):
+        ad_apply(F22, build_single_point(CubeId(4, (0,)), 1.0), t)
+    with pytest.raises(ADError):
+        majorant(build_single_point(CubeId(1, (0, 0)), 1.0), 2.0, 1.0, t)
 
 
 def test_thresholds_f22_unweighted():
@@ -111,6 +154,37 @@ def test_majorant_dominates_sequence():
     out = majorant(tv, 2.0, 3.0, t)
     for Q, z in tv.entries.items():
         assert out[Q][0] >= abs(z[0]) - 1e-12
+
+
+def _majorant_brute(tv, r, lam, t):
+    want = {}
+    for j in {R.j for R in tv.entries}:
+        for Q in enumerate_cubes(t, level=j):
+            xq, ell, _ = cube_geometry(Q)
+            terms = [
+                np.linalg.norm(z)
+                / (1.0 + np.linalg.norm(xq - cube_geometry(R)[0]) / ell) ** lam
+                for R, z in tv.entries.items() if R.j == j
+            ]
+            want[Q] = (max(terms) if np.isinf(r)
+                       else sum(x**r for x in terms) ** (1.0 / r))
+    return want
+
+
+@pytest.mark.parametrize("t, m", [
+    (Truncation(1, 0, 7, 1), 1),
+    (Truncation(1, 2, 6, 3), 2),
+    (Truncation(2, 1, 4, 3), 1),
+])
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0, np.inf])
+def test_majorant_matches_brute_force(t, m, r):
+    tv = build_random(t, m=m, seed=9, density=0.3, sigma=-0.5)
+    lam = 1.0 / min(r, 1.0) + 0.25
+    out = majorant(tv, r, lam, t)
+    want = _majorant_brute(tv, r, lam, t)
+    assert set(out.entries) == set(want)
+    for Q, v in want.items():
+        assert abs(out[Q][0] - v) <= 1e-10 * v
 
 
 def test_compose_check_bounded_constant():

@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import dwlab
 
 from dwlab.cli import main
 from dwlab.harness import (
@@ -97,3 +102,14 @@ def test_cli_verify_single_experiment(tmp_path, capsys):
     assert rc == 0 and "PASS  EMB" in out
     doc = json.loads(out_path.read_text())
     assert doc["all_passed"] is True and doc["seed"] == 0xDAD1C
+
+
+def test_import_loads_no_scipy():
+    # scipy submodules cost seconds to import; dwlab imports them lazily
+    src = os.path.dirname(os.path.dirname(dwlab.__file__))
+    code = ("import sys, dwlab; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert res.stdout.strip() == "[]"
