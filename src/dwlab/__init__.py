@@ -70,13 +70,11 @@ from .transforms import (
     band_project,
     build_lp_window,
     direct_weighted_field,
-    dwt,
     dwt_analyze,
     dwt_synthesize,
     peetre_maximal,
     phi_analyze,
     phi_synthesize,
-    phi_transform,
     square_functions,
     wavelet_gram_check,
 )

@@ -472,6 +472,7 @@ def exp_fs_gamma(seed=DEFAULT_SEED):
 
         coords = _node_coords(t, quad.G)
         R = len(coords)
+        wp = W.powers(coords[:, None], 1.0 / p)
         for fk in ("B", "F"):
             pm = SpaceParams(fk, 0.0, p, 2.0, _pow0(), mode="matrix",
                              weight=W, quad=quad)
@@ -483,10 +484,7 @@ def exp_fs_gamma(seed=DEFAULT_SEED):
                     offs, width = t.cell_index(Q)
                     sl = slice(offs[0] * quad.G, (offs[0] + width) * quad.G)
                     az = np.linalg.norm(fam[Q] @ z)
-                    gam = np.array([
-                        op_norm(W.power_at(x, 1.0 / p) @ invs[Q])
-                        for x in coords[sl]
-                    ])
+                    gam = op_norm(wp[sl] @ invs[Q])
                     f[sl] = gam * az * 2.0 ** (Q.j / 2.0)
                 base = seq_norm(tv, pm, t)
                 if base == 0:

@@ -83,7 +83,7 @@ def reduce_cube(W: MatrixWeight, p, Q: CubeId, t: Truncation,
         if p != 2:
             raise ReducingError("exact_p2 backend requires p = 2")
         pts, _ = cube_nodes(Q, t, spec)
-        pts = pts[[i for i, x in enumerate(pts) if not W.is_singular_at(x)]]
+        pts = pts[~W.is_singular_at(pts)]
         if len(pts) == 0:
             raise WeightError("all quadrature nodes singular")
         avg = np.mean(np.stack([W(x) for x in pts]), axis=0)
@@ -235,5 +235,5 @@ def cube_containing(x, j, t: Truncation):
 def gamma_field(W: MatrixWeight, F: ReducingFamily, j, x, t: Truncation):
     """||W^{1/p}(x) A_Q^{-1}|| for the level-j cube Q containing x."""
     Q = cube_containing(x, j, t)
-    wp = W.power_at(x, 1.0 / F.p)
+    wp = W.powers(np.reshape(x, (1, -1)), 1.0 / F.p)[0]
     return float(op_norm(wp @ np.linalg.inv(F[Q]).astype(wp.dtype)))

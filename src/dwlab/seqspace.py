@@ -5,17 +5,17 @@ The Besov-type (B) and Triebel-Lizorkin-type (F) sequence norms are
     sup_P (1/v(P)) || {2^{js} g_j 1_P}_{j >= j_P} ||_{l^q(L^p) or L^p(l^q)}
 
 where g_j is built from the level-j coefficients:  unweighted mode uses
-|t_Q| |Q|^{-1/2} on Q, averaging mode |A_Q t_Q| |Q|^{-1/2}, matrix mode
-|W^{1/p}(x) t_j(x)| at quadrature nodes, and scalar_weight mode folds a
-scalar weight into the L^p measure.  All fields are piecewise constant
-on the finest-grid (optionally quadrature-refined) cells, so the
-unweighted and averaging integrals are exact.
+|t_Q| |Q|^{-1/2} on Q, averaging mode |A_Q t_Q| |Q|^{-1/2}, and matrix
+mode |W^{1/p}(x) t_j(x)| at quadrature nodes.  All fields are piecewise
+constant on the finest-grid (optionally quadrature-refined) cells, so
+the unweighted and averaging integrals are exact.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -81,6 +81,14 @@ class CoeffSeq:
                             for Q, z in self.entries.items()})
 
 
+MODES = ("unweighted", "averaging", "matrix")
+
+
+def _real(x):
+    """x as a float; NaN for anything that is not a real number."""
+    return float(x) if isinstance(x, numbers.Real) else np.nan
+
+
 @dataclass
 class SpaceParams:
     """(family, s, p, q, growth function, weight mode) naming a quasi-norm."""
@@ -94,12 +102,20 @@ class SpaceParams:
     reducing: Optional[ReducingFamily] = None
     weight: Optional[MatrixWeight] = None
     quad: QuadratureSpec = dc_field(default_factory=QuadratureSpec)
-    scalar_w: Optional[Callable] = None
 
     def __post_init__(self):
         self.family = self.family.upper()
         if self.family not in ("B", "F"):
             raise SeqSpaceError("family must be B or F")
+        if self.mode not in MODES:
+            raise SeqSpaceError(f"mode must be one of {MODES}, "
+                                f"got {self.mode!r}")
+        for name in ("p", "q"):
+            if not _real(getattr(self, name)) > 0:  # NaN fails too
+                raise SeqSpaceError(f"{name} must lie in (0, inf], "
+                                    f"got {getattr(self, name)!r}")
+        if not np.isfinite(_real(self.s)):
+            raise SeqSpaceError(f"s must be finite, got {self.s!r}")
         if np.isinf(self.p) and self.family == "F":
             raise SeqSpaceError("p = infinity is only defined for family B")
         if np.isinf(self.p) and self.mode != "unweighted":
@@ -108,8 +124,6 @@ class SpaceParams:
             raise SeqSpaceError("averaging mode needs a ReducingFamily")
         if self.mode == "matrix" and self.weight is None:
             raise SeqSpaceError("matrix mode needs a MatrixWeight")
-        if self.mode == "scalar_weight" and self.scalar_w is None:
-            raise SeqSpaceError("scalar_weight mode needs a weight callback")
 
 
 def gamma_pq(params: SpaceParams):
@@ -207,11 +221,20 @@ def _node_coords(t: Truncation, subdiv):
 def _level_fields(tv: CoeffSeq, params: SpaceParams, t: Truncation):
     """Build the unscaled level fields g_j; returns (fields, subdiv)."""
     mode = params.mode
-    subdiv = 1
-    if mode in ("matrix", "scalar_weight"):
-        subdiv = params.quad.G
+    subdiv = params.quad.G if mode == "matrix" else 1
     n, R = t.n, t.cells_per_axis() * subdiv
-    coords = _node_coords(t, subdiv)
+    if mode == "matrix":
+        W = params.weight
+        if W.m != tv.m:
+            raise SeqSpaceError(f"weight is {W.m}x{W.m}, sequence has "
+                                f"m={tv.m}")
+        # W^{1/p} once on the window's node grid, zero at singular nodes
+        grids = np.meshgrid(*[_node_coords(t, subdiv)] * n, indexing="ij")
+        pts = np.stack([g.ravel() for g in grids], axis=-1)
+        keep = ~W.is_singular_at(pts)
+        wp = np.zeros((len(pts), W.m, W.m), dtype=complex)
+        wp[keep] = W.powers(pts[keep], 1.0 / params.p)
+        wp = wp.reshape((R,) * n + (W.m, W.m))
     fields = {}
     for Q, z in tv.entries.items():
         if not t.contains(Q):
@@ -227,24 +250,13 @@ def _level_fields(tv: CoeffSeq, params: SpaceParams, t: Truncation):
             f[sl] = np.linalg.norm(z) * scale
         elif mode == "averaging":
             A = params.reducing[Q]
+            if A.shape[-1] != tv.m:
+                raise SeqSpaceError(f"reducing operator at {Q} is "
+                                    f"{A.shape[-1]}-dimensional, sequence "
+                                    f"has m={tv.m}")
             f[sl] = np.linalg.norm(A @ z.astype(complex)) * scale
         else:
-            axes = [coords[s] for s in sl]
-            grids = np.meshgrid(*axes, indexing="ij")
-            pts = np.stack([g.ravel() for g in grids], axis=-1)
-            vals = np.empty(len(pts))
-            if mode == "matrix":
-                W = params.weight
-                for i, x in enumerate(pts):
-                    if W.is_singular_at(x):
-                        vals[i] = 0.0
-                    else:
-                        wp = W.power_at(x, 1.0 / params.p)
-                        vals[i] = np.linalg.norm(wp.astype(complex) @ z)
-            else:  # scalar_weight: fold w^{1/p} into the field
-                wv = np.array([params.scalar_w(x) for x in pts], dtype=float)
-                vals = np.linalg.norm(z) * wv ** (1.0 / params.p)
-            f[sl] = (vals * scale).reshape([s.stop - s.start for s in sl])
+            f[sl] = np.linalg.norm(wp[sl] @ z, axis=-1) * scale
     return fields, subdiv
 
 
@@ -311,17 +323,10 @@ def single_point_oracle(Q: CubeId, z, params: SpaceParams, t: Truncation,
     if params.mode == "matrix":
         W = params.weight
         pts, wt = box_nodes(x0, x0 + ell, oracle_nodes if n == 1 else 12)
-        vals = []
-        for x in pts:
-            if W.is_singular_at(x):
-                continue
-            wp = W.power_at(x, 1.0 / params.p)
-            vals.append(np.linalg.norm(wp.astype(complex) @ z) ** params.p)
+        pts = pts[~W.is_singular_at(pts)]
+        wp = W.powers(pts, 1.0 / params.p).astype(complex)
+        vals = np.linalg.norm(wp @ z, axis=-1) ** params.p
         integ = float(np.sum(vals)) * wt
-    elif params.mode == "scalar_weight":
-        pts, wt = box_nodes(x0, x0 + ell, oracle_nodes if n == 1 else 12)
-        wv = np.array([params.scalar_w(x) for x in pts], dtype=float)
-        integ = float(np.sum(wv)) * wt * np.linalg.norm(z) ** params.p
     elif params.mode == "averaging":
         A = params.reducing[Q]
         integ = np.linalg.norm(A @ z.astype(complex)) ** params.p * 2.0 ** (-j * n)

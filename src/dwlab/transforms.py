@@ -168,14 +168,6 @@ def phi_synthesize(tv: CoeffSeq, w: LPWindow, m=1):
     return GridFunction(1, N, vals, m=m)
 
 
-def phi_transform(f_or_tv, w: LPWindow, direction="analyze", m=1):
-    if direction == "analyze":
-        return phi_analyze(f_or_tv, w)
-    if direction == "synthesize":
-        return phi_synthesize(f_or_tv, w, m=m)
-    raise TransformError(f"unknown direction: {direction}")
-
-
 # ---------------------------------------------------------------------------
 # Periodic orthonormal Daubechies wavelets
 # ---------------------------------------------------------------------------
@@ -343,14 +335,6 @@ def dwt_synthesize(c: WaveletCoeffs):
     return GridFunction(c.n, c.N, a, m=1)
 
 
-def dwt(f_or_coeffs, filter_k=4, direction="analyze", levels=None):
-    if direction == "analyze":
-        return dwt_analyze(f_or_coeffs, k=filter_k, levels=levels)
-    if direction == "synthesize":
-        return dwt_synthesize(f_or_coeffs)
-    raise TransformError(f"unknown direction: {direction}")
-
-
 def wavelet_basis_function(c_template: WaveletCoeffs, j, k, orientation=None):
     """The discrete wavelet theta_Q as a grid function (unit L^2 norm
     with respect to the grid measure)."""
@@ -376,7 +360,7 @@ def wavelet_basis_function(c_template: WaveletCoeffs, j, k, orientation=None):
 # Peetre maximal and square functions
 # ---------------------------------------------------------------------------
 
-def _torus_dist(N, n):
+def _torus_dist(N):
     """Periodic distances between all grid-point pairs (1-d axis table)."""
     idx = np.arange(N)
     diff = np.abs(idx[:, None] - idx[None, :])
@@ -392,7 +376,7 @@ def _weighted_mags(fvals, Wp_stack):
 
 def _point_matrices(mode, pts, j, W=None, p=None, fam=None, t=None):
     if mode == "matrix":
-        return np.stack([W.power_at(x, 1.0 / p) for x in pts])
+        return W.powers(pts[:, None], 1.0 / p)
     # averaging: A_Q of the level-j cube containing x
     from .reducing import cube_containing
 
@@ -419,7 +403,7 @@ def peetre_maximal(fj, eta, mode="matrix", W=None, p=None, fam=None,
             vals = vals[:, None]
         Ng = vals.shape[0]
         pts = (np.arange(Ng) + 0.5) / Ng
-        dist = _torus_dist(Ng, 1)
+        dist = _torus_dist(Ng)
         pen = (1.0 + 2.0**j * dist) ** eta
         M = _point_matrices(mode, pts, j, W=W, p=p, fam=fam, t=t)
         mags = _weighted_mags(vals, M)
@@ -456,12 +440,11 @@ def square_functions(fj, kind="gstar", r=2.0, lam=2.0, alpha=1.0,
             vals = vals[:, None]
         Ng = vals.shape[0]
         pts = (np.arange(Ng) + 0.5) / Ng
-        dist = _torus_dist(Ng, 1)
+        dist = _torus_dist(Ng)
         if W is None:
             mags = np.abs(np.linalg.norm(vals, axis=-1))[None, :].repeat(Ng, 0)
         else:
-            M = np.stack([W.power_at(x, 1.0 / p) for x in pts])
-            mags = _weighted_mags(vals, M)
+            mags = _weighted_mags(vals, W.powers(pts[:, None], 1.0 / p))
         if kind == "lusin":
             rad = max(alpha * 2.0 ** (-j), 0.5 / Ng)
             inside = dist <= rad + 1e-15

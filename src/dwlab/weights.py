@@ -2,24 +2,20 @@
 
 A matrix weight is an a.e. positive-definite Hermitian-matrix-valued
 function W(x), given here as an analytic callback evaluated at midpoint
-quadrature nodes.  The module provides fractional matrix powers (cyclic
-Jacobi eigensolver, dependency-free), the exp-log double-average
-characteristic, doubling exponents, eigenvalue spread, and the
-lower/upper dimension estimates used by the weighted almost-diagonal
-thresholds.
+quadrature nodes.  The module provides batched fractional matrix powers
+(LAPACK eigh), the exp-log double-average characteristic, doubling
+exponents, eigenvalue spread, and the lower/upper dimension estimates
+used by the weighted almost-diagonal thresholds.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dyadic import CubeId, Truncation, cube_geometry, enumerate_cubes
 
-JACOBI_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 64
 HERMITIAN_TOL = 1e-12
 
 
@@ -31,94 +27,29 @@ class NotPositiveDefinite(WeightError):
     pass
 
 
-# ---------------------------------------------------------------------------
-# Cyclic Jacobi eigendecomposition (real symmetric core + complex wrapper)
-# ---------------------------------------------------------------------------
-
-def _jacobi_real(A):
-    """Eigendecomposition of a real symmetric matrix by cyclic Jacobi.
-
-    Returns (eigenvalues, eigenvectors-as-columns).  Rotates until the
-    off-diagonal mass drops below JACOBI_TOL (relative to the matrix
-    scale) or the sweep budget runs out.
-    """
-    A = np.array(A, dtype=float)
-    n = A.shape[0]
-    V = np.eye(n)
-    scale = max(np.max(np.abs(A)), 1.0)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = 0.0
-        for p in range(n):
-            off += np.sum(np.abs(A[p, p + 1:]))
-        if off <= JACOBI_TOL * scale:
-            break
-        for p in range(n):
-            for q in range(p + 1, n):
-                if abs(A[p, q]) <= JACOBI_TOL * scale * 1e-3:
-                    continue
-                phi = 0.5 * np.arctan2(2.0 * A[p, q], A[q, q] - A[p, p])
-                c, s = np.cos(phi), np.sin(phi)
-                rot = np.eye(n)
-                rot[p, p] = c
-                rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                A = rot.T @ A @ rot
-                V = V @ rot
-    return np.diag(A).copy(), V
-
-
-def _realify(H):
-    """Complex Hermitian m x m -> real symmetric 2m x 2m."""
-    re, im = H.real, H.imag
-    return np.block([[re, -im], [im, re]])
-
-
-def _derealify(S, m):
-    re = 0.5 * (S[:m, :m] + S[m:, m:])
-    im = 0.5 * (S[m:, :m] - S[:m, m:])
-    return re + 1j * im
+def _hermitian(M):
+    """M as an array of square matrices, each Hermitian within tolerance."""
+    M = np.asarray(M)
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+        raise WeightError("need square matrices")
+    scale = np.maximum(np.max(np.abs(M), axis=(-2, -1)), 1.0)
+    skew = np.max(np.abs(M - np.swapaxes(M.conj(), -1, -2)), axis=(-2, -1))
+    if np.any(skew > HERMITIAN_TOL * scale):
+        raise WeightError("matrix is not Hermitian within tolerance")
+    return M
 
 
 def hermitian_eig(H):
-    """Eigenvalues (ascending) of a Hermitian matrix via cyclic Jacobi."""
-    H = np.asarray(H)
-    if np.max(np.abs(H - H.conj().T)) > HERMITIAN_TOL * max(np.max(np.abs(H)), 1.0):
-        raise WeightError("matrix is not Hermitian within tolerance")
-    if np.iscomplexobj(H) and np.max(np.abs(H.imag)) > 0:
-        lam, _ = _jacobi_real(_realify(H))
-        lam = np.sort(lam)[::2]  # realification doubles each eigenvalue
-        return np.sort(lam)
-    lam, _ = _jacobi_real(H.real)
-    return np.sort(lam)
+    """Ascending eigenvalues of Hermitian matrices, batched over leading axes."""
+    return np.linalg.eigvalsh(_hermitian(H))
 
 
 def matrix_power(M, alpha):
-    """M^alpha for Hermitian positive-definite M via Jacobi eigensystem."""
-    M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise WeightError("matrix_power needs a square matrix")
-    scale = max(np.max(np.abs(M)), 1.0)
-    if np.max(np.abs(M - M.conj().T)) > HERMITIAN_TOL * scale:
-        raise WeightError("matrix is not Hermitian within tolerance")
-    m = M.shape[0]
-    # Already-diagonal fast path (covers the scalar case and diagonal presets).
-    if np.max(np.abs(M - np.diag(np.diag(M)))) <= JACOBI_TOL * scale:
-        d = np.diag(M).real
-        if np.min(d) <= 0:
-            raise NotPositiveDefinite(f"diagonal entry {np.min(d)} <= 0")
-        return np.diag(d**alpha).astype(M.dtype)
-    if np.iscomplexobj(M) and np.max(np.abs(M.imag)) > JACOBI_TOL * scale:
-        lam, V = _jacobi_real(_realify(M))
-        if np.min(lam) <= 0:
-            raise NotPositiveDefinite(f"eigenvalue {np.min(lam)} <= 0")
-        S = V @ np.diag(lam**alpha) @ V.T
-        return _derealify(S, m)
-    lam, V = _jacobi_real(M.real)
-    if np.min(lam) <= 0:
+    """M^alpha for Hermitian positive-definite M; batched over leading axes."""
+    lam, V = np.linalg.eigh(_hermitian(M))
+    if np.any(lam <= 0):
         raise NotPositiveDefinite(f"eigenvalue {np.min(lam)} <= 0")
-    out = V @ np.diag(lam**alpha) @ V.T
-    return out.astype(M.dtype) if np.iscomplexobj(M) else out
+    return (V * lam[..., None, :] ** alpha) @ np.swapaxes(V.conj(), -1, -2)
 
 
 def op_norm(A):
@@ -157,24 +88,22 @@ class MatrixWeight:
         self.singular_set = [np.atleast_1d(np.asarray(s, dtype=float))
                              for s in singular_set]
         self.label = label
-        self._power_cache = {}
 
     def __call__(self, x):
         return np.asarray(self._eval(np.atleast_1d(np.asarray(x, dtype=float))))
 
-    def is_singular_at(self, x, tol=1e-14):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return any(np.linalg.norm(x - s) < tol for s in self.singular_set)
+    def is_singular_at(self, pts, tol=1e-14):
+        """Mask over points [..., n]: True where x hits the singular set."""
+        x = np.atleast_1d(np.asarray(pts, dtype=float))
+        hit = np.zeros(x.shape[:-1], dtype=bool)
+        for s in self.singular_set:
+            hit |= np.linalg.norm(x - s, axis=-1) < tol
+        return hit
 
-    def power_at(self, x, alpha):
-        """W(x)^alpha, cached per (point, exponent)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        key = (tuple(np.round(x, 14)), alpha)
-        got = self._power_cache.get(key)
-        if got is None:
-            got = matrix_power(self(x), alpha)
-            self._power_cache[key] = got
-        return got
+    def powers(self, pts, alpha):
+        """W(x)^alpha stacked over points [M, n] -> [M, m, m]."""
+        vals = np.array([self(x) for x in pts])
+        return matrix_power(vals.reshape(len(pts), self.m, self.m), alpha)
 
 
 def identity_weight(m=1):
@@ -245,8 +174,8 @@ def box_nodes(lo, hi, g):
 
 
 def _filter_singular(W, pts):
-    keep = [i for i, p in enumerate(pts) if not W.is_singular_at(p)]
-    if not keep:
+    keep = ~W.is_singular_at(pts)
+    if not keep.any():
         raise WeightError("all quadrature nodes hit the singular set")
     return pts[keep]
 
@@ -254,7 +183,7 @@ def _filter_singular(W, pts):
 def wp_stack(W: MatrixWeight, p, pts):
     """Stack of W^{1/p}(x) over quadrature points (singular nodes dropped)."""
     pts = _filter_singular(W, pts)
-    return pts, np.stack([W.power_at(x, 1.0 / p) for x in pts])
+    return pts, W.powers(pts, 1.0 / p)
 
 
 def avg_wp_z(W, p, pts, z):
@@ -265,7 +194,7 @@ def avg_wp_z(W, p, pts, z):
     return float(np.mean(vals**p) ** (1.0 / p))
 
 
-def _subsample(pts, cap, seed=7):
+def _subsample(pts, cap):
     if len(pts) <= cap:
         return pts
     idx = np.linspace(0, len(pts) - 1, cap).astype(int)
@@ -292,8 +221,7 @@ def apinf_characteristic(W: MatrixWeight, p, t: Truncation, spec=None,
     for Q in enumerate_cubes(t):
         pts, _ = cube_nodes(Q, t, spec)
         pts = _subsample(_filter_singular(W, pts), node_cap)
-        stack = np.stack([W.power_at(x, 1.0 / p) for x in pts])
-        stack_inv = np.stack([W.power_at(x, -1.0 / p) for x in pts])
+        stack, stack_inv = W.powers(pts, 1.0 / p), W.powers(pts, -1.0 / p)
         inner = np.mean(_pairwise_norm_pp(stack, stack_inv, p), axis=1)
         best = max(best, float(np.exp(np.mean(np.log(inner)))))
     return best
@@ -372,14 +300,13 @@ def doubling_exponent(W: MatrixWeight, p, t: Truncation, spec=None,
 
 def eigen_spread(W: MatrixWeight, sample_points):
     """(sup over points of lambda_max/lambda_min, per-point eigenvalue table)."""
-    rows = []
-    for x in sample_points:
-        if W.is_singular_at(x):
-            continue
-        lam = hermitian_eig(W(x))
-        rows.append((np.asarray(x, dtype=float), float(lam[0]), float(lam[-1])))
-    if not rows:
+    pts = np.asarray(sample_points, dtype=float)
+    pts = pts.reshape(len(pts), -1)
+    pts = pts[~W.is_singular_at(pts)]
+    if not len(pts):
         raise WeightError("all sample points were singular")
+    lam = hermitian_eig(np.stack([W(x) for x in pts]))
+    rows = [(x, float(l[0]), float(l[-1])) for x, l in zip(pts, lam)]
     sup = max(hi / lo for _, lo, hi in rows)
     return float(sup), rows
 
@@ -391,10 +318,8 @@ def _dilation_value(W, p, Q_box, lamQ_box, g, inner_over_dilate):
     outer_box = Q_box if inner_over_dilate else lamQ_box
     xin, _ = box_nodes(*inner_box, g)
     yout, _ = box_nodes(*outer_box, g)
-    xin = _filter_singular(W, xin)
-    yout = _filter_singular(W, yout)
-    stack_x = np.stack([W.power_at(x, 1.0 / p) for x in xin])
-    stack_yinv = np.stack([W.power_at(y, -1.0 / p) for y in yout])
+    stack_x = W.powers(_filter_singular(W, xin), 1.0 / p)
+    stack_yinv = W.powers(_filter_singular(W, yout), -1.0 / p)
     inner = np.mean(_pairwise_norm_pp(stack_x, stack_yinv, p), axis=1)
     return float(np.exp(np.mean(np.log(inner))))
 

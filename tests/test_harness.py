@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -113,3 +114,34 @@ def test_import_loads_no_scipy():
     res = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=60, check=True)
     assert res.stdout.strip() == "[]"
+
+
+REFERENCE_REPORT = (Path(__file__).resolve().parents[1] / "perfbench"
+                    / "reference" / "verify.json")
+
+
+def _assert_same_tree(got, want, path):
+    """Field-by-field comparison of report trees, floats at 1e-10 relative."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), path
+        for k in want:
+            _assert_same_tree(got[k], want[k], f"{path}/{k}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_same_tree(g, w, f"{path}/{i}")
+    elif isinstance(want, float) and not isinstance(got, bool):
+        assert abs(got - want) <= 1e-10 * max(abs(got), abs(want)), \
+            f"{path}: {got} != {want}"
+    else:
+        assert got == want, f"{path}: {got!r} != {want!r}"
+
+
+@pytest.mark.parametrize("name", ["SINGLE", "EQ-AW", "INV-F", "FS-GAMMA",
+                                  "PEETRE", "LPFUNC"])
+def test_weighted_experiments_match_reference_report(name):
+    ref = {r["name"]: r
+           for r in json.loads(REFERENCE_REPORT.read_text())["results"]}
+    got = run_experiment(name, seed=0xDAD1C).to_dict()
+    assert got["passed"] is ref[name]["passed"]
+    _assert_same_tree(got["stats"], ref[name]["stats"], name)

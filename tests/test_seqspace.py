@@ -54,6 +54,33 @@ def test_space_params_validation():
     assert gamma_pq(_params("B", p=1.0, q=0.5)) == 1.0
 
 
+@pytest.mark.parametrize("bad", [
+    {"p": -1.0}, {"p": 0.0}, {"p": np.nan}, {"p": "2"},
+    {"q": 0.0}, {"q": -2.0}, {"q": np.nan}, {"q": "nan"},
+    {"s": np.inf}, {"s": -np.inf}, {"s": np.nan},
+    {"mode": "bogus"}, {"mode": "scalar_weight"},
+])
+def test_space_params_rejects_bad_values(bad):
+    with pytest.raises(SeqSpaceError):
+        _params(**bad)
+
+
+def test_space_params_accepts_infinite_exponents():
+    assert _params("B", p=np.inf, q=np.inf).q == np.inf
+    assert _params("F", p=0.5, q=np.inf).p == 0.5
+
+
+def test_seq_norm_rejects_weight_size_mismatch():
+    t = Truncation(1, 0, 2, 1)
+    tv = build_single_point(CubeId(1, (0,)), 1.0)
+    W = constant_weight(np.diag([1.0, 4.0]))
+    with pytest.raises(SeqSpaceError):
+        seq_norm(tv, _params(mode="matrix", weight=W), t)
+    fam = identity_family(t, m=2)
+    with pytest.raises(SeqSpaceError):
+        seq_norm(tv, _params(mode="averaging", reducing=fam), t)
+
+
 def test_la_norm_constant_level_zero_field():
     t = Truncation(1, 0, 1, 1)
     R = t.cells_per_axis()

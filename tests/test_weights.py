@@ -177,3 +177,60 @@ def test_matrix_power_composition_property(m, cplx, seed):
     half = matrix_power(M, 0.5)
     quarter = matrix_power(M, 0.25)
     assert np.max(np.abs(quarter @ quarter - half)) < 1e-8
+
+
+def _pd_stack(rng, count, m, complex_):
+    B = rng.standard_normal((count, m, m))
+    if complex_:
+        B = B + 1j * rng.standard_normal((count, m, m))
+    return B @ np.swapaxes(B.conj(), -1, -2) + m * np.eye(m)
+
+
+def test_matrix_power_batched_matches_per_matrix_eigh():
+    rng = np.random.default_rng(11)
+    for m in (1, 2, 3):
+        for cplx in (False, True):
+            S = _pd_stack(rng, 7, m, cplx)
+            for alpha in (0.5, -0.25, 1.0 / 3.0):
+                got = matrix_power(S, alpha)
+                assert got.shape == S.shape
+                for M, G in zip(S, got):
+                    lam, V = np.linalg.eigh(M)
+                    want = V @ np.diag(lam**alpha) @ V.conj().T
+                    assert np.max(np.abs(G - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def test_matrix_power_batch_checks_every_matrix():
+    rng = np.random.default_rng(12)
+    S = _pd_stack(rng, 5, 2, True)
+    skew = S.copy()
+    skew[3, 0, 1] += 0.5
+    with pytest.raises(WeightError) as err:
+        matrix_power(skew, 0.5)
+    assert not isinstance(err.value, NotPositiveDefinite)
+    with pytest.raises(WeightError):
+        hermitian_eig(skew)
+    indefinite = S.copy()
+    indefinite[2] = np.diag([1.0, -1.0])
+    with pytest.raises(NotPositiveDefinite):
+        matrix_power(indefinite, 0.5)
+
+
+def test_is_singular_at_masks_point_arrays():
+    W = MatrixWeight(1, lambda x: np.eye(1),
+                     singular_set=[np.zeros(2), np.array([0.5, 0.25])])
+    pts = np.array([[0.0, 0.0], [0.5, 0.25], [0.5, 0.5], [1e-3, 0.0]])
+    assert W.is_singular_at(pts).tolist() == [True, True, False, False]
+    assert W.is_singular_at(pts.reshape(2, 2, 2)).tolist() == [[True, True],
+                                                               [False, False]]
+    assert not identity_weight(1).is_singular_at(pts).any()
+
+
+def test_powers_stack_per_point_values():
+    W = diag_power_weight(-0.5, -0.25)
+    pts = np.array([[0.1], [0.3], [0.7]])
+    P = W.powers(pts, 0.5)
+    assert P.shape == (3, 2, 2)
+    for x, Px in zip(pts[:, 0], P):
+        assert np.allclose(Px, np.diag([x**-0.25, x**-0.125]), atol=1e-14)
+    assert W.powers(pts[:0], 0.5).shape == (0, 2, 2)
