@@ -9,6 +9,7 @@ thresholds numerically.
 
 from .dyadic import (
     CubeId,
+    DwlabError,
     DyadicError,
     Truncation,
     ancestor,

@@ -29,6 +29,7 @@ import numpy as np
 
 from .dyadic import (
     CubeId,
+    DwlabError,
     Truncation,
     cube_geometry,
     enumerate_cubes,
@@ -37,7 +38,7 @@ from .dyadic import (
 from .seqspace import CoeffSeq, SeqSpaceError
 
 
-class ADError(ValueError):
+class ADError(DwlabError):
     pass
 
 
@@ -96,36 +97,15 @@ def _entry_matrix(rows, cols, p: ADParams):
 # Per-level window arrays and convolution kernels
 # ---------------------------------------------------------------------------
 
-def _level_arrays(tv: CoeffSeq, t: Truncation):
-    """Scatter ``tv`` into {j: complex array of shape (m,) + (c_j,)*n},
-    indexed by window-local k - k_lo(j); only levels with entries."""
-    groups = {}
-    for Q, z in tv.entries.items():
-        if not t.contains(Q):
-            raise ADError(f"coefficient cube {Q} outside the window")
-        ks, zs = groups.setdefault(Q.j, ([], []))
-        ks.append(Q.k)
-        zs.append(z)
-    arrays = {}
-    for j, (ks, zs) in sorted(groups.items()):
-        lo, hi = t.k_range(j)
-        a = np.zeros((tv.m,) + (hi - lo,) * t.n, dtype=complex)
-        a[(slice(None),) + tuple((np.array(ks) - lo).T)] = np.array(zs).T
-        arrays[j] = a
-    return arrays
+def _on_window(tv: CoeffSeq, t: Truncation):
+    if tv.t != t:
+        raise ADError(f"sequence lives on {tv.t}, not on {t}")
 
 
-def _to_seq(levels, t: Truncation, m):
-    """Gather {j: array of shape (m,) + (c_j,)*n} into a CoeffSeq over the
-    window cubes, leaving out zero entries; one finiteness check a level."""
-    out = CoeffSeq(m)
-    for j, a in levels.items():
-        rows = np.ascontiguousarray(a.reshape(m, -1).T, dtype=complex)
-        if not np.all(np.isfinite(rows.view(float))):
-            raise SeqSpaceError("non-finite coefficient")
-        cubes = enumerate_cubes(t, level=j)
-        keep = np.flatnonzero(np.any(rows != 0, axis=1))
-        out.entries.update((cubes[i], rows[i]) for i in keep)
+def _finite(out: CoeffSeq):
+    """``out`` after one finiteness check a level."""
+    if not all(np.isfinite(a).all() for a in out.levels.values()):
+        raise SeqSpaceError("non-finite coefficient")
     return out
 
 
@@ -158,7 +138,8 @@ def _envelope_apply(p: ADParams, tv: CoeffSeq, t: Truncation):
     Complex entries run as a real and an imaginary pass.
     """
     n = t.n
-    arrays = _level_arrays(tv, t)
+    arrays = {j: np.moveaxis(a, -1, 0) for j, a in tv.levels.items()
+              if a.any()}
     cplx = any(np.any(a.imag) for a in arrays.values())
     src = {j: np.concatenate([a.real, a.imag]) if cplx else a.real
            for j, a in arrays.items()}
@@ -194,41 +175,36 @@ def _envelope_apply(p: ADParams, tv: CoeffSeq, t: Truncation):
         if acc is not None:
             conv = np.fft.irfftn(acc, s=shape, axes=axes)
             out[a] += conv[(slice(None),) + (slice(0, c),) * n]
-    if cplx:
-        out = {j: v[:tv.m] + 1j * v[tv.m:] for j, v in out.items()}
-    return _to_seq(out, t, tv.m)
+    res = CoeffSeq(t, tv.m)
+    for j, v in out.items():
+        res.levels[j][...] = np.moveaxis(v[:tv.m] + 1j * v[tv.m:] if cplx
+                                         else v, 0, -1)
+    return _finite(res)
 
 
 def ad_apply(U, tv: CoeffSeq, t: Truncation):
-    """(Ut)_Q = sum_R u_{Q,R} t_R over the window.
+    """(Ut)_Q = sum_R u_{Q,R} t_R over the window ``t``, on which ``tv``
+    must live (ADError otherwise).
 
-    ``U`` is either ADParams (the extremal envelope) or an explicit
-    {(Q, R): value} table.
-
-    The envelope entry depends only on the two levels and the offset
-    k_Q - 2^d k_R (or 2^d k_Q - k_R), so for ADParams the operator is
-    one strided FFT convolution per (target level, source level) pair:
-    O(L^2 N log N) time and O(N) memory for N window cubes on L levels,
-    in place of the dense N x |supp t| table that ``_entry_matrix``
-    still builds as the test oracle.  The FFT error is absolute, about
-    1e-16 of the largest contributions at a target, so an entry many
-    orders below its neighbourhood (far from a lone source under a
-    large D) is only accurate to that absolute level.  Every source
-    cube must lie in the window (ADError otherwise).
+    ``U`` is either ADParams (the extremal envelope, applied as one
+    strided FFT convolution per pair of levels, see the module
+    docstring) or an explicit {(Q, R): value} table.  The FFT error is
+    absolute, about 1e-16 of the largest contributions at a target, so
+    an entry many orders below its neighbourhood (far from a lone
+    source under a large D) is only accurate to that absolute level.
     """
+    _on_window(tv, t)
     if not len(tv):
-        return CoeffSeq(tv.m)
+        return CoeffSeq(t, tv.m)
     if isinstance(U, ADParams):
         return _envelope_apply(U, tv, t)
-    out = CoeffSeq(tv.m)
+    out = CoeffSeq(t, tv.m)
     targets = enumerate_cubes(t)
-    support = tv.cubes()
-    vals = np.stack([tv[R] for R in support])
+    support = tv.entries
+    vals = np.stack(list(support.values()))
     M = np.array([[U.get((Q, R), 0.0) for R in support] for Q in targets])
-    res = M @ vals
-    for Q, z in zip(targets, res):
-        if np.any(z != 0):
-            out[Q] = z
+    for Q, z in zip(targets, M @ vals):
+        out[Q] = z
     return out
 
 
@@ -282,23 +258,26 @@ def majorant(tv: CoeffSeq, r, lam, t: Truncation):
 
         t*_Q = [ sum_{l(R)=l(Q)} |t_R|^r / (1 + l(R)^{-1}|x_Q - x_R|)^{lam r} ]^{1/r}
 
-    (sup modification for r = infinity), indexed on every window cube of
-    each level where ``tv`` has entries.
+    (sup modification for r = infinity), on every window cube of each
+    level where ``tv`` has entries.
 
     In window-local indices l(R)^{-1}|x_Q - x_R| = |k_Q - k_R|, so at
     finite r each level is one FFT convolution of |t|^r with
     (1 + |o|)^{-lam r}: O(L N log N) time, O(N) memory.  The o = 0 term
     is added exactly, so t*_Q >= |t_Q| holds without rounding slack.
     The r = infinity sup is not a convolution and stays a dense
-    per-level (cubes x support) maximum.  Every cube of ``tv`` must lie
-    in the window (ADError otherwise).
+    per-level (cubes x support) maximum.  The sequence must live on the
+    window ``t`` (ADError otherwise).
     """
     if not (r > 0 or np.isinf(r)):
         raise ADError("need r > 0")
+    _on_window(tv, t)
     n = t.n
-    out = {}
-    for j, a in _level_arrays(tv, t).items():
-        mag = np.linalg.norm(a, axis=0)
+    out = CoeffSeq(t, 1)
+    for j, a in tv.magnitudes().levels.items():
+        if not a.any():
+            continue
+        mag = a[..., 0].real
         if np.isinf(r):
             idx = np.indices(mag.shape).reshape(n, -1).T
             src = np.flatnonzero(mag)
@@ -317,8 +296,8 @@ def majorant(tv: CoeffSeq, r, lam, t: Truncation):
                 s=shape, axes=axes)
             conv = conv[(slice(0, mag.shape[0]),) * n]
             vals = (w + np.maximum(conv, 0.0)) ** (1.0 / r)
-        out[j] = vals.reshape((1,) + mag.shape)
-    return _to_seq(out, t, 1)
+        out.levels[j][..., 0] = vals.reshape(mag.shape)
+    return _finite(out)
 
 
 def compose_check(p1: ADParams, p2: ADParams, t: Truncation):

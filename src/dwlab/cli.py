@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Subcommands: norm, reduce, thresholds, verify, transform.  All
-floating-point output is printed with 12 significant digits; `verify`
-exits 0 iff every pass criterion holds.  The config JSON schemas are
-documented in the README.
+floating-point output is printed with 12 significant digits.  Exit
+codes: 0 on success, 1 when `verify` finds a failed criterion, 2 on a
+user error (a DwlabError, malformed JSON or number, a missing config
+key, an unreadable file), reported as one `dwlab: error: ...` line on
+stderr.  The config JSON schemas are documented in the README.
 """
 
 from __future__ import annotations
@@ -14,19 +16,18 @@ import sys
 
 import numpy as np
 
-from .dyadic import CubeId, Truncation, enumerate_cubes
+from .dyadic import CubeId, DwlabError, Truncation, enumerate_cubes
 from .growth import make_growth
 from .weights import (
-    MatrixWeight,
     QuadratureSpec,
+    WeightError,
     constant_weight,
     diag_power_weight,
     identity_weight,
-    op_norm,
     power_weight,
 )
 from .reducing import build_family
-from .seqspace import CoeffSeq, SpaceParams, seq_norm
+from .seqspace import CoeffSeq, SeqSpaceError, SpaceParams, seq_norm
 from .adops import ad_thresholds, molecule_thresholds
 from .transforms import GridFunction, build_lp_window, dwt_analyze, phi_analyze
 from .harness import EXPERIMENTS, emit_report, run_all, run_experiment
@@ -41,8 +42,11 @@ def _load_json(arg):
     s = arg.strip()
     if s.startswith("{") or s.startswith("["):
         return json.loads(s)
-    with open(arg) as fh:
-        return json.load(fh)
+    try:
+        with open(arg) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise DwlabError(f"cannot read {arg}: {exc}") from exc
 
 
 def _parse_weight(spec):
@@ -59,7 +63,7 @@ def _parse_weight(spec):
                                      int(spec.get("n", 1)))
         if kind == "constant":
             return constant_weight(np.diag([float(d) for d in spec["diag"]]))
-        raise SystemExit(f"unknown weight preset: {kind}")
+        raise WeightError(f"unknown weight preset: {kind}")
     parts = str(spec).split(":")
     kind = parts[0]
     if kind == "identity":
@@ -70,7 +74,7 @@ def _parse_weight(spec):
         return diag_power_weight(float(parts[1]), float(parts[2]))
     if kind == "constant":
         return constant_weight(np.diag([float(d) for d in parts[1].split(",")]))
-    raise SystemExit(f"unknown weight preset: {spec}")
+    raise WeightError(f"unknown weight preset: {spec}")
 
 
 def _parse_window(doc):
@@ -101,7 +105,7 @@ def _parse_space(doc, t=None):
     reducing = None
     if mode == "averaging":
         if weight is None or t is None:
-            raise SystemExit("averaging mode needs a weight and a window")
+            raise SeqSpaceError("averaging mode needs a weight and a window")
         reducing = build_family(weight, float(doc["p"]), t, quad)
     return SpaceParams(
         doc["family"],
@@ -116,8 +120,8 @@ def _parse_space(doc, t=None):
     )
 
 
-def _parse_sequence(doc):
-    tv = CoeffSeq(int(doc.get("m", 1)))
+def _parse_sequence(doc, t):
+    tv = CoeffSeq(t, int(doc.get("m", 1)))
     for ent in doc["entries"]:
         z = np.array([complex(c[0], c[1]) if isinstance(c, list) else complex(c)
                       for c in ent["value"]])
@@ -141,7 +145,7 @@ def cmd_norm(args):
     doc = _load_json(args.config)
     t = _parse_window(doc["window"])
     params = _parse_space(doc["space"], t)
-    tv = _parse_sequence(doc["sequence"])
+    tv = _parse_sequence(doc["sequence"], t)
     print(_fmt(seq_norm(tv, params, t)))
     return 0
 
@@ -192,7 +196,10 @@ def cmd_thresholds(args):
 
 
 def cmd_verify(args):
-    seed = int(args.seed, 0) if isinstance(args.seed, str) else args.seed
+    try:
+        seed = int(args.seed, 0)
+    except ValueError:
+        raise DwlabError(f"--seed must be an integer, got {args.seed!r}")
     if args.experiment.lower() == "all":
         reports = run_all(seed=seed)
     else:
@@ -229,8 +236,7 @@ def cmd_transform(args):
             "kind": "phi",
             "entries": [
                 {"j": Q.j, "k": list(Q.k), "value": [_pair(v) for v in z]}
-                for Q, z in sorted(tv.entries.items(),
-                                   key=lambda it: (it[0].j, it[0].k))
+                for Q, z in tv.entries.items()
             ],
         }
     print(json.dumps(out, indent=2))
@@ -286,7 +292,13 @@ def main(argv=None):
     p.set_defaults(fn=cmd_transform)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except KeyError as exc:
+        print(f"dwlab: error: missing config key {exc}", file=sys.stderr)
+    except ValueError as exc:  # DwlabError, malformed JSON or numbers
+        print(f"dwlab: error: {exc}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -15,7 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class DyadicError(ValueError):
+class DwlabError(ValueError):
+    """Base of every dwlab input error; the CLI reports these as exit 2."""
+
+
+class DyadicError(DwlabError):
     """Invalid cube-algebra argument (bad level, dimension mismatch, ...)."""
 
 
@@ -74,30 +78,28 @@ class Truncation:
         lo = self.k_origin * scale
         return lo, lo + self.root_extent * scale
 
-    def level_count(self, j):
+    def level_shape(self, j):
+        """Shape (c_j,)*n of the level-j cube array, indexed by k - lo(j)."""
         lo, hi = self.k_range(j)
-        return (hi - lo) ** self.n
+        return (hi - lo,) * self.n
+
+    def level_k(self, j):
+        """Level-j cube corners k, shape level_shape(j) + (n,)."""
+        lo, hi = self.k_range(j)
+        axis = np.arange(lo, hi)
+        return np.stack(np.meshgrid(*[axis] * self.n, indexing="ij"), axis=-1)
+
+    def locate(self, c: CubeId):
+        """(level, window-local index tuple) of a window cube; None outside."""
+        if c.n != self.n or not self.j_min <= c.j <= self.j_max:
+            return None
+        lo, hi = self.k_range(c.j)
+        if not all(lo <= ki < hi for ki in c.k):
+            return None
+        return c.j, tuple(ki - lo for ki in c.k)
 
     def contains(self, c: CubeId):
-        if c.n != self.n:
-            return False
-        if not self.j_min <= c.j <= self.j_max:
-            return False
-        lo, hi = self.k_range(c.j)
-        return all(lo <= ki < hi for ki in c.k)
-
-    def cell_index(self, c: CubeId):
-        """Finest-level (j_max) cell slice of the cube, per axis.
-
-        Returns (offsets, width): the cube covers finest cells
-        [offsets[a], offsets[a] + width) along axis a, with offset 0 at
-        the window's lower corner.  Used by the norm engine to address
-        piecewise-constant fields stored on the finest grid.
-        """
-        shift = self.j_max - c.j
-        base = self.k_origin << (self.j_max - self.j_min)
-        offsets = tuple((ki << shift) - base for ki in c.k)
-        return offsets, 1 << shift
+        return self.locate(c) is not None
 
     def cells_per_axis(self):
         return self.root_extent << (self.j_max - self.j_min)
@@ -154,22 +156,16 @@ def enumerate_cubes(t: Truncation, level=None, contained_in=None):
     ``level`` restricts to a single level j; ``contained_in`` restricts
     to cubes Q with Q contained in P and j_Q >= j_P.
     """
-    if contained_in is not None and not t.contains(contained_in):
+    P = contained_in
+    if P is not None and not t.contains(P):
         raise DyadicError("containment anchor outside the window")
     levels = range(t.j_min, t.j_max + 1) if level is None else (level,)
     out = []
     for j in levels:
-        lo, hi = t.k_range(j)  # validates the level
-        if contained_in is None:
-            axis = range(lo, hi)
-            for k in itertools.product(axis, repeat=t.n):
-                out.append(CubeId(j, k))
-        else:
-            P = contained_in
+        ks = t.level_k(j).reshape(-1, t.n).tolist()  # validates the level
+        if P is not None:
             if j < P.j:
                 continue
-            shift = j - P.j
-            axes = [range(ki << shift, (ki + 1) << shift) for ki in P.k]
-            for k in itertools.product(*axes):
-                out.append(CubeId(j, k))
+            ks = [k for k in ks if [ki >> (j - P.j) for ki in k] == list(P.k)]
+        out.extend(CubeId(j, k) for k in ks)
     return out

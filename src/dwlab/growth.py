@@ -19,21 +19,24 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dyadic import CubeId, Truncation, cube_geometry, enumerate_cubes, ancestor
+from .dyadic import CubeId, DwlabError, Truncation, ancestor, enumerate_cubes
 
 PAIR_CAP = 2_000_000
 _SUBSAMPLE_SEED = 0xDAD1C
 
 
-class GrowthError(ValueError):
+class GrowthError(DwlabError):
     pass
 
 
 @dataclass(frozen=True)
 class GrowthFn:
-    """An evaluable growth function with an optional declared class."""
+    """A growth function with an optional declared class.  ``eval(j, k)``
+    gives v on the level-j cubes with integer corners k[..., n] in one
+    call: an array of shape k.shape[:-1], or a scalar constant on the level.
+    """
 
-    eval: Callable[[CubeId], float]
+    eval: Callable[[int, np.ndarray], object]
     declared_class: Optional[tuple] = None  # (delta1, delta2, omega)
     label: str = "custom"
 
@@ -45,26 +48,29 @@ class GrowthFn:
                     "declared class needs delta2 >= delta1 and omega >= 0"
                 )
 
-    def __call__(self, c: CubeId):
-        v = float(self.eval(c))
-        if not v > 0:
-            raise GrowthError(f"growth function nonpositive at {c}: {v}")
+    def on_level(self, j, k):
+        """v at the cubes (j, k[..., n]) as an array, checked positive."""
+        v = np.broadcast_to(np.asarray(self.eval(j, k), dtype=float),
+                            k.shape[:-1])
+        if not np.all(v > 0):
+            raise GrowthError(f"growth function nonpositive on level {j}")
         return v
 
+    def __call__(self, c: CubeId):
+        return float(self.on_level(c.j, np.array([c.k]))[0])
 
-def _cube_volume(c: CubeId):
-    return 2.0 ** (-c.j * c.n)
 
-
-def _cell_average(field, c: CubeId, nodes_per_axis=16):
-    """Midpoint-rule integral of a scalar field over a cube."""
-    x0, ell, _ = cube_geometry(c)
+def _cell_average(field, j, k, nodes_per_axis=16):
+    """Midpoint-rule integrals of a scalar field over cubes (j, k[..., n])."""
+    k = np.asarray(k)
+    n = k.shape[-1]
+    ell = 2.0 ** (-j)
     g = nodes_per_axis
     ticks = (np.arange(g) + 0.5) / g * ell
-    grids = np.meshgrid(*[x0[a] + ticks for a in range(c.n)], indexing="ij")
-    pts = np.stack([gr.ravel() for gr in grids], axis=-1)
-    vals = np.array([field(p) for p in pts], dtype=float)
-    return float(np.mean(vals)) * _cube_volume(c)
+    offs = np.stack(np.meshgrid(*[ticks] * n, indexing="ij"), axis=-1)
+    pts = k[..., None, :] * ell + offs.reshape(-1, n)
+    vals = np.array([field(p) for p in pts.reshape(-1, n)], dtype=float)
+    return np.mean(vals.reshape(pts.shape[:-1]), axis=-1) * 2.0 ** (-j * n)
 
 
 def make_growth(kind, **params):
@@ -84,7 +90,7 @@ def make_growth(kind, **params):
         if tau < 0:
             raise GrowthError("power growth needs tau >= 0")
         return GrowthFn(
-            eval=lambda c, t=tau: _cube_volume(c) ** t,
+            eval=lambda j, k, t=tau: (2.0 ** (-j * k.shape[-1])) ** t,
             declared_class=(tau, tau, 0.0),
             label=f"power({tau})",
         )
@@ -95,10 +101,15 @@ def make_growth(kind, **params):
         declared = params.get("declared_class")
         cache = {}
 
-        def ev(c, field=field, tau=tau, nodes=nodes, cache=cache):
-            if c not in cache:
-                cache[c] = _cell_average(field, c, nodes) ** tau
-            return cache[c]
+        def ev(j, k, field=field, tau=tau, nodes=nodes, cache=cache):
+            key = (j, k.shape, k.tobytes())
+            if key not in cache:
+                avg = _cell_average(field, j, k, nodes)
+                # scalar libm pow: numpy's SIMD power can differ in the
+                # last bit, which would move reported values
+                cache[key] = np.reshape([a ** tau for a in avg.ravel()
+                                         .tolist()], avg.shape)
+            return cache[key]
 
         return GrowthFn(eval=ev, declared_class=declared,
                         label=f"weight_power(tau={tau})")
@@ -106,7 +117,7 @@ def make_growth(kind, **params):
         g = params["g"]
         p = float(params["p"])
         return GrowthFn(
-            eval=lambda c, g=g: float(g(2.0 ** (-c.j))),
+            eval=lambda j, k, g=g: float(g(2.0 ** (-j))),
             declared_class=(0.0, 1.0 / p, 0.0),
             label="length",
         )
@@ -116,9 +127,8 @@ def make_growth(kind, **params):
         if alpha > beta:
             raise GrowthError("piecewise_power needs alpha <= beta")
 
-        def ev(c, a=alpha, b=beta):
-            vol = _cube_volume(c)
-            return vol ** (b if c.j <= 0 else a)
+        def ev(j, k, a=alpha, b=beta):
+            return (2.0 ** (-j * k.shape[-1])) ** (b if j <= 0 else a)
 
         return GrowthFn(eval=ev, declared_class=(alpha, beta, 0.0),
                         label=f"piecewise_power({alpha},{beta})")
@@ -144,14 +154,13 @@ def class_constant(v: GrowthFn, delta1, delta2, omega, t: Truncation):
     """
     if delta2 < delta1 or omega < 0:
         raise GrowthError("need delta2 >= delta1 and omega >= 0")
-    cubes = enumerate_cubes(t)
-    if not cubes:
-        return 1.0
-    vals = np.array([v(c) for c in cubes])
-    js = np.array([c.j for c in cubes])
-    xs = np.array([cube_geometry(c)[0] for c in cubes])
+    ks = {j: t.level_k(j).reshape(-1, t.n)
+          for j in range(t.j_min, t.j_max + 1)}
+    vals = np.concatenate([v.on_level(j, k) for j, k in ks.items()])
+    js = np.concatenate([np.full(len(k), j) for j, k in ks.items()])
+    xs = np.concatenate([k * 2.0 ** (-j) for j, k in ks.items()])
     ells = 2.0 ** (-js.astype(float))
-    ii, jj = _pair_indices(len(cubes))
+    ii, jj = _pair_indices(len(vals))
     sep = 1.0 + np.linalg.norm(xs[ii] - xs[jj], axis=-1) / np.maximum(
         ells[ii], ells[jj]
     )

@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from ..dyadic import CubeId, Truncation, enumerate_cubes, cube_geometry
+from ..dyadic import CubeId, Truncation, enumerate_cubes
 from ..growth import make_growth
 from ..weights import (
     MatrixWeight,
@@ -22,23 +22,24 @@ from ..weights import (
     diag_power_weight,
     estimate_dimensions,
     identity_weight,
+    op_norm,
     power_weight,
 )
 from ..reducing import build_family
 from ..seqspace import (
-    CoeffSeq,
     SpaceParams,
+    _node_coords,
     build_besov_counterexample,
     build_random,
     build_single_point,
     la_norm,
     seq_norm,
     single_point_oracle,
+    vector_norms,
 )
 from ..adops import ADParams, ad_apply, ad_thresholds, majorant
 from ..transforms import (
     GridFunction,
-    band_project,
     build_lp_window,
     dwt_analyze,
     dwt_synthesize,
@@ -103,17 +104,12 @@ def exp_single(seed=DEFAULT_SEED):
         v = growths[ci % 2]
         params = SpaceParams(family, 0.0, p, q, v, mode="matrix",
                              weight=W, quad=quad)
-        cubes = []
-        for Q in enumerate_cubes(t):
-            x0, ell, _ = cube_geometry(Q)
-            if W.singular_set:
-                lo, hi = x0[0], x0[0] + ell
-                if not (lo >= 0.5 * ell or hi <= -0.5 * ell):
-                    continue
-            cubes.append(Q)
+        # with a singular origin, keep cubes half an edge clear of it
+        cubes = [Q for Q in enumerate_cubes(t)
+                 if not W.singular_set or Q.k[0] not in (-1, 0)]
         for Q in cubes[:: max(1, len(cubes) // 8)]:
             z = rng.standard_normal(W.m) + 1j * rng.standard_normal(W.m)
-            tv = build_single_point(Q, z)
+            tv = build_single_point(Q, z, t)
             measured = seq_norm(tv, params, t)
             oracle = single_point_oracle(Q, z, params, t, oracle_nodes=96)
             worst = max(worst, abs(measured - oracle) / oracle)
@@ -194,9 +190,9 @@ def exp_eq_gstar(seed=DEFAULT_SEED):
             for tv in _sample_seqs(t, 1, 10, seed):
                 mags = tv.magnitudes()
                 star = majorant(mags, r, lam, t)
-                for Q, z in mags.entries.items():
-                    if abs(star[Q][0]) < abs(z[0]) - 1e-12:
-                        all_ok = False
+                for j, a in mags.levels.items():
+                    all_ok &= not np.any(np.abs(star.levels[j])
+                                         < np.abs(a) - 1e-12)
                 base = seq_norm(mags, params, t)
                 up = seq_norm(star, params, t)
                 if base > 0:
@@ -264,7 +260,7 @@ def exp_ad_nec(seed=DEFAULT_SEED):
     probe_levels = [2, 4, 6, 8]
     ratios = []
     for j in probe_levels:
-        tv = build_single_point(CubeId(j, (0,)), 1.0)
+        tv = build_single_point(CubeId(j, (0,)), 1.0, t)
         base = seq_norm(tv, params, t)
         out = ad_apply(ad, tv, t)
         ratios.append(seq_norm(out, params, t) / base)
@@ -354,7 +350,7 @@ def exp_inv_f(seed=DEFAULT_SEED):
                       quad=quad)
     nec = []
     for k in (1, 4, 16, 64):
-        tv = build_single_point(CubeId(0, (k,)), np.array([1.0, 0.0]))
+        tv = build_single_point(CubeId(0, (k,)), np.array([1.0, 0.0]), tn)
         nec.append(seq_norm(tv, sqn, tn) / seq_norm(tv, spn, tn))
     monotone = all(b >= a for a, b in zip(nec, nec[1:]))
     growth = nec[-1] / nec[0]
@@ -397,7 +393,7 @@ def exp_sob(seed=DEFAULT_SEED):
     t = Truncation(1, 0, 6, 1)
     sharp = []
     for j in range(0, 7):
-        tv = build_single_point(CubeId(j, (0,)), 1.0)
+        tv = build_single_point(CubeId(j, (0,)), 1.0, t)
         sharp.append(seq_norm(tv, P1, t) / seq_norm(tv, P0, t))
     sharp_spread = max(sharp) / min(sharp)
     stats["sharp_spread"] = sharp_spread
@@ -405,7 +401,7 @@ def exp_sob(seed=DEFAULT_SEED):
     P1v = SpaceParams("B", s1 + 0.25, p1, q, _pow0())
     viol = []
     for j in range(0, 7):
-        tv = build_single_point(CubeId(j, (0,)), 1.0)
+        tv = build_single_point(CubeId(j, (0,)), 1.0, t)
         viol.append(seq_norm(tv, P1v, t) / seq_norm(tv, P0, t))
     vgrowth = viol[-1] / viol[0]
     stats["violation_growth"] = vgrowth
@@ -457,8 +453,6 @@ def exp_emb(seed=DEFAULT_SEED):
 # ---------------------------------------------------------------------------
 
 def exp_fs_gamma(seed=DEFAULT_SEED):
-    from ..weights import op_norm
-
     W = diag_power_weight(-0.5, -0.25)
     quad = QuadratureSpec(3)
     p = 2.0
@@ -467,25 +461,22 @@ def exp_fs_gamma(seed=DEFAULT_SEED):
         intervals[fk] = []
     for t in _windows((4, 6)):
         fam = build_family(W, p, t, quad, backend="exact_p2")
-        invs = {Q: np.linalg.inv(fam[Q]) for Q in fam.cubes()}
-        from ..seqspace import _node_coords
-
-        coords = _node_coords(t, quad.G)
-        R = len(coords)
-        wp = W.powers(coords[:, None], 1.0 / p)
+        R = t.cells_per_axis() * quad.G
+        wp = W.powers(_node_coords(t, quad.G)[:, None], 1.0 / p)
+        # ||W^{1/p}(x) A_Q^{-1}|| at the nodes x of each cube Q, per level
+        gam = {j: op_norm(wp.reshape(len(A), -1, W.m, W.m)
+                          @ np.linalg.inv(A)[:, None])
+               for j, A in fam.levels.items()}
         for fk in ("B", "F"):
             pm = SpaceParams(fk, 0.0, p, 2.0, _pow0(), mode="matrix",
                              weight=W, quad=quad)
             ratios = []
             for tv in _sample_seqs(t, 2, 8, seed):
                 fields = {}
-                for Q, z in tv.entries.items():
-                    f = fields.setdefault(Q.j, np.zeros(R))
-                    offs, width = t.cell_index(Q)
-                    sl = slice(offs[0] * quad.G, (offs[0] + width) * quad.G)
-                    az = np.linalg.norm(fam[Q] @ z)
-                    gam = op_norm(wp[sl] @ invs[Q])
-                    f[sl] = gam * az * 2.0 ** (Q.j / 2.0)
+                for j, z in tv.levels.items():
+                    az = vector_norms((fam.levels[j] @ z[..., None])[..., 0])
+                    fields[j] = (gam[j] * az[:, None]
+                                 * 2.0 ** (j / 2.0)).reshape(R)
                 base = seq_norm(tv, pm, t)
                 if base == 0:
                     continue
@@ -586,11 +577,7 @@ def exp_wav_norm(seed=DEFAULT_SEED):
             fhat[-freqs] = np.conj(a[0] + 1j * a[1])
             f = GridFunction(1, N, np.fft.ifft(fhat) * N)
             tphi = phi_analyze(f, w)
-            c = dwt_analyze(f, k=4)
-            twav = CoeffSeq(1)
-            for Q, z in c.to_coeffseq().entries.items():
-                if t.contains(Q):
-                    twav[Q] = z
+            twav = dwt_analyze(f, k=4).to_coeffseq()
             nw = seq_norm(twav, params, t)
             np_ = seq_norm(tphi, params, t)
             if np_ > 0:

@@ -7,8 +7,10 @@ import io
 import json
 from dataclasses import dataclass, field
 
+from ..dyadic import DwlabError
 
-class ReportError(ValueError):
+
+class ReportError(DwlabError):
     pass
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import CubeId, Truncation, enumerate_cubes
+from .dyadic import CubeId, DwlabError, Truncation, enumerate_cubes
 from .weights import (
     MatrixWeight,
     QuadratureSpec,
@@ -31,7 +31,7 @@ MVEE_TOL = 1e-4
 MVEE_MAX_ITERS = 20_000
 
 
-class ReducingError(ValueError):
+class ReducingError(DwlabError):
     pass
 
 
@@ -104,27 +104,37 @@ def reduce_cube(W: MatrixWeight, p, Q: CubeId, t: Truncation,
 
 @dataclass
 class ReducingFamily:
-    """A frozen per-cube map of reducing operators plus validation data."""
+    """Reducing operators on every window cube plus validation data;
+    levels[j] stacks the level-j operators like CoeffSeq levels, shape
+    truncation.level_shape(j) + (m, m)."""
 
     p: float
     backend: str
     truncation: Truncation
-    operators: dict = field(default_factory=dict)
+    levels: dict = field(default_factory=dict)
     equivalence_bounds: tuple = (1.0, 1.0)
 
+    @property
+    def m(self):
+        return next(iter(self.levels.values())).shape[-1]
+
     def __getitem__(self, Q: CubeId):
-        return self.operators[Q]
+        at = self.truncation.locate(Q)
+        if at is None:
+            raise KeyError(Q)
+        return self.levels[at[0]][at[1]]
 
     def __contains__(self, Q):
-        return Q in self.operators
+        return self.truncation.contains(Q)
 
     def cubes(self):
-        return list(self.operators)
+        return enumerate_cubes(self.truncation)
 
 
 def identity_family(t: Truncation, m=1, p=2):
-    ops = {Q: np.eye(m) for Q in enumerate_cubes(t)}
-    return ReducingFamily(p=p, backend="exact_p2", truncation=t, operators=ops)
+    levels = {j: np.tile(np.eye(m), t.level_shape(j) + (1, 1))
+              for j in range(t.j_min, t.j_max + 1)}
+    return ReducingFamily(p=p, backend="exact_p2", truncation=t, levels=levels)
 
 
 def build_family(W: MatrixWeight, p, t: Truncation, spec=None,
@@ -133,10 +143,14 @@ def build_family(W: MatrixWeight, p, t: Truncation, spec=None,
     """Reducing operators for every window cube, with empirical
     equivalence bounds from random validation directions."""
     spec = spec or QuadratureSpec()
-    cubes = enumerate_cubes(t)
-    ops = {Q: reduce_cube(W, p, Q, t, spec, backend) for Q in cubes}
+    levels = {}
+    for j in range(t.j_min, t.j_max + 1):
+        ops = [reduce_cube(W, p, Q, t, spec, backend)
+               for Q in enumerate_cubes(t, level=j)]
+        levels[j] = np.reshape(ops, t.level_shape(j) + (W.m, W.m))
+    fam = ReducingFamily(p=p, backend=backend, truncation=t, levels=levels)
     rng = np.random.default_rng(seed)
-    sample = cubes
+    sample = fam.cubes()
     if len(sample) > validation_cube_cap:
         idx = np.linspace(0, len(sample) - 1, validation_cube_cap).astype(int)
         sample = [sample[i] for i in idx]
@@ -146,13 +160,12 @@ def build_family(W: MatrixWeight, p, t: Truncation, spec=None,
         z /= np.linalg.norm(z, axis=-1, keepdims=True)
         rho = _rho_values(W, p, Q, t, spec, z)
         az = np.linalg.norm(
-            np.einsum("ab,db->da", ops[Q], z.astype(ops[Q].dtype)), axis=-1
+            np.einsum("ab,db->da", fam[Q], z.astype(fam[Q].dtype)), axis=-1
         )
         ratios = az / rho
         lo = min(lo, float(np.min(ratios)))
         hi = max(hi, float(np.max(ratios)))
-    fam = ReducingFamily(p=p, backend=backend, truncation=t, operators=ops,
-                         equivalence_bounds=(lo, hi))
+    fam.equivalence_bounds = (lo, hi)
     return fam
 
 
@@ -172,7 +185,7 @@ def doubling_orders(F: ReducingFamily, t: Truncation, cap_C=4.0,
     """
     from scipy.optimize import linprog
 
-    from .dyadic import cube_geometry, separation
+    from .dyadic import separation
 
     cubes = F.cubes()
     invs = {Q: np.linalg.inv(F[Q]) for Q in cubes}

@@ -1,4 +1,4 @@
-"""Cube-indexed coefficient sequences and their quasi-norms.
+"""Coefficient sequences on dyadic windows and their quasi-norms.
 
 The Besov-type (B) and Triebel-Lizorkin-type (F) sequence norms are
 
@@ -8,23 +8,25 @@ where g_j is built from the level-j coefficients:  unweighted mode uses
 |t_Q| |Q|^{-1/2} on Q, averaging mode |A_Q t_Q| |Q|^{-1/2}, and matrix
 mode |W^{1/p}(x) t_j(x)| at quadrature nodes.  All fields are piecewise
 constant on the finest-grid (optionally quadrature-refined) cells, so
-the unweighted and averaging integrals are exact.
+the unweighted and averaging integrals are exact.  Sequences store one
+array per level, so every field is one batched expression per level.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field as dc_field
+from types import MappingProxyType
 from typing import Optional
 
 import numpy as np
 
 from .dyadic import (
     CubeId,
+    DwlabError,
     Truncation,
     ancestor,
     cube_geometry,
-    enumerate_cubes,
 )
 from .growth import GrowthFn
 from .reducing import ReducingFamily
@@ -33,7 +35,7 @@ from .weights import MatrixWeight, QuadratureSpec
 UNDERFLOW_CLAMP = 1e-300
 
 
-class SeqSpaceError(ValueError):
+class SeqSpaceError(DwlabError):
     pass
 
 
@@ -41,15 +43,27 @@ class SeqSpaceError(ValueError):
 # Coefficient sequences
 # ---------------------------------------------------------------------------
 
-class CoeffSeq:
-    """Finite map CubeId -> C^m (absent means zero)."""
+def vector_norms(a):
+    """Euclidean norms over the last axis, rounded as np.linalg.norm rounds
+    one vector (sqrt(re.re + im.im); its axis= form rounds differently)."""
+    x, y = a.real, a.imag
+    sq = x[..., None, :] @ x[..., :, None] + y[..., None, :] @ y[..., :, None]
+    return np.sqrt(sq)[..., 0, 0]
 
-    def __init__(self, m, entries=None):
+
+class CoeffSeq:
+    """Coefficients t_Q in C^m on the cubes of a window ``t``: levels[j] is
+    a complex array of shape t.level_shape(j) + (m,), indexed by the
+    window-local k - lo(j), and zero means absent.  CubeIds enter only
+    through tv[Q], tv[Q] = z and ``entries``."""
+
+    def __init__(self, t: Truncation, m, entries=None):
+        self.t = t
         self.m = int(m)
-        self.entries = {}
-        if entries:
-            for Q, z in entries.items():
-                self[Q] = z
+        self.levels = {j: np.zeros(t.level_shape(j) + (self.m,), dtype=complex)
+                       for j in range(t.j_min, t.j_max + 1)}
+        for Q, z in (entries or {}).items():
+            self[Q] = z
 
     def __setitem__(self, Q: CubeId, z):
         z = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -57,28 +71,46 @@ class CoeffSeq:
             raise SeqSpaceError(f"entry shape {z.shape} != ({self.m},)")
         if not np.all(np.isfinite(z.view(float))):
             raise SeqSpaceError("non-finite coefficient")
-        self.entries[Q] = z
+        at = self.t.locate(Q)
+        if at is None:
+            raise SeqSpaceError(f"coefficient cube {Q} outside the window")
+        self.levels[at[0]][at[1]] = z
 
     def __getitem__(self, Q: CubeId):
-        return self.entries.get(Q, np.zeros(self.m, dtype=complex))
+        at = self.t.locate(Q)
+        if at is None:
+            return np.zeros(self.m, dtype=complex)
+        return self.levels[at[0]][at[1]].copy()
 
     def __len__(self):
-        return len(self.entries)
+        return sum(int(np.count_nonzero(np.any(a != 0, axis=-1)))
+                   for a in self.levels.values())
+
+    @property
+    def entries(self):
+        """Read-only {CubeId: vector} of the nonzero entries, (j, k) order."""
+        out = {}
+        for j, a in self.levels.items():
+            hit = np.any(a != 0, axis=-1)
+            out.update((CubeId(j, k), z)
+                       for k, z in zip(self.t.level_k(j)[hit], a[hit]))
+        return MappingProxyType(out)
 
     def cubes(self):
         return list(self.entries)
 
-    def scaled(self, lam):
-        return CoeffSeq(self.m, {Q: lam * z for Q, z in self.entries.items()})
+    def _map(self, m, fn):
+        out = CoeffSeq(self.t, m)
+        out.levels = {j: fn(a) for j, a in self.levels.items()}
+        return out
 
-    def mapped(self, fn):
-        """Entry-wise transform Q, z -> new vector (or scalar for m=1)."""
-        return CoeffSeq(self.m, {Q: fn(Q, z) for Q, z in self.entries.items()})
+    def scaled(self, lam):
+        return self._map(self.m, lambda a: lam * a)
 
     def magnitudes(self):
         """The scalar sequence {|t_Q|} (Euclidean entry norms)."""
-        return CoeffSeq(1, {Q: np.array([np.linalg.norm(z)])
-                            for Q, z in self.entries.items()})
+        return self._map(
+            1, lambda a: vector_norms(a)[..., None].astype(complex))
 
 
 MODES = ("unweighted", "averaging", "matrix")
@@ -159,15 +191,10 @@ def la_norm(fields, params: SpaceParams, t: Truncation, subdiv=1):
     levels = list(range(t.j_min, t.j_max + 1))
     F = {}
     for j in levels:
-        f = fields.get(j)
-        if f is None:
-            f = np.zeros((R,) * n)
-        else:
-            f = np.abs(np.asarray(f, dtype=float))
-            if f.shape != (R,) * n:
-                raise SeqSpaceError(f"level {j} field has shape {f.shape}")
-        f = np.where(f < UNDERFLOW_CLAMP, 0.0, f)
-        F[j] = f
+        f = np.abs(np.asarray(fields.get(j, np.zeros((R,) * n)), dtype=float))
+        if f.shape != (R,) * n:
+            raise SeqSpaceError(f"level {j} field has shape {f.shape}")
+        F[j] = np.where(f < UNDERFLOW_CLAMP, 0.0, f)
 
     if params.family == "F":
         # suffix accumulation of |f_j|^q (or running max for q = inf)
@@ -200,10 +227,8 @@ def la_norm(fields, params: SpaceParams, t: Truncation, subdiv=1):
         else:
             T = suffix[jP] if np.isinf(q) else suffix[jP] ** (1.0 / q)
             vals = (_box_reduce(T**p, w, np.sum) * node_vol) ** (1.0 / p)
-        vflat = vals.ravel()
-        cubes = enumerate_cubes(t, level=jP)
-        vP = np.array([params.v(P) for P in cubes])
-        best = max(best, float(np.max(vflat / vP)))
+        vP = params.v.on_level(jP, t.level_k(jP))
+        best = max(best, float(np.max(vals / vP)))
     return best
 
 
@@ -220,43 +245,44 @@ def _node_coords(t: Truncation, subdiv):
 
 def _level_fields(tv: CoeffSeq, params: SpaceParams, t: Truncation):
     """Build the unscaled level fields g_j; returns (fields, subdiv)."""
+    if tv.t != t:
+        raise SeqSpaceError(f"sequence lives on {tv.t}, not on {t}")
     mode = params.mode
     subdiv = params.quad.G if mode == "matrix" else 1
-    n, R = t.n, t.cells_per_axis() * subdiv
+    n, m, R = t.n, tv.m, t.cells_per_axis() * subdiv
     if mode == "matrix":
         W = params.weight
-        if W.m != tv.m:
-            raise SeqSpaceError(f"weight is {W.m}x{W.m}, sequence has "
-                                f"m={tv.m}")
+        if W.m != m:
+            raise SeqSpaceError(f"weight is {W.m}x{W.m}, sequence has m={m}")
         # W^{1/p} once on the window's node grid, zero at singular nodes
         grids = np.meshgrid(*[_node_coords(t, subdiv)] * n, indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=-1)
         keep = ~W.is_singular_at(pts)
-        wp = np.zeros((len(pts), W.m, W.m), dtype=complex)
+        wp = np.zeros((len(pts), m, m), dtype=complex)
         wp[keep] = W.powers(pts[keep], 1.0 / params.p)
-        wp = wp.reshape((R,) * n + (W.m, W.m))
+        wp = wp.reshape((R,) * n + (m, m))
+    elif mode == "averaging":
+        fam = params.reducing
+        if fam.truncation != t or fam.m != m:
+            raise SeqSpaceError(f"reducing family (m={fam.m}) on "
+                                f"{fam.truncation} does not fit m={m} on {t}")
     fields = {}
-    for Q, z in tv.entries.items():
-        if not t.contains(Q):
-            raise SeqSpaceError(f"coefficient cube {Q} outside the window")
-        j = Q.j
-        f = fields.setdefault(j, np.zeros((R,) * n))
-        offs, width = t.cell_index(Q)
-        sl = tuple(
-            slice(o * subdiv, (o + width) * subdiv) for o in offs
-        )
+    for j, z in tv.levels.items():
+        if not z.any():
+            continue  # la_norm reads an absent level as zero
         scale = 2.0 ** (j * n / 2.0)  # |Q|^{-1/2}
-        if mode == "unweighted":
-            f[sl] = np.linalg.norm(z) * scale
-        elif mode == "averaging":
-            A = params.reducing[Q]
-            if A.shape[-1] != tv.m:
-                raise SeqSpaceError(f"reducing operator at {Q} is "
-                                    f"{A.shape[-1]}-dimensional, sequence "
-                                    f"has m={tv.m}")
-            f[sl] = np.linalg.norm(A @ z.astype(complex)) * scale
+        c, w = z.shape[0], subdiv << (t.j_max - j)  # cubes, cells per cube
+        if mode == "matrix":
+            # |W^{1/p}(x) t_Q| at the nodes of each cube Q, blocked (c, w)^n
+            blocks = wp.reshape((c, w) * n + (m, m))
+            per_node = blocks @ z.reshape((c, 1) * n + (m, 1))
+            f = np.linalg.norm(per_node[..., 0], axis=-1) * scale
         else:
-            f[sl] = np.linalg.norm(wp[sl] @ z, axis=-1) * scale
+            if mode == "averaging":
+                z = (fam.levels[j] @ z[..., None])[..., 0]
+            f = np.broadcast_to((vector_norms(z) * scale).reshape((c, 1) * n),
+                                (c, w) * n)
+        fields[j] = f.reshape((R,) * n)
     return fields, subdiv
 
 
@@ -278,17 +304,15 @@ def finfty_norm(tv: CoeffSeq, s, q, t: Truncation, w=None, w_nodes=32):
         raise SeqSpaceError("finfty_norm takes scalar (m=1) sequences")
     n = t.n
     if np.isinf(q):
-        best = 0.0
-        for Q, z in tv.entries.items():
-            best = max(best, 2.0 ** (Q.j * (s + n / 2.0)) * abs(z[0]))
-        return best
+        return max([2.0 ** (Q.j * (s + n / 2.0)) * abs(z[0])
+                    for Q, z in tv.entries.items()], default=0.0)
 
     from .growth import _cell_average
 
     def measure(Q):
         if w is None:
             return 2.0 ** (-Q.j * n)
-        return _cell_average(w, Q, w_nodes)
+        return float(_cell_average(w, Q.j, np.array(Q.k), w_nodes))
 
     acc = {}
     for Q, z in tv.entries.items():
@@ -339,25 +363,27 @@ def single_point_oracle(Q: CubeId, z, params: SpaceParams, t: Truncation,
 # Sequence builders
 # ---------------------------------------------------------------------------
 
-def build_single_point(Q: CubeId, z, m=None):
+def build_single_point(Q: CubeId, z, t: Truncation):
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    m = m or z.size
-    tv = CoeffSeq(m)
+    tv = CoeffSeq(t, z.size)
     tv[Q] = z
     return tv
 
 
 def build_random(t: Truncation, m=1, seed=0, density=0.3, sigma=0.0):
     """Bernoulli(density) support over the window; |t_Q| scales like
-    |Q|^sigma with standard-normal components."""
+    |Q|^sigma with standard-normal components.  Draws run cube by cube
+    in (j, k) order: one uniform, then 2m normals for a kept cube."""
     rng = np.random.default_rng(seed)
-    tv = CoeffSeq(m)
-    for Q in enumerate_cubes(t):
-        if rng.random() >= density:
-            continue
-        z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        z *= 2.0 ** (-Q.j * t.n * sigma) / np.sqrt(2.0)
-        tv[Q] = z
+    random, normal = rng.random, rng.standard_normal
+    tv = CoeffSeq(t, m)
+    for j, a in tv.levels.items():
+        rows = a.reshape(-1, m)
+        scale = 2.0 ** (-j * t.n * sigma) / np.sqrt(2.0)
+        for i in range(len(rows)):
+            if random() < density:
+                g = normal(2 * m)  # real parts, then imaginary parts
+                rows[i] = (g[:m] + 1j * g[m:]) * scale
     return tv
 
 
@@ -365,9 +391,8 @@ def build_besov_counterexample(J, t: Truncation):
     """Levels 0..J, entry |Q|^{1/2} wherever (1+j) divides k_1."""
     if J > t.j_max or t.j_min > 0:
         raise SeqSpaceError("window must cover levels 0..J")
-    tv = CoeffSeq(1)
+    tv = CoeffSeq(t, 1)
     for j in range(0, J + 1):
-        for Q in enumerate_cubes(t, level=j):
-            if Q.k[0] % (1 + j) == 0:
-                tv[Q] = np.array([2.0 ** (-j * t.n / 2.0)])
+        hit = t.level_k(j)[..., 0] % (1 + j) == 0
+        tv.levels[j][hit] = 2.0 ** (-j * t.n / 2.0)
     return tv

@@ -15,11 +15,11 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .dyadic import CubeId, Truncation, cube_geometry
+from .dyadic import CubeId, DwlabError, Truncation
 from .seqspace import CoeffSeq
 
 
-class TransformError(ValueError):
+class TransformError(DwlabError):
     pass
 
 
@@ -124,44 +124,38 @@ def band_project(f: GridFunction, w: LPWindow):
 
 
 def phi_analyze(f: GridFunction, w: LPWindow):
-    """Coefficients <f, phi_Q> = |Q|^{1/2} (tilde-phi_j * f)(x_Q)."""
+    """Coefficients <f, phi_Q> = |Q|^{1/2} (tilde-phi_j * f)(x_Q) on the
+    unit-interval window Truncation(1, 0, J - 1, 1); level 0 stays zero."""
     if f.n != 1:
         raise TransformError("the band-limited transform is 1-d only")
-    tv = CoeffSeq(f.m)
+    tv = CoeffSeq(Truncation(1, 0, w.J - 1, 1), f.m)
     fhat = np.fft.fft(f.values, axis=0)
     for j in w.levels:
         conv = np.fft.ifft(np.conj(w.phi_hat[j])[:, None] * fhat
                            if f.m > 1 else np.conj(w.phi_hat[j]) * fhat,
                            axis=0)
-        stride = f.N >> j
-        samples = conv[::stride]
-        scale = 2.0 ** (-j / 2.0)
-        for k in range(1 << j):
-            z = np.atleast_1d(samples[k]) * scale
-            if np.any(np.abs(z) > 0):
-                tv[CubeId(j, (k,))] = z
+        samples = conv[::f.N >> j].reshape(1 << j, f.m)
+        tv.levels[j][...] = samples * 2.0 ** (-j / 2.0)
     return tv
 
 
-def phi_synthesize(tv: CoeffSeq, w: LPWindow, m=1):
-    """sum_Q t_Q psi_Q via per-level DFTs of the coefficient arrays."""
-    N = w.N
+def phi_synthesize(tv: CoeffSeq, w: LPWindow):
+    """sum_Q t_Q psi_Q via per-level DFTs of the coefficient arrays; the
+    level-j corners k enter modulo 2^j (the unit torus)."""
+    if tv.t.n != 1:
+        raise TransformError("the band-limited transform is 1-d only")
+    N, m = w.N, tv.m
     xi = np.fft.fftfreq(N, d=1.0 / N).astype(int)
     fhat = np.zeros((N, m), dtype=complex)
-    by_level = {}
-    for Q, z in tv.entries.items():
-        if Q.n != 1:
-            raise TransformError("the band-limited transform is 1-d only")
-        if Q.j not in w.phi_hat:
-            raise TransformError(f"coefficient level {Q.j} outside the window")
-        by_level.setdefault(Q.j, {})[Q.k[0]] = z
-    for j, kz in by_level.items():
+    for j, a in tv.levels.items():
+        if not a.any():
+            continue
+        if j not in w.phi_hat:
+            raise TransformError(f"coefficient level {j} outside the window")
         arr = np.zeros((1 << j, m), dtype=complex)
-        for k, z in kz.items():
-            arr[k % (1 << j)] = z
+        arr[tv.t.level_k(j)[:, 0] % (1 << j)] = a
         A = np.fft.fft(arr, axis=0)  # A[r] = sum_k t_k e^{-2pi i r k / 2^j}
-        res = xi % (1 << j)
-        fhat += (2.0 ** (-j / 2.0)) * w.psi_hat[j][:, None] * A[res]
+        fhat += (2.0 ** (-j / 2.0)) * w.psi_hat[j][:, None] * A[xi % (1 << j)]
     vals = np.fft.ifft(fhat, axis=0) * N
     if m == 1:
         vals = vals[:, 0]
@@ -255,9 +249,11 @@ class WaveletCoeffs:
 
     Details are keyed by dyadic level j (the block has 2^j entries per
     axis); in 2-d each level carries the three orientation blocks
-    ('h', 'v', 'd').  to_coeffseq() reindexes details by CubeId with
-    L^2 normalization (coefficients scaled by N^{-n/2} so that the sum
-    of squares matches the grid-measure integral of |f|^2).
+    ('h', 'v', 'd').  to_coeffseq() lays the details out as level arrays
+    on the unit-cube window Truncation(n, 0, J - 1, 1) with L^2
+    normalization (coefficients scaled by N^{-n/2} so that the sum of
+    squares matches the grid-measure integral of |f|^2); in 2-d the
+    three orientations are the components of an m = 3 sequence.
     """
 
     n: int
@@ -268,20 +264,14 @@ class WaveletCoeffs:
 
     def to_coeffseq(self):
         scale = self.N ** (-self.n / 2.0)
-        if self.n == 1:
-            tv = CoeffSeq(1)
-            for j, d in self.details.items():
-                for k, v in enumerate(d):
-                    tv[CubeId(j, (k,))] = np.array([v * scale])
-            return tv
-        tv = CoeffSeq(3)
-        for j, blocks in self.details.items():
-            B = 1 << j
-            for k0 in range(B):
-                for k1 in range(B):
-                    z = np.array([blocks["h"][k0, k1], blocks["v"][k0, k1],
-                                  blocks["d"][k0, k1]]) * scale
-                    tv[CubeId(j, (k0, k1))] = z
+        tv = CoeffSeq(Truncation(self.n, 0, max(self.details), 1),
+                      1 if self.n == 1 else 3)
+        for j, d in self.details.items():
+            if self.n == 1:
+                tv.levels[j][..., 0] = d * scale
+            else:
+                tv.levels[j][...] = np.stack([d["h"], d["v"], d["d"]],
+                                             axis=-1) * scale
         return tv
 
     def energy(self):
@@ -367,6 +357,13 @@ def _torus_dist(N):
     return np.minimum(diff, N - diff) / N
 
 
+def _grid_levels(fj):
+    """(j, values [Ng, m], midpoints [Ng]) for each level of a field map."""
+    for j, vals in fj.items():
+        vals = np.asarray(vals, dtype=complex).reshape(len(vals), -1)
+        yield j, vals, (np.arange(len(vals)) + 0.5) / len(vals)
+
+
 def _weighted_mags(fvals, Wp_stack):
     """|W^{1/p}(x) f(y)| for all (x, y): returns (X, Y) array."""
     # fvals: (Y, m); Wp_stack: (X, m, m)
@@ -380,11 +377,8 @@ def _point_matrices(mode, pts, j, W=None, p=None, fam=None, t=None):
     # averaging: A_Q of the level-j cube containing x
     from .reducing import cube_containing
 
-    mats = []
-    for x in pts:
-        Q = cube_containing(x, j, t)
-        mats.append(fam[Q])
-    return np.stack(mats).astype(complex)
+    return np.stack([fam[cube_containing(x, j, t)] for x in pts]
+                    ).astype(complex)
 
 
 def peetre_maximal(fj, eta, mode="matrix", W=None, p=None, fam=None,
@@ -397,14 +391,8 @@ def peetre_maximal(fj, eta, mode="matrix", W=None, p=None, fam=None,
     if eta <= 0:
         raise TransformError("eta must be positive")
     out = {}
-    for j, vals in fj.items():
-        vals = np.asarray(vals, dtype=complex)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        Ng = vals.shape[0]
-        pts = (np.arange(Ng) + 0.5) / Ng
-        dist = _torus_dist(Ng)
-        pen = (1.0 + 2.0**j * dist) ** eta
+    for j, vals, pts in _grid_levels(fj):
+        pen = (1.0 + 2.0**j * _torus_dist(len(pts))) ** eta
         M = _point_matrices(mode, pts, j, W=W, p=p, fam=fam, t=t)
         mags = _weighted_mags(vals, M)
         out[j] = np.max(mags / pen, axis=1)
@@ -414,12 +402,7 @@ def peetre_maximal(fj, eta, mode="matrix", W=None, p=None, fam=None,
 def direct_weighted_field(fj, mode="matrix", W=None, p=None, fam=None, t=None):
     """|M(x) f_j(x)| pointwise (the y = x term of the Peetre sup)."""
     out = {}
-    for j, vals in fj.items():
-        vals = np.asarray(vals, dtype=complex)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        Ng = vals.shape[0]
-        pts = (np.arange(Ng) + 0.5) / Ng
+    for j, vals, pts in _grid_levels(fj):
         M = _point_matrices(mode, pts, j, W=W, p=p, fam=fam, t=t)
         out[j] = np.linalg.norm(np.einsum("xab,xb->xa", M, vals), axis=-1)
     return out
@@ -434,12 +417,8 @@ def square_functions(fj, kind="gstar", r=2.0, lam=2.0, alpha=1.0,
     gstar: (sum_y 2^{jn} |W^{1/p}(x) f_j(y)|^r (1 + 2^j d)^{-lam r} dy)^{1/r}.
     """
     out = {}
-    for j, vals in fj.items():
-        vals = np.asarray(vals, dtype=complex)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        Ng = vals.shape[0]
-        pts = (np.arange(Ng) + 0.5) / Ng
+    for j, vals, pts in _grid_levels(fj):
+        Ng = len(pts)
         dist = _torus_dist(Ng)
         if W is None:
             mags = np.abs(np.linalg.norm(vals, axis=-1))[None, :].repeat(Ng, 0)

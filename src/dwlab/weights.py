@@ -14,12 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import CubeId, Truncation, cube_geometry, enumerate_cubes
+from .dyadic import (CubeId, DwlabError, Truncation, cube_geometry,
+                     enumerate_cubes)
 
 HERMITIAN_TOL = 1e-12
 
 
-class WeightError(ValueError):
+class WeightError(DwlabError):
     pass
 
 
@@ -152,13 +153,7 @@ def cube_nodes(Q: CubeId, t: Truncation, spec: QuadratureSpec):
     Returns (points [M, n], uniform node weight) with weights summing to |Q|.
     """
     x0, ell, _ = cube_geometry(Q)
-    cells = 1 << (t.j_max - Q.j)
-    g = cells * spec.G
-    ticks = (np.arange(g) + 0.5) / g * ell
-    grids = np.meshgrid(*[x0[a] + ticks for a in range(Q.n)], indexing="ij")
-    pts = np.stack([gr.ravel() for gr in grids], axis=-1)
-    wt = (ell / g) ** Q.n
-    return pts, wt
+    return box_nodes(x0, x0 + ell, (1 << (t.j_max - Q.j)) * spec.G)
 
 
 def box_nodes(lo, hi, g):

@@ -54,7 +54,7 @@ def test_01_averaging_mode_is_exact_identity():
                 pu = SpaceParams(family, 0.0, 2.0, q, V0)
                 tv = build_random(t, m=m, seed=seed)
                 seed += 1
-                mapped = CoeffSeq(1, {
+                mapped = CoeffSeq(t, 1, {
                     Q: np.array([np.linalg.norm(fam[Q] @ z)])
                     for Q, z in tv.entries.items()
                 })

@@ -31,7 +31,7 @@ def test_ad_entry_hand_values():
 
 def test_envelope_with_zero_exponents_spreads_mass():
     t = Truncation(1, 0, 2, 1)
-    tv = build_single_point(CubeId(1, (1,)), 3.0)
+    tv = build_single_point(CubeId(1, (1,)), 3.0, t)
     out = ad_apply(ADParams(0.0, 0.0, 0.0), tv, t)
     for Q in (CubeId(0, (0,)), CubeId(2, (3,))):
         assert abs(out[Q][0] - 3.0) < 1e-15
@@ -39,7 +39,7 @@ def test_envelope_with_zero_exponents_spreads_mass():
 
 def test_ad_apply_explicit_table():
     t = Truncation(1, 0, 1, 1)
-    tv = build_single_point(CubeId(1, (0,)), 2.0)
+    tv = build_single_point(CubeId(1, (0,)), 2.0, t)
     table = {(CubeId(0, (0,)), CubeId(1, (0,))): 0.5}
     out = ad_apply(table, tv, t)
     assert abs(out[CubeId(0, (0,))][0] - 1.0) < 1e-15
@@ -71,18 +71,35 @@ def test_ad_apply_matches_dense_oracle(t, m, U):
 
 def test_ad_apply_single_point_and_empty():
     t = Truncation(1, 0, 6, 1)
-    _assert_matches_dense(F22, build_single_point(CubeId(3, (5,)), 2.0 - 1.0j), t)
+    _assert_matches_dense(
+        F22, build_single_point(CubeId(3, (5,)), 2.0 - 1.0j, t), t)
     t2 = Truncation(2, 1, 4, 3)
-    _assert_matches_dense(F22, build_single_point(CubeId(2, (0, -2)), 1.5), t2)
-    assert len(ad_apply(F22, CoeffSeq(2), t)) == 0
+    _assert_matches_dense(
+        F22, build_single_point(CubeId(2, (0, -2)), 1.5, t2), t2)
+    assert len(ad_apply(F22, CoeffSeq(t, 2), t)) == 0
 
 
 def test_ad_apply_rejects_cubes_outside_window():
     t = Truncation(1, 0, 3, 1)
     with pytest.raises(ADError):
-        ad_apply(F22, build_single_point(CubeId(4, (0,)), 1.0), t)
+        ad_apply(F22, build_single_point(CubeId(4, (0,)), 1.0,
+                                         Truncation(1, 0, 4, 1)), t)
     with pytest.raises(ADError):
-        majorant(build_single_point(CubeId(1, (0, 0)), 1.0), 2.0, 1.0, t)
+        majorant(build_single_point(CubeId(1, (0, 0)), 1.0,
+                                    Truncation(2, 0, 1, 1)), 2.0, 1.0, t)
+
+
+def test_ad_apply_and_majorant_need_the_sequence_window():
+    t = Truncation(1, 0, 3, 1)
+    for other in (Truncation(1, 0, 3, 2), Truncation(1, 1, 3, 1)):
+        tv = build_random(other, seed=1, density=0.5)
+        for call in (lambda: ad_apply(F22, tv, t),
+                     lambda: ad_apply({}, tv, t),
+                     lambda: majorant(tv, 2.0, 1.0, t),
+                     lambda: majorant(tv, np.inf, 1.0, t),
+                     lambda: ad_apply(F22, CoeffSeq(other, 1), t)):
+            with pytest.raises(ADError):
+                call()
 
 
 def test_thresholds_f22_unweighted():
@@ -137,7 +154,7 @@ def test_thresholds_validation():
 
 def test_majorant_hand_values():
     t = Truncation(1, 0, 1, 1)
-    tv = build_single_point(CubeId(1, (0,)), 1.0)
+    tv = build_single_point(CubeId(1, (0,)), 1.0, t)
     out = majorant(tv, 1.0, 2.0, t)
     # neighbor one cell away: (1 + 1)^{-2} = 0.25
     assert abs(out[CubeId(1, (1,))][0] - 0.25) < 1e-15

@@ -69,14 +69,20 @@ def test_enumeration_order_is_lexicographic():
     assert cubes == sorted(cubes, key=lambda Q: (Q.j, Q.k))
 
 
-def test_cell_index_slices_cover_window():
-    t = Truncation(1, 0, 3, 2)
-    R = t.cells_per_axis()
-    covered = np.zeros(R, dtype=int)
-    for Q in enumerate_cubes(t, level=2):
-        offs, width = t.cell_index(Q)
-        covered[offs[0]:offs[0] + width] += 1
-    assert np.all(covered == 1)
+def test_locate_covers_level_arrays():
+    for t in (Truncation(1, 0, 3, 2), Truncation(2, 1, 3, 3)):
+        for j in range(t.j_min, t.j_max + 1):
+            covered = np.zeros(t.level_shape(j), dtype=int)
+            for Q in enumerate_cubes(t, level=j):
+                lvl, idx = t.locate(Q)
+                assert lvl == j and tuple(t.level_k(j)[idx]) == Q.k
+                covered[idx] += 1
+            assert np.all(covered == 1)
+        assert t.locate(CubeId(t.j_max + 1, (0,) * t.n)) is None
+        assert t.locate(CubeId(t.j_min, (0,) * (t.n + 1))) is None
+        lo, hi = t.k_range(t.j_min)
+        assert t.locate(CubeId(t.j_min, (hi,) * t.n)) is None
+        assert t.locate(CubeId(t.j_min, (lo - 1,) * t.n)) is None
 
 
 def test_negative_levels():

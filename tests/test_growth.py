@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dwlab.dyadic import CubeId, Truncation
+from dwlab.dyadic import CubeId, Truncation, enumerate_cubes
 from dwlab.growth import (
     GrowthError,
     GrowthFn,
@@ -57,7 +57,7 @@ def test_class_constant_detects_wrong_class():
 
 def test_class_constant_constant_function():
     t = Truncation(1, 0, 3, 1)
-    v = GrowthFn(eval=lambda c: 5.0)
+    v = GrowthFn(eval=lambda j, k: 5.0)
     assert abs(class_constant(v, 0.0, 0.0, 0.0, t) - 1.0) < 1e-12
 
 
@@ -68,7 +68,7 @@ def test_almost_increasing():
     ok, c = is_almost_increasing(make_growth("power", tau=0.0), t)
     assert ok and c == 1.0
     # v(Q) = |Q|^{-1} grows into subcubes: constant 2^3 at depth 3
-    v = GrowthFn(eval=lambda c: 2.0 ** (c.j * c.n))
+    v = GrowthFn(eval=lambda j, k: 2.0 ** (j * k.shape[-1]))
     ok, c = is_almost_increasing(v, t, cap=10.0)
     assert ok and abs(c - 8.0) < 1e-12
     ok, _ = is_almost_increasing(v, Truncation(1, 0, 5, 1), cap=10.0)
@@ -82,7 +82,7 @@ def test_validation_errors():
         make_growth("piecewise_power", alpha=2.0, beta=1.0)
     with pytest.raises(GrowthError):
         make_growth("no_such_kind")
-    v = GrowthFn(eval=lambda c: -1.0)
+    v = GrowthFn(eval=lambda j, k: -1.0)
     with pytest.raises(GrowthError):
         v(CubeId(0, (0,)))
     with pytest.raises(GrowthError):
@@ -96,3 +96,21 @@ def test_power_class_membership_property(tau, depth):
     t = Truncation(1, 0, depth, 1)
     v = make_growth("power", tau=tau)
     assert class_constant(v, tau, tau, 0.0, t) <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("power", {"tau": 0.7}),
+    ("weight_power", {"field": lambda x: 1.0 + float(np.sum(x ** 2)),
+                      "tau": 0.5, "nodes_per_axis": 4}),
+    ("length", {"g": lambda ell: min(ell, 1.0) ** 0.5, "p": 2.0}),
+    ("piecewise_power", {"alpha": 0.25, "beta": 1.0}),
+])
+@pytest.mark.parametrize("t", [Truncation(1, -2, 3, 3),
+                               Truncation(2, -1, 1, 1)])
+def test_level_evaluation_matches_cube_by_cube(kind, params, t):
+    v = make_growth(kind, **params)
+    for j in range(t.j_min, t.j_max + 1):
+        got = v.on_level(j, t.level_k(j))
+        assert got.shape == t.level_shape(j)
+        assert np.array_equal(got.ravel(),
+                              [v(Q) for Q in enumerate_cubes(t, level=j)])

@@ -96,6 +96,38 @@ def test_cli_thresholds_and_norm(capsys):
     assert rc == 0 and abs(float(out) - 0.5) < 1e-12
 
 
+def _norm_config(space=None, entry=None):
+    doc = {
+        "window": {"n": 1, "j_min": 0, "j_max": 2, "root_extent": 1},
+        "space": {"family": "B", "s": 0.0, "p": 1, "q": 2, **(space or {})},
+        "sequence": {"m": 1, "entries": [
+            {"j": 2, "k": [0], "value": [[1.0, 0.0]], **(entry or {})}]},
+    }
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm", "--config", _norm_config(space={"p": 0})],
+    ["norm", "--config", _norm_config(space={"q": "nan"})],
+    ["norm", "--config", _norm_config(entry={"j": 3})],  # outside j_max 2
+    ["norm", "--config", _norm_config(space={
+        "p": 2, "mode": "matrix", "weight": "diag_power:-0.5:-0.25"})],
+    ["verify", "EMB", "--seed", "zz"],
+    ["norm", "--config", "{not json"],
+    ["norm", "--config", '{"window": {"j_min": 0, "j_max": 2}}'],
+    ["reduce", "--weight", "bogus:1"],
+    ["norm", "--config", "no-such-dir/config.json"],
+], ids=["p=0", "q=nan", "entry-outside-window", "2x2-weight-m=1",
+        "bad-seed", "malformed-json", "missing-key", "unknown-preset",
+        "unreadable-file"])
+def test_cli_user_errors_exit_2_with_one_line(argv, capsys):
+    assert main(argv) == 2
+    cap = capsys.readouterr()
+    lines = cap.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("dwlab: error: "), cap.err
+    assert cap.out == ""
+
+
 def test_cli_verify_single_experiment(tmp_path, capsys):
     out_path = tmp_path / "rep.json"
     rc = main(["verify", "EMB", "--seed", "0xDAD1C", "--out", str(out_path)])
@@ -138,7 +170,9 @@ def _assert_same_tree(got, want, path):
 
 
 @pytest.mark.parametrize("name", ["SINGLE", "EQ-AW", "INV-F", "FS-GAMMA",
-                                  "PEETRE", "LPFUNC"])
+                                  "PEETRE", "LPFUNC", "AD-BOUND", "AD-NEC",
+                                  "EQ-GSTAR", "CEX-B", "SOB", "EMB",
+                                  "CALDERON", "WAV-NORM"])
 def test_weighted_experiments_match_reference_report(name):
     ref = {r["name"]: r
            for r in json.loads(REFERENCE_REPORT.read_text())["results"]}

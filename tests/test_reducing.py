@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dwlab.dyadic import CubeId, Truncation
+from dwlab.dyadic import CubeId, Truncation, enumerate_cubes
 from dwlab.reducing import (
     ReducingError,
     build_family,
@@ -116,3 +116,19 @@ def test_cube_containing():
     assert cube_containing(0.3, 2, t) == CubeId(2, (1,))
     with pytest.raises(ReducingError):
         cube_containing(1.5, 2, t)
+
+
+def test_family_indexing_round_trips_on_level_stacks():
+    t = Truncation(2, 1, 2, 3)
+    W = MatrixWeight(2, lambda x: np.diag([1.0 + x[0] ** 2, 2.0 + x[1] ** 2]))
+    fam = build_family(W, 2.0, t)
+    assert fam.m == 2 and fam.cubes() == enumerate_cubes(t)
+    for Q in fam.cubes():
+        j, idx = t.locate(Q)
+        assert Q in fam
+        assert np.array_equal(fam[Q], fam.levels[j][idx])
+        assert np.array_equal(fam[Q], reduce_cube(W, 2.0, Q, t))
+    outside = CubeId(3, (0, 0))
+    assert outside not in fam
+    with pytest.raises(KeyError):
+        fam[outside]

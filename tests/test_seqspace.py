@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dwlab.dyadic import CubeId, Truncation
+from dwlab.dyadic import CubeId, Truncation, enumerate_cubes
 from dwlab.growth import make_growth
 from dwlab.reducing import identity_family, build_family
 from dwlab.seqspace import (
     CoeffSeq,
     SeqSpaceError,
     SpaceParams,
+    _level_fields,
+    _node_coords,
     build_besov_counterexample,
     build_random,
     build_single_point,
@@ -18,7 +20,13 @@ from dwlab.seqspace import (
     seq_norm,
     single_point_oracle,
 )
-from dwlab.weights import constant_weight, identity_weight
+from dwlab.weights import (
+    QuadratureSpec,
+    constant_weight,
+    diag_power_weight,
+    identity_weight,
+    power_weight,
+)
 
 V0 = make_growth("power", tau=0.0)
 V1 = make_growth("power", tau=1.0)
@@ -29,7 +37,7 @@ def _params(family="B", s=0.0, p=2.0, q=2.0, v=V0, **kw):
 
 
 def test_coeffseq_validation():
-    tv = CoeffSeq(2)
+    tv = CoeffSeq(Truncation(1, 0, 1, 1), 2)
     with pytest.raises(SeqSpaceError):
         tv[CubeId(0, (0,))] = [1.0]
     with pytest.raises(SeqSpaceError):
@@ -72,7 +80,7 @@ def test_space_params_accepts_infinite_exponents():
 
 def test_seq_norm_rejects_weight_size_mismatch():
     t = Truncation(1, 0, 2, 1)
-    tv = build_single_point(CubeId(1, (0,)), 1.0)
+    tv = build_single_point(CubeId(1, (0,)), 1.0, t)
     W = constant_weight(np.diag([1.0, 4.0]))
     with pytest.raises(SeqSpaceError):
         seq_norm(tv, _params(mode="matrix", weight=W), t)
@@ -94,7 +102,7 @@ def test_single_entry_norm_hand_value():
     # t_Q = 1 on Q = [0, 1/4): field is 2 * 1_Q, every window cube P >= Q
     # sees integral 2 * 1/4 = 1/2
     t = Truncation(1, 0, 2, 1)
-    tv = build_single_point(CubeId(2, (0,)), 1.0)
+    tv = build_single_point(CubeId(2, (0,)), 1.0, t)
     got = seq_norm(tv, _params(p=1.0, q=3.0), t)
     assert abs(got - 0.5) < 1e-12
     got_f = seq_norm(tv, _params("F", p=1.0, q=0.5), t)
@@ -117,7 +125,7 @@ def test_single_point_oracle_constant_matrix_weight():
     Q = CubeId(0, (0,))
     z = np.array([0.0, 1.0])
     assert abs(single_point_oracle(Q, z, params, t) - 2.0) < 1e-12
-    got = seq_norm(build_single_point(Q, z), params, t)
+    got = seq_norm(build_single_point(Q, z, t), params, t)
     assert abs(got - 2.0) < 1e-10
 
 
@@ -145,7 +153,7 @@ def test_finfty_matches_fqq_with_power_growth():
 
 def test_finfty_q_inf_is_sup():
     t = Truncation(1, 0, 2, 1)
-    tv = CoeffSeq(1)
+    tv = CoeffSeq(t, 1)
     tv[CubeId(2, (1,))] = [0.5]
     tv[CubeId(0, (0,))] = [1.0]
     # 2^{2(0 + 1/2)} * 0.5 = 1 vs 2^0 * 1 = 1
@@ -164,7 +172,7 @@ def test_besov_counterexample_support():
 
 def test_out_of_window_entry_raises():
     t = Truncation(1, 0, 1, 1)
-    tv = build_single_point(CubeId(3, (0,)), 1.0)
+    tv = build_single_point(CubeId(3, (0,)), 1.0, Truncation(1, 0, 3, 1))
     with pytest.raises(SeqSpaceError):
         seq_norm(tv, _params(), t)
 
@@ -189,3 +197,126 @@ def test_quasinorm_positive_definite(seed, q):
         assert val > 0
     else:
         assert val == 0.0
+
+
+def test_setitem_outside_the_window_raises():
+    tv = CoeffSeq(Truncation(1, 0, 2, 1), 1)
+    for Q in (CubeId(3, (0,)), CubeId(1, (2,)), CubeId(1, (-1,)),
+              CubeId(1, (0, 0))):
+        with pytest.raises(SeqSpaceError):
+            tv[Q] = 1.0
+    assert len(tv) == 0
+
+
+def test_seq_norm_rejects_a_sequence_on_another_window():
+    t = Truncation(1, 0, 2, 1)
+    tv = build_random(t, seed=3, density=0.5)
+    for other in (Truncation(1, 0, 3, 1), Truncation(1, 0, 2, 3)):
+        with pytest.raises(SeqSpaceError):
+            seq_norm(tv, _params(), other)
+    fam = identity_family(Truncation(1, 0, 3, 1))
+    with pytest.raises(SeqSpaceError):
+        seq_norm(tv, _params(mode="averaging", reducing=fam), t)
+
+
+def test_entries_hold_nonzero_entries_in_jk_order():
+    t = Truncation(2, 0, 2, 3)  # level j runs over k in [-2^j, 2^{j+1})^2
+    tv = CoeffSeq(t, 2)
+    tv[CubeId(2, (3, -4))] = [1.0, 0.0]
+    tv[CubeId(0, (1, -1))] = [0.0, 2j]
+    tv[CubeId(2, (-4, 5))] = [0.5, 0.5]
+    tv[CubeId(1, (0, 0))] = [1.0, 1.0]
+    tv[CubeId(1, (0, 0))] = [0.0, 0.0]  # overwritten with zero: absent
+    want = [CubeId(0, (1, -1)), CubeId(2, (-4, 5)), CubeId(2, (3, -4))]
+    assert list(tv.entries) == want and tv.cubes() == want and len(tv) == 3
+    assert np.array_equal(tv.entries[CubeId(0, (1, -1))], [0.0, 2j])
+    with pytest.raises(TypeError):
+        tv.entries[CubeId(1, (0, 0))] = np.ones(2)
+    with pytest.raises(AttributeError):
+        tv.entries = {}
+
+
+@pytest.mark.parametrize("t", [
+    Truncation(2, 0, 3, 1),   # n = 2
+    Truncation(1, -1, 2, 3),  # root_extent = 3
+    Truncation(2, 2, 4, 3),   # j_min > 0, n = 2, root_extent = 3
+])
+def test_level_arrays_have_the_window_shapes(t):
+    tv = build_random(t, m=2, seed=5, density=0.5)
+    fam = identity_family(t, m=2)
+    assert sorted(tv.levels) == sorted(fam.levels) == list(
+        range(t.j_min, t.j_max + 1))
+    for j, a in tv.levels.items():
+        c = t.root_extent << (j - t.j_min)
+        assert a.shape == (c,) * t.n + (2,) and a.dtype == complex
+        assert t.level_shape(j) == (c,) * t.n
+        assert t.level_k(j).shape == (c,) * t.n + (t.n,)
+        assert fam.levels[j].shape == (c,) * t.n + (2, 2)
+        assert tv.magnitudes().levels[j].shape == (c,) * t.n + (1,)
+    for Q, z in tv.entries.items():
+        j, idx = t.locate(Q)
+        assert np.array_equal(tv.levels[j][idx], z)
+
+
+def test_build_random_draws_cube_by_cube_in_jk_order():
+    t = Truncation(2, 1, 3, 3)
+    rng = np.random.default_rng(7)
+    want = {}
+    for Q in enumerate_cubes(t):
+        if rng.random() < 0.4:
+            z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            want[Q] = z * (2.0 ** (-Q.j * t.n * 0.5) / np.sqrt(2.0))
+    tv = build_random(t, m=2, seed=7, density=0.4, sigma=0.5)
+    assert list(tv.entries) == list(want)
+    for Q, z in want.items():
+        assert np.array_equal(tv[Q], z)
+
+
+def _fields_by_cube(tv, params, t):
+    """Reference: each entry's field value written into its own cells."""
+    mode, n, m = params.mode, t.n, tv.m
+    G = params.quad.G if mode == "matrix" else 1
+    R = t.cells_per_axis() * G
+    if mode == "matrix":
+        grids = np.meshgrid(*[_node_coords(t, G)] * n, indexing="ij")
+        pts = np.stack([g.ravel() for g in grids], axis=-1)
+        keep = ~params.weight.is_singular_at(pts)
+        wp = np.zeros((len(pts), m, m), dtype=complex)
+        wp[keep] = params.weight.powers(pts[keep], 1.0 / params.p)
+        wp = wp.reshape((R,) * n + (m, m))
+    fields = {}
+    for Q, z in tv.entries.items():
+        j, idx = t.locate(Q)
+        w = G << (t.j_max - j)
+        sl = tuple(slice(i * w, (i + 1) * w) for i in idx)
+        f = fields.setdefault(j, np.zeros((R,) * n))
+        scale = 2.0 ** (j * n / 2.0)
+        if mode == "unweighted":
+            f[sl] = np.linalg.norm(z) * scale
+        elif mode == "averaging":
+            f[sl] = np.linalg.norm(params.reducing[Q] @ z) * scale
+        else:
+            f[sl] = np.linalg.norm(wp[sl] @ z, axis=-1) * scale
+    return fields
+
+
+@pytest.mark.parametrize("t, W", [
+    (Truncation(1, 0, 4, 3), power_weight(-0.5)),
+    (Truncation(1, 1, 4, 1), diag_power_weight(-0.5, -0.25)),
+    (Truncation(2, 1, 3, 1), diag_power_weight(-0.5, -0.25, n=2)),
+    (Truncation(2, 0, 2, 3), constant_weight(np.diag([0.5, 1.0, 4.0]))),
+])
+def test_level_fields_equal_the_per_cube_reference(t, W):
+    quad = QuadratureSpec(2)
+    tv = build_random(t, m=W.m, seed=13, density=0.4, sigma=0.25)
+    for params in (
+        _params("F", p=2.0, q=1.0),
+        _params("B", p=2.0, q=2.0, mode="averaging",
+                reducing=build_family(W, 2.0, t, quad)),
+        _params("F", p=1.5, q=2.0, mode="matrix", weight=W, quad=quad),
+    ):
+        got, _ = _level_fields(tv, params, t)
+        want = _fields_by_cube(tv, params, t)
+        assert sorted(got) == sorted(want)
+        for j in want:
+            assert np.array_equal(got[j], want[j]), (params.mode, j)

@@ -3,6 +3,7 @@ import pytest
 
 from dwlab.adops import ADParams
 from dwlab.dyadic import CubeId, Truncation
+from dwlab.seqspace import CoeffSeq
 from dwlab.transforms import (
     GridFunction,
     TransformError,
@@ -64,10 +65,45 @@ def test_single_mode_coefficients_stay_in_their_octave():
 def test_band_limited_round_trip_is_exact():
     N = 128
     w = build_lp_window(N)
-    f = band_project(_random_grid(N, seed=2), w)
-    g = phi_synthesize(phi_analyze(f, w), w)
-    rel = np.max(np.abs(g.values - f.values)) / np.max(np.abs(f.values))
-    assert rel < 1e-12
+    rng = np.random.default_rng(2)
+    vals2 = rng.standard_normal((N, 2)) + 1j * rng.standard_normal((N, 2))
+    for raw in (_random_grid(N, seed=2), GridFunction(1, N, vals2, m=2)):
+        f = band_project(raw, w)
+        g = phi_synthesize(phi_analyze(f, w), w)
+        assert g.m == f.m
+        rel = np.max(np.abs(g.values - f.values)) / np.max(np.abs(f.values))
+        assert rel < 1e-12
+
+
+def test_phi_coefficients_live_on_the_unit_window():
+    N = 64
+    w = build_lp_window(N)
+    tv = phi_analyze(_random_grid(N, seed=4), w)
+    assert tv.t == Truncation(1, 0, w.J - 1, 1) and tv.m == 1
+    assert not tv.levels[0].any()
+    for j in w.levels:
+        assert tv.levels[j].shape == (1 << j, 1) and tv.levels[j].all()
+    bad = CoeffSeq(Truncation(1, 0, w.J, 1), 1)
+    bad[CubeId(w.J, (0,))] = 1.0
+    with pytest.raises(TransformError):
+        phi_synthesize(bad, w)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_wavelet_coefficients_as_level_arrays(n):
+    N = 32
+    rng = np.random.default_rng(n)
+    c = dwt_analyze(GridFunction(n, N, rng.standard_normal((N,) * n)), k=2)
+    tv = c.to_coeffseq()
+    assert tv.t == Truncation(n, 0, max(c.details), 1)
+    assert tv.m == (1 if n == 1 else 3)
+    scale = N ** (-n / 2.0)
+    for j in range(min(c.details)):
+        assert not tv.levels[j].any()
+    for j, d in c.details.items():
+        blocks = [d] if n == 1 else [d["h"], d["v"], d["d"]]
+        for i, b in enumerate(blocks):
+            assert np.array_equal(tv.levels[j][..., i], b * scale)
 
 
 def test_dwt_constant_has_zero_details():
