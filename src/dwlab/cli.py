@@ -5,13 +5,16 @@ floating-point output is printed with 12 significant digits.  Exit
 codes: 0 on success, 1 when `verify` finds a failed criterion, 2 on a
 user error (a DwlabError, malformed JSON or number, a missing config
 key, an unreadable file), reported as one `dwlab: error: ...` line on
-stderr.  The config JSON schemas are documented in the README.
+stderr, and 141 (128 + SIGPIPE, as for a process the signal ends) when
+the reader of stdout closes it early, e.g. `dwlab reduce ... | head`.
+The config JSON schemas are documented in the README.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -52,29 +55,24 @@ def _load_json(arg):
 def _parse_weight(spec):
     """Weight presets: 'identity[:m]', 'power:alpha', 'diag_power:a:b',
     'constant:d1,d2,...' or the equivalent JSON object."""
-    if isinstance(spec, dict):
-        kind = spec["preset"]
-        if kind == "identity":
-            return identity_weight(int(spec.get("m", 1)))
-        if kind == "power":
-            return power_weight(float(spec["alpha"]), int(spec.get("n", 1)))
-        if kind == "diag_power":
-            return diag_power_weight(float(spec["alpha"]), float(spec["beta"]),
-                                     int(spec.get("n", 1)))
-        if kind == "constant":
-            return constant_weight(np.diag([float(d) for d in spec["diag"]]))
-        raise WeightError(f"unknown weight preset: {kind}")
-    parts = str(spec).split(":")
-    kind = parts[0]
+    if not isinstance(spec, dict):
+        kind, *args = str(spec).split(":")
+        names = {"identity": ("m",), "power": ("alpha",), "constant": ("diag",),
+                 "diag_power": ("alpha", "beta")}.get(kind, ())
+        spec = dict(zip(("preset",) + names, [kind] + args))
+        if "diag" in spec:
+            spec["diag"] = spec["diag"].split(",")
+    kind = spec["preset"]
     if kind == "identity":
-        return identity_weight(int(parts[1]) if len(parts) > 1 else 1)
+        return identity_weight(int(spec.get("m", 1)))
     if kind == "power":
-        return power_weight(float(parts[1]))
+        return power_weight(float(spec["alpha"]), int(spec.get("n", 1)))
     if kind == "diag_power":
-        return diag_power_weight(float(parts[1]), float(parts[2]))
+        return diag_power_weight(float(spec["alpha"]), float(spec["beta"]),
+                                 int(spec.get("n", 1)))
     if kind == "constant":
-        return constant_weight(np.diag([float(d) for d in parts[1].split(",")]))
-    raise WeightError(f"unknown weight preset: {spec}")
+        return constant_weight(np.diag([float(d) for d in spec["diag"]]))
+    raise WeightError(f"unknown weight preset: {kind}")
 
 
 def _parse_window(doc):
@@ -143,9 +141,12 @@ def _matrix_doc(M):
 
 def cmd_norm(args):
     doc = _load_json(args.config)
-    t = _parse_window(doc["window"])
-    params = _parse_space(doc["space"], t)
-    tv = _parse_sequence(doc["sequence"], t)
+    try:
+        t = _parse_window(doc["window"])
+        params = _parse_space(doc["space"], t)
+        tv = _parse_sequence(doc["sequence"], t)
+    except (TypeError, AttributeError) as exc:  # a value of the wrong type
+        raise DwlabError(f"malformed config: {exc}") from exc
     print(_fmt(seq_norm(tv, params, t)))
     return 0
 
@@ -160,11 +161,14 @@ def cmd_reduce(args):
         "p": args.p,
         "backend": backend,
         "equivalence_bounds": [_fmt(b) for b in fam.equivalence_bounds],
-        "operators": [
-            {"j": Q.j, "k": list(Q.k), "matrix": _matrix_doc(fam[Q])}
-            for Q in enumerate_cubes(t)
-        ],
     }
+    if backend == "mvee":
+        out["mvee"] = {"gap": _fmt(fam.mvee_gap), "iterations": fam.mvee_iters,
+                       "capped": fam.mvee_capped}
+    out["operators"] = [
+        {"j": Q.j, "k": list(Q.k), "matrix": _matrix_doc(fam[Q])}
+        for Q in enumerate_cubes(t)
+    ]
     print(json.dumps(out, indent=2))
     return 0
 
@@ -293,7 +297,13 @@ def main(argv=None):
 
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader left: drop the unflushed rest quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except KeyError as exc:
         print(f"dwlab: error: missing config key {exc}", file=sys.stderr)
     except ValueError as exc:  # DwlabError, malformed JSON or numbers

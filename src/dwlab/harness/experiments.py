@@ -72,12 +72,12 @@ def _sample_seqs(t, m, count, seed, density=0.3):
     ]
 
 
-def _band_limited(w, seed, m=1):
+def _band_limited(w, seed):
     rng = np.random.default_rng(seed)
     fhat = rng.standard_normal(w.N) + 1j * rng.standard_normal(w.N)
     fhat[~w.covered] = 0.0
     vals = np.fft.ifft(fhat) * w.N
-    return GridFunction(1, w.N, vals, m=1)
+    return GridFunction(1, w.N, vals)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ For p = 2 the average is itself a quadratic form and A_Q = (avg_Q W)^{1/2}
 is exact.  For p != 2 the unit ball of the average norm is a symmetric
 convex (p >= 1) body; we sample its boundary along quasi-uniform
 directions and fit the minimum-volume enclosing ellipsoid with the
-centered Khachiyan iteration, which is within a factor sqrt(m) of the
-body by John's theorem.
+Wolfe-Atwood iteration with away steps, which is within a factor
+sqrt(m) of the body by John's theorem.
 """
 
 from __future__ import annotations
@@ -46,39 +46,44 @@ def _rho_values(W, p, Q, t, spec, dirs):
 
 
 def _mvee_centered(points):
-    """Centered minimum-volume enclosing ellipsoid of +-points.
+    """Centered minimum-volume enclosing ellipsoid of the +-points.
 
-    Returns the PD matrix E with {x : x^T E x <= 1} enclosing all the
-    points, by Khachiyan's barycentric-coordinate ascent specialized to
-    the origin-symmetric case.  The ascent has a sublinear tail, so the
-    loop targets a modest duality gap and the final ellipsoid is scaled
-    by the exact worst leverage, which guarantees enclosure at any stop.
+    Returns (E, iterations, gap): E is PD with {x : x^T E x <= 1} enclosing
+    every +-point, gap = max leverage / d - 1.  The leverage x^T V^{-1} x
+    of V = sum u_i x_i x_i^T is even in x, so the points alone carry the
+    iteration.  Each step moves weight toward the point of largest
+    leverage w_max or, when the smallest leverage w_min over the supported
+    points is further from d (d - w_min > w_max - d), away from that
+    point, possibly to zero weight (Wolfe-Atwood away steps, linear
+    convergence: Todd-Yildirim 2007).  The final ellipsoid is scaled by
+    the exact worst leverage, so that it encloses the points at any stop.
     """
     X = np.asarray(points, dtype=float)
     N, d = X.shape
-    u = np.full(N, 1.0 / N)
-    for _ in range(MVEE_MAX_ITERS):
-        V = (X.T * u) @ X
-        w = np.einsum("ij,jk,ik->i", X, np.linalg.inv(V), X)
+    u, it = np.full(N, 1.0 / N), 0
+    while True:
+        Vinv = np.linalg.inv((X.T * u) @ X)
+        w = np.sum((X @ Vinv) * X, axis=1)
         i = int(np.argmax(w))
-        wmax = w[i]
-        if wmax <= d * (1.0 + MVEE_TOL):
+        if w[i] <= d * (1.0 + MVEE_TOL) or it == MVEE_MAX_ITERS:
             break
-        step = (wmax - d) / (d * (wmax - 1.0))
-        u *= 1.0 - step
-        u[i] += step
-    V = (X.T * u) @ X
-    Vinv = np.linalg.inv(V)
-    wmax = float(np.max(np.einsum("ij,jk,ik->i", X, Vinv, X)))
-    return Vinv / wmax
+        supp = np.flatnonzero(u > 0.0)
+        k = int(supp[np.argmin(w[supp])])
+        drop = -u[k] / (1.0 - u[k])  # the away step that zeroes u[k]
+        if w[i] - d >= d - w[k]:
+            tau = (w[i] - d) / (d * (w[i] - 1.0))
+        else:
+            i = k
+            tau = drop if w[k] <= 1.0 else max(
+                (w[k] - d) / (d * (w[k] - 1.0)), drop)
+        u *= 1.0 - tau
+        u[i] = 0.0 if tau == drop else u[i] + tau
+        it += 1
+    return Vinv / w[i], it, w[i] / d - 1.0
 
 
-def reduce_cube(W: MatrixWeight, p, Q: CubeId, t: Truncation,
-                spec: QuadratureSpec = None, backend="exact_p2",
-                directions=None):
-    """One reducing operator A_Q (Hermitian PD m x m)."""
-    spec = spec or QuadratureSpec()
-    m = W.m
+def _reduce(W, p, Q, t, spec, backend, directions=None):
+    """(A_Q, solver iterations, solver gap); both are 0 off the MVEE path."""
     if backend == "exact_p2":
         if p != 2:
             raise ReducingError("exact_p2 backend requires p = 2")
@@ -87,19 +92,25 @@ def reduce_cube(W: MatrixWeight, p, Q: CubeId, t: Truncation,
         if len(pts) == 0:
             raise WeightError("all quadrature nodes singular")
         avg = np.mean(np.stack([W(x) for x in pts]), axis=0)
-        return matrix_power(avg, 0.5)
+        return matrix_power(avg, 0.5), 0, 0.0
     if backend != "mvee":
         raise ReducingError(f"unknown backend: {backend}")
-    if m == 1:
+    if W.m == 1:
         # scalar case: the "ellipsoid" is the exact interval
         rho = _rho_values(W, p, Q, t, spec, np.ones((1, 1)))
-        return np.array([[rho[0]]])
-    D = directions or max(40, 20 * m * m)
-    dirs = sphere_directions(m, D)
+        return np.array([[rho[0]]]), 0, 0.0
+    dirs = sphere_directions(W.m, directions or max(40, 20 * W.m * W.m))
     rho = _rho_values(W, p, Q, t, spec, dirs)
-    boundary = dirs / rho[:, None]
-    E = _mvee_centered(np.vstack([boundary, -boundary]))
-    return matrix_power(0.5 * (E + E.T), 0.5)
+    E, iters, gap = _mvee_centered(dirs / rho[:, None])
+    return matrix_power(0.5 * (E + E.T), 0.5), iters, gap
+
+
+def reduce_cube(W: MatrixWeight, p, Q: CubeId, t: Truncation,
+                spec: QuadratureSpec = None, backend="exact_p2",
+                directions=None):
+    """One reducing operator A_Q (Hermitian PD m x m)."""
+    return _reduce(W, p, Q, t, spec or QuadratureSpec(), backend,
+                   directions)[0]
 
 
 @dataclass
@@ -113,6 +124,10 @@ class ReducingFamily:
     truncation: Truncation
     levels: dict = field(default_factory=dict)
     equivalence_bounds: tuple = (1.0, 1.0)
+    # MVEE solver report over all cubes (zeros for exact families)
+    mvee_gap: float = 0.0
+    mvee_iters: int = 0
+    mvee_capped: bool = False
 
     @property
     def m(self):
@@ -141,14 +156,21 @@ def build_family(W: MatrixWeight, p, t: Truncation, spec=None,
                  backend="exact_p2", validation_dirs=200,
                  validation_cube_cap=24, seed=11):
     """Reducing operators for every window cube, with empirical
-    equivalence bounds from random validation directions."""
+    equivalence bounds from random validation directions and, for the
+    mvee backend, the solver's worst gap, largest iteration count and
+    whether it hit MVEE_MAX_ITERS."""
     spec = spec or QuadratureSpec()
-    levels = {}
+    levels, runs = {}, []
     for j in range(t.j_min, t.j_max + 1):
-        ops = [reduce_cube(W, p, Q, t, spec, backend)
+        ops = [_reduce(W, p, Q, t, spec, backend)
                for Q in enumerate_cubes(t, level=j)]
-        levels[j] = np.reshape(ops, t.level_shape(j) + (W.m, W.m))
-    fam = ReducingFamily(p=p, backend=backend, truncation=t, levels=levels)
+        runs += ops
+        levels[j] = np.reshape([op[0] for op in ops],
+                               t.level_shape(j) + (W.m, W.m))
+    iters = max(op[1] for op in runs)
+    fam = ReducingFamily(p=p, backend=backend, truncation=t, levels=levels,
+                         mvee_gap=max(op[2] for op in runs), mvee_iters=iters,
+                         mvee_capped=iters >= MVEE_MAX_ITERS)
     rng = np.random.default_rng(seed)
     sample = fam.cubes()
     if len(sample) > validation_cube_cap:

@@ -60,6 +60,8 @@ class CoeffSeq:
     def __init__(self, t: Truncation, m, entries=None):
         self.t = t
         self.m = int(m)
+        if self.m < 1:
+            raise SeqSpaceError(f"need m >= 1, got {m}")
         self.levels = {j: np.zeros(t.level_shape(j) + (self.m,), dtype=complex)
                        for j in range(t.j_min, t.j_max + 1)}
         for Q, z in (entries or {}).items():

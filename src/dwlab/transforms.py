@@ -351,10 +351,9 @@ def wavelet_basis_function(c_template: WaveletCoeffs, j, k, orientation=None):
 # ---------------------------------------------------------------------------
 
 def _torus_dist(N):
-    """Periodic distances between all grid-point pairs (1-d axis table)."""
-    idx = np.arange(N)
-    diff = np.abs(idx[:, None] - idx[None, :])
-    return np.minimum(diff, N - diff) / N
+    """Periodic distance of each grid offset o = (x - y) mod N."""
+    off = np.arange(N)
+    return np.minimum(off, N - off) / N
 
 
 def _grid_levels(fj):
@@ -362,13 +361,6 @@ def _grid_levels(fj):
     for j, vals in fj.items():
         vals = np.asarray(vals, dtype=complex).reshape(len(vals), -1)
         yield j, vals, (np.arange(len(vals)) + 0.5) / len(vals)
-
-
-def _weighted_mags(fvals, Wp_stack):
-    """|W^{1/p}(x) f(y)| for all (x, y): returns (X, Y) array."""
-    # fvals: (Y, m); Wp_stack: (X, m, m)
-    prod = np.einsum("xab,yb->xya", Wp_stack, fvals)
-    return np.linalg.norm(prod, axis=-1)
 
 
 def _point_matrices(mode, pts, j, W=None, p=None, fam=None, t=None):
@@ -382,7 +374,7 @@ def _point_matrices(mode, pts, j, W=None, p=None, fam=None, t=None):
 
 
 def peetre_maximal(fj, eta, mode="matrix", W=None, p=None, fam=None,
-                   t=None, N=None):
+                   t=None):
     """sup_y |M(x) f_j(y)| / (1 + 2^j d(x, y))^eta on the periodic grid.
 
     ``fj`` maps level j to grid values (N,) or (N, m); returns the same
@@ -392,10 +384,11 @@ def peetre_maximal(fj, eta, mode="matrix", W=None, p=None, fam=None,
         raise TransformError("eta must be positive")
     out = {}
     for j, vals, pts in _grid_levels(fj):
-        pen = (1.0 + 2.0**j * _torus_dist(len(pts))) ** eta
+        idx = np.arange(len(pts))
+        pen = 1.0 + 2.0**j * _torus_dist(len(pts))[idx[:, None] - idx]
         M = _point_matrices(mode, pts, j, W=W, p=p, fam=fam, t=t)
-        mags = _weighted_mags(vals, M)
-        out[j] = np.max(mags / pen, axis=1)
+        mags = np.linalg.norm(np.einsum("xab,yb->xya", M, vals), axis=-1)
+        out[j] = np.max(mags / pen**eta, axis=1)
     return out
 
 
@@ -410,30 +403,38 @@ def direct_weighted_field(fj, mode="matrix", W=None, p=None, fam=None, t=None):
 
 def square_functions(fj, kind="gstar", r=2.0, lam=2.0, alpha=1.0,
                      W=None, p=None):
-    """Discrete Lusin area function / g*_lambda fields (1-d brute force).
+    """Discrete Lusin area function / g*_lambda fields (1-d).
 
     lusin: (avg_{d(x,y) <= alpha 2^{-j}} |W^{1/p}(x) f_j(y)|^r)^{1/r},
     ball clamped to the containing cell when finer than the grid.
     gstar: (sum_y 2^{jn} |W^{1/p}(x) f_j(y)|^r (1 + 2^j d)^{-lam r} dy)^{1/r}.
+    Both kernels K depend on the torus offset x - y alone, so a field is
+    a circular FFT convolution: |W^{1/p}(x)|^r (K * |f|^r) for W None or
+    m = 1 (any r); for m > 1 only at r = 2, as W^{2/p}(x) contracted with
+    K * (conj(f_a) f_b).  An m > 1 weight with r != 2 raises.
     """
+    if kind not in ("gstar", "lusin"):
+        raise TransformError(f"unknown square function kind: {kind}")
     out = {}
     for j, vals, pts in _grid_levels(fj):
-        Ng = len(pts)
-        dist = _torus_dist(Ng)
-        if W is None:
-            mags = np.abs(np.linalg.norm(vals, axis=-1))[None, :].repeat(Ng, 0)
-        else:
-            mags = _weighted_mags(vals, W.powers(pts[:, None], 1.0 / p))
+        (Ng, m), dist = vals.shape, _torus_dist(len(vals))
         if kind == "lusin":
-            rad = max(alpha * 2.0 ** (-j), 0.5 / Ng)
-            inside = dist <= rad + 1e-15
-            counts = np.sum(inside, axis=1)
-            out[j] = (np.sum(mags**r * inside, axis=1) / counts) ** (1.0 / r)
-        elif kind == "gstar":
-            wts = 2.0**j / (1.0 + 2.0**j * dist) ** (lam * r) / Ng
-            out[j] = np.sum(mags**r * wts, axis=1) ** (1.0 / r)
+            K = 1.0 * (dist <= max(alpha * 2.0**-j, 0.5 / Ng) + 1e-15)
+            K /= np.sum(K)
         else:
-            raise TransformError(f"unknown square function kind: {kind}")
+            K = 2.0**j / (1.0 + 2.0**j * dist) ** (lam * r) / Ng
+        if W is None or m == 1:
+            g = np.linalg.norm(vals, axis=-1)[:, None] ** r
+            M = np.ones((Ng, 1)) if W is None else np.abs(
+                W.powers(pts[:, None], 1.0 / p)).reshape(Ng, 1) ** r
+        elif r == 2:
+            M = W.powers(pts[:, None], 2.0 / p).reshape(Ng, m * m)
+            g = (np.conj(vals)[:, :, None] * vals[:, None, :]).reshape(Ng, -1)
+        else:
+            raise TransformError("an m > 1 weight needs r = 2")
+        conv = np.fft.ifft(np.fft.fft(K)[:, None] * np.fft.fft(g, axis=0),
+                           axis=0)
+        out[j] = np.maximum(np.sum(M * conv, axis=1).real, 0.0) ** (1.0 / r)
     return out
 
 

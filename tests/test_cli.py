@@ -1,0 +1,139 @@
+import contextlib
+import io
+import json
+import math
+import os
+import subprocess
+import sys
+
+from hypothesis import given, settings, strategies as st
+
+import dwlab
+from dwlab import reducing
+from dwlab.cli import main
+
+BAD_NUMBERS = [0, -1, math.nan, math.inf, -math.inf, "nan", "abc", None, [1]]
+# (section, key) -> invalid values; ``...`` deletes the key
+FAULTS = {
+    ("window", "n"): [3, 0, "x", ...],
+    ("window", "j_min"): [-1, 5, 1.5, ...],
+    ("window", "j_max"): [-1, "x", ...],
+    ("window", "root_extent"): [0, -1, "x", [2]],
+    ("space", "family"): ["X", 3, None, ...],
+    ("space", "s"): BAD_NUMBERS[2:],
+    ("space", "p"): BAD_NUMBERS + [...],
+    ("space", "q"): BAD_NUMBERS + [...],
+    ("space", "mode"): ["bogus", None, 1],
+    ("space", "weight"): ["power:-1", "power:x", "diag_power:-0.5",
+                          "constant:1,-1", "bogus", 7, [1],
+                          {"preset": "diag_power", "alpha": -0.5},
+                          {"preset": "identity", "m": "2x"}, {"alpha": 1},
+                          "identity:3", ...],
+    ("space", "nodes_per_cell"): [0, -2, "a", [1]],
+    ("space", "growth"): [{"kind": "bogus"}, {"kind": "power", "tau": "x"},
+                          {"kind": "power", "bogus": 1}, "power", {}],
+    ("sequence", "m"): [0, 3, -1, "two"],
+    ("sequence", "entries"): [None, 3, [[]], [{"j": 0}],
+                              [{"j": 9, "k": [0], "value": [1]}],
+                              [{"j": 0, "k": [-1], "value": [1]}],
+                              [{"j": 0, "k": 0, "value": 1}],
+                              [{"j": 0, "k": [0, 0, 0], "value": [1]}],
+                              [{"j": 0, "k": [0], "value": [[1, 2, 3]]}],
+                              [{"j": 0, "k": [0], "value": [1, 2, 3]}], ...],
+}
+# weight presets with their size m
+WEIGHTS = [("identity", 1), ("identity:2", 2), ("power:-0.5", 1),
+           ("diag_power:-0.5:-0.25", 2), ("constant:1,2", 2),
+           ({"preset": "power", "alpha": -0.5}, 1),
+           ({"preset": "constant", "diag": [1.0, 2.0]}, 2)]
+
+
+@st.composite
+def norm_configs(draw):
+    """A valid `dwlab norm` config, then at most one field made invalid."""
+    n = draw(st.sampled_from([1, 1, 2]))
+    j_min = draw(st.integers(0, 1))
+    j_max = j_min + draw(st.integers(0, 3 - n))
+    root = draw(st.sampled_from([1, 2]))
+    weight, m = draw(st.sampled_from(WEIGHTS))
+    mode = draw(st.sampled_from(["unweighted", "averaging", "matrix"]))
+    p = 2 if mode == "averaging" else draw(st.sampled_from([0.5, 1, 2, 4]))
+    entries = []
+    for _ in range(draw(st.integers(0, 3))):
+        j = draw(st.integers(j_min, j_max))
+        k = [draw(st.integers(0, root * 2**j - 1)) for _ in range(n)]
+        value = [[draw(st.sampled_from([1.0, -2.5, 0.0])), 0.5]
+                 for _ in range(m)]
+        entries.append({"j": j, "k": k, "value": value})
+    cfg = {
+        "window": {"n": n, "j_min": j_min, "j_max": j_max,
+                   "root_extent": root},
+        "space": {"family": draw(st.sampled_from(["B", "F"])),
+                  "s": draw(st.sampled_from([-1.0, 0.0, 0.5])), "p": p,
+                  "q": draw(st.sampled_from([0.5, 1, 2, "inf"])),
+                  "mode": mode, "weight": weight},
+        "sequence": {"m": m, "entries": entries},
+    }
+    fault = draw(st.sampled_from([None, *FAULTS]))
+    if fault is not None:
+        section, key = fault
+        bad = draw(st.sampled_from(FAULTS[fault]))
+        if bad is ...:
+            cfg[section].pop(key, None)
+        else:
+            cfg[section][key] = bad
+    return cfg
+
+
+def _run_main(argv):
+    """main(argv) -> (status, stdout, stderr); any escaping exception is a
+    traceback and fails the calling test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(argv)
+    return status, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(norm_configs())
+def test_norm_config_fuzz_gives_a_number_or_one_error_line(cfg):
+    status, out, err = _run_main(["norm", "--config", json.dumps(cfg)])
+    if status == 0:
+        assert err == "" and math.isfinite(float(out)) and float(out) >= 0
+    else:
+        lines = err.strip().splitlines()
+        assert status == 2 and out == "", (status, out, err)
+        assert len(lines) == 1 and lines[0].startswith("dwlab: error: "), err
+
+
+def test_closed_stdout_ends_quietly():
+    # ~380 kB of JSON: more than a pipe holds, so the write must meet the
+    # closed end
+    src = os.path.dirname(os.path.dirname(dwlab.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dwlab.cli", "reduce",
+         "--weight", "diag_power:-0.5:-0.25", "--j-max", "9"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141 and err == b""
+
+
+def test_reduce_mvee_reports_convergence(monkeypatch):
+    argv = ["reduce", "--weight", "diag_power:-0.5:-0.25", "--p", "1",
+            "--backend", "mvee", "--j-max", "1"]
+    status, out, _ = _run_main(argv)
+    rep = json.loads(out)["mvee"]
+    assert status == 0 and rep["capped"] is False
+    assert 0 < rep["iterations"] < reducing.MVEE_MAX_ITERS
+    assert float(rep["gap"]) <= reducing.MVEE_TOL
+    monkeypatch.setattr(reducing, "MVEE_MAX_ITERS", 3)
+    status, out, _ = _run_main(argv)
+    rep = json.loads(out)["mvee"]
+    assert status == 0 and rep["capped"] is True and rep["iterations"] == 3
+    assert float(rep["gap"]) > reducing.MVEE_TOL
+    status, out, _ = _run_main(argv[:3] + argv[-2:])  # exact: no solver block
+    assert status == 0 and "mvee" not in json.loads(out)

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+from dwlab import reducing
 from dwlab.dyadic import CubeId, Truncation, enumerate_cubes
 from dwlab.reducing import (
+    MVEE_TOL,
     ReducingError,
+    _mvee_centered,
+    _rho_values,
     build_family,
     cube_containing,
     doubling_orders,
@@ -132,3 +136,69 @@ def test_family_indexing_round_trips_on_level_stacks():
     assert outside not in fam
     with pytest.raises(KeyError):
         fam[outside]
+
+
+def _khachiyan(X, tol):
+    """Plain Khachiyan ascent (toward steps only, a full inverse per step):
+    the slow oracle for the MVEE solver."""
+    N, d = X.shape
+    u = np.full(N, 1.0 / N)
+    while True:
+        Vinv = np.linalg.inv((X.T * u) @ X)
+        w = np.einsum("ij,jk,ik->i", X, Vinv, X)
+        i = int(np.argmax(w))
+        if w[i] <= d * (1.0 + tol):
+            return Vinv / w[i]
+        step = (w[i] - d) / (d * (w[i] - 1.0))
+        u *= 1.0 - step
+        u[i] += step
+
+
+def _w3(x):
+    r = max(np.linalg.norm(x), 1e-300)
+    return np.diag([r ** -0.25, 1.0, r ** 0.25])
+
+
+def _boundary(m, D, p=1.0, Q=CubeId(1, (0,))):
+    """Boundary points of the p-average unit ball, as reduce_cube samples
+    them, for an m = 2 or m = 3 weight."""
+    W = (diag_power_weight(-0.5, -0.25) if m == 2
+         else MatrixWeight(3, _w3, singular_set=[np.zeros(1)]))
+    dirs = sphere_directions(m, D)
+    rho = _rho_values(W, p, Q, Truncation(1, 0, 2, 1), QuadratureSpec(), dirs)
+    return W, dirs / rho[:, None]
+
+
+def _max_leverage(E, X):
+    X = np.vstack([X, -X])
+    return float(np.max(np.sum((X @ E) * X, axis=1)))
+
+
+@pytest.mark.parametrize("m,D", [(2, 40), (3, 60)])
+def test_mvee_matches_khachiyan_oracle(m, D):
+    _, X = _boundary(m, D)
+    E, iters, gap = _mvee_centered(X)
+    assert 0 < iters < reducing.MVEE_MAX_ITERS and 0 <= gap <= MVEE_TOL
+    assert _max_leverage(E, X) <= 1.0 + 1e-12
+    # both ellipsoids enclose the points within (1 + tol)^d of the optimum
+    Eo = _khachiyan(X, MVEE_TOL / 4)
+    assert abs(np.linalg.det(E) / np.linalg.det(Eo) - 1.0) <= m * MVEE_TOL
+
+
+def test_mvee_cap_is_reported_and_still_encloses(monkeypatch):
+    W, X = _boundary(2, 40)
+    monkeypatch.setattr(reducing, "MVEE_MAX_ITERS", 3)
+    E, iters, gap = _mvee_centered(X)
+    assert iters == 3 and gap > MVEE_TOL
+    assert _max_leverage(E, X) <= 1.0 + 1e-12
+    t = Truncation(1, 0, 1, 1)
+    fam = build_family(W, 1.0, t, backend="mvee")
+    assert fam.mvee_capped and fam.mvee_iters == 3 and fam.mvee_gap > MVEE_TOL
+    dirs = sphere_directions(2, 40)
+    for Q in fam.cubes():
+        rho = _rho_values(W, 1.0, Q, t, QuadratureSpec(), dirs)
+        assert np.max(np.linalg.norm(dirs @ fam[Q].T, axis=-1) / rho) \
+            <= 1.0 + 1e-9
+    exact = build_family(W, 2.0, t)
+    assert (exact.mvee_gap, exact.mvee_iters, exact.mvee_capped) == (0.0, 0,
+                                                                     False)

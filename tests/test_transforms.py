@@ -18,7 +18,7 @@ from dwlab.transforms import (
     wavelet_basis_function,
     wavelet_gram_check,
 )
-from dwlab.weights import identity_weight
+from dwlab.weights import MatrixWeight, diag_power_weight, identity_weight
 
 
 def _random_grid(N, seed=0):
@@ -184,6 +184,65 @@ def test_gstar_matches_brute_force():
         want = (np.sum(np.abs(v) ** r * 2.0**j
                        / (1.0 + 2.0**j * d) ** (lam * r)) / Ng) ** (1.0 / r)
         assert abs(out[x] - want) < 1e-12
+
+
+def _square_brute(fj, kind, r, lam=2.0, alpha=1.0, W=None, p=None):
+    """O(N^2) oracle: the direct sums over all grid pairs (x, y)."""
+    out = {}
+    for j, v in fj.items():
+        vals = np.asarray(v, dtype=complex).reshape(len(v), -1)
+        Ng = len(vals)
+        diff = np.abs(np.arange(Ng)[:, None] - np.arange(Ng)[None, :])
+        dist = np.minimum(diff, Ng - diff) / Ng
+        if W is None:
+            mags = np.linalg.norm(vals, axis=-1)[None, :].repeat(Ng, 0)
+        else:
+            Wp = W.powers(((np.arange(Ng) + 0.5) / Ng)[:, None], 1.0 / p)
+            mags = np.linalg.norm(np.einsum("xab,yb->xya", Wp, vals), axis=-1)
+        if kind == "lusin":
+            inside = dist <= max(alpha * 2.0 ** (-j), 0.5 / Ng) + 1e-15
+            out[j] = (np.sum(mags**r * inside, axis=1)
+                      / np.sum(inside, axis=1)) ** (1.0 / r)
+        else:
+            wts = 2.0**j / (1.0 + 2.0**j * dist) ** (lam * r) / Ng
+            out[j] = np.sum(mags**r * wts, axis=1) ** (1.0 / r)
+    return out
+
+
+_TORUS_W = MatrixWeight(1, lambda x: np.array([[abs(x[0] - 0.5) ** -0.5]]),
+                        singular_set=[np.array([0.5])])
+
+
+@pytest.mark.parametrize("m,W,r", [
+    (1, None, 1.0), (2, None, 2.0), (2, None, 3.0),
+    (1, _TORUS_W, 1.0), (1, _TORUS_W, 2.0), (1, _TORUS_W, 3.0),
+    (2, diag_power_weight(-0.5, -0.25), 2.0),
+])
+@pytest.mark.parametrize("kind", ["gstar", "lusin"])
+def test_square_functions_match_brute_force(kind, m, W, r):
+    rng = np.random.default_rng(5)
+    # level 7 on 32 points: the Lusin ball 2^-7 is clamped to the cell
+    fj = {j: (rng.standard_normal((32, m)) + 1j * rng.standard_normal((32, m)))
+          .squeeze() for j in (1, 3, 7)}
+    fj[4] = np.zeros(64) if m == 1 else np.zeros((64, m))
+    for lam, alpha in ((1.75, 1.0), (0.6, 0.3)):
+        got = square_functions(fj, kind=kind, r=r, lam=lam, alpha=alpha,
+                               W=W, p=2.0)
+        want = _square_brute(fj, kind, r, lam=lam, alpha=alpha, W=W, p=2.0)
+        assert sorted(got) == sorted(want)
+        for j in want:
+            err = np.max(np.abs(got[j] - want[j]))
+            assert err <= 1e-12 * max(np.max(want[j]), 1e-300), (j, err)
+            assert np.all(got[j] >= 0)
+
+
+def test_square_functions_reject_matrix_weight_off_r2():
+    fj = {2: np.ones((16, 2))}
+    with pytest.raises(TransformError):
+        square_functions(fj, kind="gstar", r=3.0,
+                         W=diag_power_weight(-0.5, -0.25), p=2.0)
+    with pytest.raises(TransformError):
+        square_functions(fj, kind="bogus")
 
 
 def test_grid_function_validation():
