@@ -18,6 +18,8 @@ from ..growth import make_growth
 from ..weights import (
     MatrixWeight,
     QuadratureSpec,
+    _libm_pow,
+    _radius,
     constant_weight,
     diag_power_weight,
     estimate_dimensions,
@@ -314,8 +316,8 @@ def exp_inv_f(seed=DEFAULT_SEED):
     quad = QuadratureSpec(3)
     # sufficiency: W = w I_2 with a scalar A_infinity weight
     wfield = lambda x: float(np.linalg.norm(x)) ** -0.5
-    Wsuf = MatrixWeight(
-        2, lambda x: np.linalg.norm(x) ** -0.5 * np.eye(2),
+    Wsuf = MatrixWeight.from_batched(
+        2, lambda x: _libm_pow(_radius(x), -0.5)[:, None, None] * np.eye(2),
         singular_set=[np.zeros(1)], label="|x|^-1/2 I2",
     )
     p, q = 1.0, 2.0
@@ -603,9 +605,9 @@ def exp_wav_norm(seed=DEFAULT_SEED):
 
 def _torus_weight():
     """Scalar |x - 1/2|^{-1/2} as a 1x1 matrix weight on the unit torus."""
-    return MatrixWeight(
+    return MatrixWeight.from_batched(
         1,
-        lambda x: np.array([[abs(float(x[0]) - 0.5) ** -0.5]]),
+        lambda x: _libm_pow(np.abs(x[:, :1] - 0.5), -0.5)[..., None],
         singular_set=[np.array([0.5])],
         label="|x-1/2|^-1/2",
     )

@@ -20,6 +20,8 @@ from .weights import (
     MatrixWeight,
     QuadratureSpec,
     WeightError,
+    _radius,
+    box_nodes,
     cube_nodes,
     matrix_power,
     op_norm,
@@ -82,17 +84,27 @@ def _mvee_centered(points):
     return Vinv / w[i], it, w[i] / d - 1.0
 
 
+def _exact_p2(W, p, t, spec, j, ks):
+    """(avg_Q W)^{1/2} for the level-j cubes with corners ks [c, n], from
+    one evaluation of W over all their cube_nodes (singular ones dropped)."""
+    if p != 2:
+        raise ReducingError("exact_p2 backend requires p = 2")
+    x0 = ks * 2.0 ** -j
+    pts, _ = box_nodes(x0, x0 + 2.0 ** -j, (1 << (t.j_max - j)) * spec.G)
+    keep = ~W.is_singular_at(pts)
+    if not keep.any(axis=1).all():
+        raise WeightError("all quadrature nodes singular")
+    vals = W.eval(pts[keep])
+    per_cube = np.zeros(keep.shape + vals.shape[1:], dtype=vals.dtype)
+    per_cube[keep] = vals
+    avg = per_cube.sum(axis=1) / keep.sum(axis=1)[:, None, None]
+    return matrix_power(avg, 0.5)
+
+
 def _reduce(W, p, Q, t, spec, backend, directions=None):
     """(A_Q, solver iterations, solver gap); both are 0 off the MVEE path."""
     if backend == "exact_p2":
-        if p != 2:
-            raise ReducingError("exact_p2 backend requires p = 2")
-        pts, _ = cube_nodes(Q, t, spec)
-        pts = pts[~W.is_singular_at(pts)]
-        if len(pts) == 0:
-            raise WeightError("all quadrature nodes singular")
-        avg = np.mean(np.stack([W(x) for x in pts]), axis=0)
-        return matrix_power(avg, 0.5), 0, 0.0
+        return _exact_p2(W, p, t, spec, Q.j, np.array([Q.k]))[0], 0, 0.0
     if backend != "mvee":
         raise ReducingError(f"unknown backend: {backend}")
     if W.m == 1:
@@ -160,13 +172,16 @@ def build_family(W: MatrixWeight, p, t: Truncation, spec=None,
     mvee backend, the solver's worst gap, largest iteration count and
     whether it hit MVEE_MAX_ITERS."""
     spec = spec or QuadratureSpec()
-    levels, runs = {}, []
+    levels, runs = {}, [(None, 0, 0.0)]
     for j in range(t.j_min, t.j_max + 1):
-        ops = [_reduce(W, p, Q, t, spec, backend)
-               for Q in enumerate_cubes(t, level=j)]
-        runs += ops
-        levels[j] = np.reshape([op[0] for op in ops],
-                               t.level_shape(j) + (W.m, W.m))
+        if backend == "exact_p2":  # one batch per level
+            A = _exact_p2(W, p, t, spec, j, t.level_k(j).reshape(-1, t.n))
+        else:
+            ops = [_reduce(W, p, Q, t, spec, backend)
+                   for Q in enumerate_cubes(t, level=j)]
+            runs += ops
+            A = [op[0] for op in ops]
+        levels[j] = np.reshape(A, t.level_shape(j) + (W.m, W.m))
     iters = max(op[1] for op in runs)
     fam = ReducingFamily(p=p, backend=backend, truncation=t, levels=levels,
                          mvee_gap=max(op[2] for op in runs), mvee_iters=iters,
@@ -207,53 +222,44 @@ def doubling_orders(F: ReducingFamily, t: Truncation, cap_C=4.0,
     """
     from scipy.optimize import linprog
 
-    from .dyadic import separation
-
     cubes = F.cubes()
-    invs = {Q: np.linalg.inv(F[Q]) for Q in cubes}
-    N = len(cubes)
-    pairs = [(i, j) for i in range(N) for j in range(N) if i != j]
-    if len(pairs) > pair_cap:
+    if len(cubes) < 2:
+        raise ReducingError("doubling orders need two window cubes or more")
+    A = np.stack([F[Q] for Q in cubes])
+    Ainv = np.linalg.inv(A)
+    # ordered pairs (i, j), i != j, row-major
+    I, J = np.nonzero(~np.eye(len(cubes), dtype=bool))
+    if len(I) > pair_cap:
         rng = np.random.default_rng(seed)
-        sel = rng.choice(len(pairs), size=pair_cap, replace=False)
-        pairs = [pairs[i] for i in sel]
-    rows, rhs = [], []
-    weak_x, weak_y = [], []
-    logC = np.log(cap_C)
-    for i, j in pairs:
-        Q, R = cubes[i], cubes[j]
-        v = np.log(max(op_norm(F[Q] @ invs[R]), 1e-300))
-        ls = np.log(separation(Q, R))
-        dl = (R.j - Q.j) * np.log(2.0)  # log(ell(Q)/ell(R))
-        if Q.j > R.j:  # ell(Q) < ell(R): branch (lR/lQ)^b1
-            rows.append((-(-dl) - ls, -ls))
-        elif Q.j < R.j:  # ell(Q) > ell(R): branch (lQ/lR)^b2
-            rows.append((-ls, -dl - ls))
-        else:
-            rows.append((-ls, -ls))
-            if ls > np.log(2.0):
-                weak_x.append(ls)
-                weak_y.append(abs(v))
-        rhs.append(logC - v)
-    res = linprog(c=[1.0, 1.0], A_ub=np.array(rows), b_ub=np.array(rhs),
+        sel = rng.choice(len(I), size=pair_cap, replace=False)
+        I, J = I[sel], J[sel]
+    # ||A_Q A_R^{-1}|| over the pairs, in blocks to bound the memory
+    v = np.log(np.maximum(np.concatenate(
+        [op_norm(A[I[s:s + 4096]] @ Ainv[J[s:s + 4096]])
+         for s in range(0, len(I), 4096)]), 1e-300))
+    # separation(Q, R) from the lower corners and edge lengths
+    lev = np.array([Q.j for Q in cubes])
+    ell = np.ldexp(1.0, -lev)
+    x = np.array([Q.k for Q in cubes], dtype=float) * ell[:, None]
+    ls = np.log(1.0 + _radius(x[I] - x[J]) / np.maximum(ell[I], ell[J]))
+    dl = (lev[J] - lev[I]) * np.log(2.0)  # log(ell(Q)/ell(R))
+    # ell(Q) < ell(R): branch (lR/lQ)^b1; ell(Q) > ell(R): (lQ/lR)^b2
+    rows = np.stack([np.where(lev[I] > lev[J], dl - ls, -ls),
+                     np.where(lev[I] < lev[J], -dl - ls, -ls)], axis=-1)
+    weak = (lev[I] == lev[J]) & (ls > np.log(2.0))
+    weak_x, weak_y = ls[weak], np.abs(v[weak])
+    res = linprog(c=[1.0, 1.0], A_ub=rows, b_ub=np.log(cap_C) - v,
                   bounds=[(0, None), (0, None)], method="highs")
     if not res.success:
         raise ReducingError(f"doubling-order fit infeasible: {res.message}")
     beta1, beta2 = float(res.x[0]), float(res.x[1])
-    if len(weak_x) >= 2 and np.ptp(weak_x) > 0:
-        # envelope fit: bin by log sep, keep the worst pair in each bin
-        bins = {}
-        for x, y in zip(weak_x, weak_y):
-            key = round(x / 0.25)
-            bins[key] = max(bins.get(key, 0.0), y)
-        keys = sorted(bins)
-        if len(keys) >= 2:
-            beta_weak = float(np.polyfit(
-                [k * 0.25 for k in keys], [bins[k] for k in keys], 1)[0])
-        else:
-            beta_weak = 0.0
-    else:
-        beta_weak = 0.0
+    # envelope fit: bin by log sep, keep the worst pair in each bin
+    keys, bin_of = np.unique(np.round(weak_x / 0.25), return_inverse=True)
+    envelope = np.zeros(len(keys))
+    np.maximum.at(envelope, bin_of, weak_y)
+    beta_weak = 0.0
+    if len(keys) >= 2:
+        beta_weak = float(np.polyfit(keys * 0.25, envelope, 1)[0])
     return beta1, beta2, max(beta_weak, 0.0)
 
 

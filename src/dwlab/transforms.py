@@ -363,14 +363,34 @@ def _grid_levels(fj):
         yield j, vals, (np.arange(len(vals)) + 0.5) / len(vals)
 
 
-def _point_matrices(mode, pts, j, W=None, p=None, fam=None, t=None):
+def _grid_powers(W, p):
+    """W^{a/p} at the midpoints of an Ng-point grid, evaluated once per
+    (Ng, a) within one call: every level of a field map shares its grid."""
+    memo = {}
+
+    def at(pts, a=1.0):
+        if (len(pts), a) not in memo:
+            memo[len(pts), a] = W.powers(pts[:, None], a / p)
+        return memo[len(pts), a]
+
+    return at
+
+
+def _level_matrices(fj, mode, W=None, p=None, fam=None, t=None):
+    """(j, values [Ng, m], M(x) [Ng, m, m]) for each level of a field map:
+    M = W^{1/p} (matrix mode; None without a weight) or A_Q of the level-j
+    cube containing x (averaging mode)."""
     if mode == "matrix":
-        return W.powers(pts[:, None], 1.0 / p)
+        wp = _grid_powers(W, p) if W is not None else None
+        for j, vals, pts in _grid_levels(fj):
+            yield j, vals, None if wp is None else wp(pts)
+        return
     # averaging: A_Q of the level-j cube containing x
     from .reducing import cube_containing
 
-    return np.stack([fam[cube_containing(x, j, t)] for x in pts]
-                    ).astype(complex)
+    for j, vals, pts in _grid_levels(fj):
+        yield j, vals, np.stack([fam[cube_containing(x, j, t)] for x in pts]
+                                ).astype(complex)
 
 
 def peetre_maximal(fj, eta, mode="matrix", W=None, p=None, fam=None,
@@ -378,26 +398,36 @@ def peetre_maximal(fj, eta, mode="matrix", W=None, p=None, fam=None,
     """sup_y |M(x) f_j(y)| / (1 + 2^j d(x, y))^eta on the periodic grid.
 
     ``fj`` maps level j to grid values (N,) or (N, m); returns the same
-    structure with scalar fields.  1-d only (brute-force sup).
+    structure with scalar fields.  M is W^{1/p}(x) (matrix mode, the
+    identity when W is None) or A_Q (averaging mode).  For scalar M the
+    sup is |M(x)| sup_y |f_j(y)| / pen(x - y); an m > 1 matrix needs the
+    [N, N, m] products M(x) f_j(y).  1-d only (brute-force sup).
     """
     if eta <= 0:
         raise TransformError("eta must be positive")
     out = {}
-    for j, vals, pts in _grid_levels(fj):
-        idx = np.arange(len(pts))
-        pen = 1.0 + 2.0**j * _torus_dist(len(pts))[idx[:, None] - idx]
-        M = _point_matrices(mode, pts, j, W=W, p=p, fam=fam, t=t)
-        mags = np.linalg.norm(np.einsum("xab,yb->xya", M, vals), axis=-1)
-        out[j] = np.max(mags / pen**eta, axis=1)
+    for j, vals, M in _level_matrices(fj, mode, W=W, p=p, fam=fam, t=t):
+        # pen^eta once per torus offset, gathered at x - y (mod N)
+        idx = np.arange(len(vals))
+        pen = ((1.0 + 2.0**j * _torus_dist(len(vals))) ** eta)[
+            idx[:, None] - idx]
+        if M is None or M.shape[-1] == 1:
+            sup = np.max(np.linalg.norm(vals, axis=-1) / pen, axis=1)
+            out[j] = sup if M is None else np.abs(M[:, 0, 0]) * sup
+        else:
+            mags = np.linalg.norm(np.einsum("xab,yb->xya", M, vals), axis=-1)
+            out[j] = np.max(mags / pen, axis=1)
     return out
 
 
 def direct_weighted_field(fj, mode="matrix", W=None, p=None, fam=None, t=None):
-    """|M(x) f_j(x)| pointwise (the y = x term of the Peetre sup)."""
+    """|M(x) f_j(x)| pointwise (the y = x term of the Peetre sup); M as in
+    peetre_maximal."""
     out = {}
-    for j, vals, pts in _grid_levels(fj):
-        M = _point_matrices(mode, pts, j, W=W, p=p, fam=fam, t=t)
-        out[j] = np.linalg.norm(np.einsum("xab,xb->xa", M, vals), axis=-1)
+    for j, vals, M in _level_matrices(fj, mode, W=W, p=p, fam=fam, t=t):
+        if M is not None:
+            vals = np.einsum("xab,xb->xa", M, vals)
+        out[j] = np.linalg.norm(vals, axis=-1)
     return out
 
 
@@ -405,8 +435,8 @@ def square_functions(fj, kind="gstar", r=2.0, lam=2.0, alpha=1.0,
                      W=None, p=None):
     """Discrete Lusin area function / g*_lambda fields (1-d).
 
-    lusin: (avg_{d(x,y) <= alpha 2^{-j}} |W^{1/p}(x) f_j(y)|^r)^{1/r},
-    ball clamped to the containing cell when finer than the grid.
+    lusin: (avg_{d(x,y) <= alpha 2^{-j}} |W^{1/p}(x) f_j(y)|^r)^{1/r};
+    the ball always holds x's own cell (offset 0), however small alpha.
     gstar: (sum_y 2^{jn} |W^{1/p}(x) f_j(y)|^r (1 + 2^j d)^{-lam r} dy)^{1/r}.
     Both kernels K depend on the torus offset x - y alone, so a field is
     a circular FFT convolution: |W^{1/p}(x)|^r (K * |f|^r) for W None or
@@ -415,20 +445,23 @@ def square_functions(fj, kind="gstar", r=2.0, lam=2.0, alpha=1.0,
     """
     if kind not in ("gstar", "lusin"):
         raise TransformError(f"unknown square function kind: {kind}")
+    if alpha < 0:
+        raise TransformError("alpha must be nonnegative")
+    wp = _grid_powers(W, p) if W is not None else None
     out = {}
     for j, vals, pts in _grid_levels(fj):
         (Ng, m), dist = vals.shape, _torus_dist(len(vals))
         if kind == "lusin":
-            K = 1.0 * (dist <= max(alpha * 2.0**-j, 0.5 / Ng) + 1e-15)
+            K = 1.0 * (dist <= alpha * 2.0**-j + 1e-15)
             K /= np.sum(K)
         else:
             K = 2.0**j / (1.0 + 2.0**j * dist) ** (lam * r) / Ng
         if W is None or m == 1:
             g = np.linalg.norm(vals, axis=-1)[:, None] ** r
             M = np.ones((Ng, 1)) if W is None else np.abs(
-                W.powers(pts[:, None], 1.0 / p)).reshape(Ng, 1) ** r
+                wp(pts)).reshape(Ng, 1) ** r
         elif r == 2:
-            M = W.powers(pts[:, None], 2.0 / p).reshape(Ng, m * m)
+            M = wp(pts, 2.0).reshape(Ng, m * m)
             g = (np.conj(vals)[:, :, None] * vals[:, None, :]).reshape(Ng, -1)
         else:
             raise TransformError("an m > 1 weight needs r = 2")

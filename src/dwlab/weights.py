@@ -1,11 +1,11 @@
 """Matrix weights and their cube-average statistics.
 
 A matrix weight is an a.e. positive-definite Hermitian-matrix-valued
-function W(x), given here as an analytic callback evaluated at midpoint
-quadrature nodes.  The module provides batched fractional matrix powers
-(LAPACK eigh), the exp-log double-average characteristic, doubling
-exponents, eigenvalue spread, and the lower/upper dimension estimates
-used by the weighted almost-diagonal thresholds.
+function W(x), evaluated on whole arrays of midpoint quadrature nodes
+at once (``MatrixWeight.eval``).  The module provides batched fractional
+matrix powers (LAPACK eigh), the exp-log double-average characteristic,
+doubling exponents, eigenvalue spread, and the lower/upper dimension
+estimates used by the weighted almost-diagonal thresholds.
 """
 
 from __future__ import annotations
@@ -80,18 +80,60 @@ class QuadratureSpec:
         return self.nodes_per_axis_per_finest_cell
 
 
+def _pointwise(fn, m):
+    """The batched form of a per-point callback fn(x[n]) -> [m, m]."""
+    def batch(pts):
+        return np.reshape([fn(x) for x in pts], (len(pts), m, m))
+    return batch
+
+
+def _libm_pow(r, a):
+    """r**a elementwise by scalar libm pow; numpy's SIMD power can differ
+    in the last bit, which would move reported values."""
+    r = np.asarray(r, dtype=float)
+    return np.fromiter((v ** a for v in r.ravel()), float,
+                       r.size).reshape(r.shape)
+
+
+def _radius(pts):
+    """|x| over points [M, n]; x.x as a dot product, as np.linalg.norm of
+    one point sums it, so the presets keep their per-point values."""
+    return np.sqrt((pts[:, None, :] @ pts[:, :, None])[:, 0, 0])
+
+
 class MatrixWeight:
-    """An m x m Hermitian-PD-valued function of x with optional singular set."""
+    """An m x m Hermitian-PD-valued function of x with optional singular set.
+
+    Every consumer evaluates a weight through ``eval(points[M, n]) ->
+    [M, m, m]``.  There are two ways to build one:
+
+    * ``MatrixWeight.from_batched(m, fn)`` with an array expression
+      ``fn(points[M, n]) -> [M, m, m]``; every preset below is one;
+    * ``MatrixWeight(m, fn)`` with a per-point callback
+      ``fn(x[n]) -> [m, m]`` for a custom weight, wrapped once into the
+      batched form (which then calls ``fn`` point by point).
+    """
 
     def __init__(self, m, eval_fn, singular_set=(), label="custom"):
         self.m = int(m)
-        self._eval = eval_fn
+        self._batch = _pointwise(eval_fn, self.m)
         self.singular_set = [np.atleast_1d(np.asarray(s, dtype=float))
                              for s in singular_set]
         self.label = label
 
-    def __call__(self, x):
-        return np.asarray(self._eval(np.atleast_1d(np.asarray(x, dtype=float))))
+    @classmethod
+    def from_batched(cls, m, batch_fn, singular_set=(), label="custom"):
+        """A weight given by fn(points[M, n]) -> [M, m, m]."""
+        W = cls(m, None, singular_set, label)
+        W._batch = batch_fn
+        return W
+
+    def eval(self, pts):
+        """W(x) stacked over points [M, n] -> [M, m, m]."""
+        pts = np.asarray(pts, dtype=float)
+        if pts.ndim != 2:
+            raise WeightError(f"need points [M, n], got shape {pts.shape}")
+        return self._batch(pts)
 
     def is_singular_at(self, pts, tol=1e-14):
         """Mask over points [..., n]: True where x hits the singular set."""
@@ -103,27 +145,32 @@ class MatrixWeight:
 
     def powers(self, pts, alpha):
         """W(x)^alpha stacked over points [M, n] -> [M, m, m]."""
-        vals = np.array([self(x) for x in pts])
-        return matrix_power(vals.reshape(len(pts), self.m, self.m), alpha)
+        return matrix_power(self.eval(pts), alpha)
+
+
+def _constant(M):
+    return lambda x: np.repeat(M[None], len(x), axis=0)
 
 
 def identity_weight(m=1):
-    return MatrixWeight(m, lambda x: np.eye(m), label=f"identity({m})")
+    return MatrixWeight.from_batched(m, _constant(np.eye(m)),
+                                     label=f"identity({m})")
 
 
 def constant_weight(M):
     M = np.asarray(M)
     hermitian_eig(M)  # validates Hermitian-ness
-    return MatrixWeight(M.shape[0], lambda x: M, label="constant")
+    return MatrixWeight.from_batched(M.shape[0], _constant(M),
+                                     label="constant")
 
 
 def power_weight(alpha, n=1):
     """Scalar |x|^alpha; A_1-valid for alpha in (-n, 0], usable for alpha > -n."""
     if alpha <= -n:
         raise WeightError(f"|x|^{alpha} is not locally integrable in R^{n}")
-    return MatrixWeight(
+    return MatrixWeight.from_batched(
         1,
-        lambda x: np.array([[np.linalg.norm(x) ** alpha]]),
+        lambda x: _libm_pow(_radius(x), alpha)[:, None, None],
         singular_set=[np.zeros(n)] if alpha != 0 else [],
         label=f"|x|^{alpha}",
     )
@@ -135,12 +182,15 @@ def diag_power_weight(alpha, beta, n=1):
         raise WeightError("need -n < alpha <= beta")
 
     def ev(x):
-        r = np.linalg.norm(x)
-        return np.diag([r**alpha, r**beta])
+        r = _radius(x)
+        out = np.zeros((len(x), 2, 2))
+        out[:, 0, 0] = _libm_pow(r, alpha)
+        out[:, 1, 1] = _libm_pow(r, beta)
+        return out
 
     sing = [np.zeros(n)] if (alpha != 0 or beta != 0) else []
-    return MatrixWeight(2, ev, singular_set=sing,
-                        label=f"diag(|x|^{alpha},|x|^{beta})")
+    return MatrixWeight.from_batched(2, ev, singular_set=sing,
+                                     label=f"diag(|x|^{alpha},|x|^{beta})")
 
 
 # ---------------------------------------------------------------------------
@@ -157,15 +207,15 @@ def cube_nodes(Q: CubeId, t: Truncation, spec: QuadratureSpec):
 
 
 def box_nodes(lo, hi, g):
-    """Midpoint tensor nodes over the box [lo, hi); g nodes per axis."""
+    """Midpoint tensor nodes over boxes [lo, hi) with corners [..., n]; g
+    nodes per axis.  Returns (points [..., g^n, n], node weight [...])."""
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    n = lo.size
-    axes = [(lo[a] + (np.arange(g) + 0.5) / g * (hi[a] - lo[a])) for a in range(n)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([gr.ravel() for gr in grids], axis=-1)
-    wt = float(np.prod((hi - lo) / g))
-    return pts, wt
+    n = lo.shape[-1]
+    ticks = (np.arange(g) + 0.5) / g
+    offs = np.stack(np.meshgrid(*[ticks] * n, indexing="ij"), axis=-1)
+    pts = lo[..., None, :] + offs.reshape(-1, n) * (hi - lo)[..., None, :]
+    return pts, np.prod((hi - lo) / g, axis=-1)
 
 
 def _filter_singular(W, pts):
@@ -300,7 +350,7 @@ def eigen_spread(W: MatrixWeight, sample_points):
     pts = pts[~W.is_singular_at(pts)]
     if not len(pts):
         raise WeightError("all sample points were singular")
-    lam = hermitian_eig(np.stack([W(x) for x in pts]))
+    lam = hermitian_eig(W.eval(pts))
     rows = [(x, float(l[0]), float(l[-1])) for x, l in zip(pts, lam)]
     sup = max(hi / lo for _, lo, hi in rows)
     return float(sup), rows

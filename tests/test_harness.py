@@ -179,3 +179,17 @@ def test_weighted_experiments_match_reference_report(name):
     got = run_experiment(name, seed=0xDAD1C).to_dict()
     assert got["passed"] is ref[name]["passed"]
     _assert_same_tree(got["stats"], ref[name]["stats"], name)
+
+
+@pytest.mark.parametrize("name", ["EQ-AW", "INV-F", "PEETRE", "LPFUNC"])
+def test_weighted_experiments_reach_no_per_point_weight_callback(
+        name, monkeypatch):
+    import dwlab.weights as wmod
+
+    def refuse(fn, m):
+        def batch(pts):
+            raise AssertionError("a per-point weight callback was called")
+        return batch
+
+    monkeypatch.setattr(wmod, "_pointwise", refuse)
+    assert run_experiment(name, seed=0xDAD1C).passed

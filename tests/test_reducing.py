@@ -23,6 +23,7 @@ from dwlab.weights import (
     avg_wp_z,
     diag_power_weight,
     identity_weight,
+    matrix_power,
     power_weight,
     sphere_directions,
 )
@@ -95,6 +96,12 @@ def test_doubling_orders_identity():
     fam = identity_family(t, m=2)
     b1, b2, bw = doubling_orders(fam, t)
     assert b1 < 1e-8 and b2 < 1e-8 and bw < 1e-8
+
+
+def test_doubling_orders_need_two_cubes():
+    t = Truncation(1, 2, 2, 1)
+    with pytest.raises(ReducingError):
+        doubling_orders(identity_family(t, m=2), t)
 
 
 def test_doubling_orders_weak_exponent_power_weight():
@@ -202,3 +209,87 @@ def test_mvee_cap_is_reported_and_still_encloses(monkeypatch):
     exact = build_family(W, 2.0, t)
     assert (exact.mvee_gap, exact.mvee_iters, exact.mvee_capped) == (0.0, 0,
                                                                      False)
+
+
+def _doubling_orders_per_pair(F, t, cap_C=4.0, pair_cap=400_000, seed=5):
+    """The per-pair form of doubling_orders: one SVD and one
+    separation() per ordered pair of window cubes."""
+    from scipy.optimize import linprog
+
+    from dwlab.dyadic import separation
+    from dwlab.weights import op_norm
+
+    cubes = F.cubes()
+    invs = {Q: np.linalg.inv(F[Q]) for Q in cubes}
+    N = len(cubes)
+    pairs = [(i, j) for i in range(N) for j in range(N) if i != j]
+    if len(pairs) > pair_cap:
+        rng = np.random.default_rng(seed)
+        sel = rng.choice(len(pairs), size=pair_cap, replace=False)
+        pairs = [pairs[i] for i in sel]
+    rows, rhs, weak_x, weak_y = [], [], [], []
+    for i, j in pairs:
+        Q, R = cubes[i], cubes[j]
+        v = np.log(max(op_norm(F[Q] @ invs[R]), 1e-300))
+        ls = np.log(separation(Q, R))
+        dl = (R.j - Q.j) * np.log(2.0)
+        if Q.j > R.j:
+            rows.append((dl - ls, -ls))
+        elif Q.j < R.j:
+            rows.append((-ls, -dl - ls))
+        else:
+            rows.append((-ls, -ls))
+            if ls > np.log(2.0):
+                weak_x.append(ls)
+                weak_y.append(abs(v))
+        rhs.append(np.log(cap_C) - v)
+    res = linprog(c=[1.0, 1.0], A_ub=np.array(rows), b_ub=np.array(rhs),
+                  bounds=[(0, None), (0, None)], method="highs")
+    bins = {}
+    for x, y in zip(weak_x, weak_y):
+        bins[round(x / 0.25)] = max(bins.get(round(x / 0.25), 0.0), y)
+    keys = sorted(bins)
+    beta_weak = 0.0
+    if len(keys) >= 2:
+        beta_weak = float(np.polyfit([k * 0.25 for k in keys],
+                                     [bins[k] for k in keys], 1)[0])
+    return float(res.x[0]), float(res.x[1]), max(beta_weak, 0.0)
+
+
+@pytest.mark.parametrize("W,t,pair_cap", [
+    (power_weight(-0.5), Truncation(1, 0, 5, 1), 400_000),
+    (diag_power_weight(-0.5, -0.25), Truncation(1, 0, 4, 2), 400_000),
+    (diag_power_weight(-0.5, -0.25), Truncation(1, 0, 5, 1), 700),
+    (diag_power_weight(-0.5, 0.5, n=2), Truncation(2, 0, 2, 1), 400_000),
+    (power_weight(-1.0, n=2), Truncation(2, 0, 2, 1), 150),
+], ids=["1d", "1d-extent2", "1d-capped", "2d", "2d-capped"])
+def test_doubling_orders_match_per_pair_oracle(W, t, pair_cap):
+    fam = build_family(W, 2.0, t, QuadratureSpec(2))
+    # a tight cap_C keeps the strong orders away from their floor 0
+    got = doubling_orders(fam, t, cap_C=1.1, pair_cap=pair_cap)
+    want = _doubling_orders_per_pair(fam, t, cap_C=1.1, pair_cap=pair_cap)
+    assert want[0] > 0.05
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-12 * max(abs(w), 1.0), (got, want)
+
+
+@pytest.mark.parametrize("W,t", [
+    (diag_power_weight(-0.5, -0.25), Truncation(1, 0, 5, 1)),
+    (power_weight(-0.5), Truncation(1, -2, 3, 2)),
+    (diag_power_weight(-0.5, 0.5, n=2), Truncation(2, 0, 2, 2)),
+    # the singular point 1/16 is a node of every cube containing it
+    (MatrixWeight(2, lambda x: np.array([[1.0 + x[0] ** 2, 0.3j],
+                                         [-0.3j, 2.0]]),
+                  singular_set=[np.array([0.0625])]),
+     Truncation(1, 0, 3, 1)),
+], ids=["1d", "1d-extent2", "2d", "custom-singular-node"])
+def test_exact_family_matches_per_cube_average(W, t):
+    spec = QuadratureSpec(3)
+    fam = build_family(W, 2.0, t, spec)
+    for Q in enumerate_cubes(t):
+        pts, _ = cube_nodes(Q, t, spec)
+        keep = ~W.is_singular_at(pts)
+        assert keep.sum() >= len(pts) - 1
+        want = matrix_power(np.mean(W.eval(pts[keep]), axis=0), 0.5)
+        assert np.max(np.abs(fam[Q] - want)) <= 1e-14 * np.max(np.abs(want))
+        assert np.array_equal(reduce_cube(W, 2.0, Q, t, spec), fam[Q])

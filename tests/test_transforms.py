@@ -9,6 +9,7 @@ from dwlab.transforms import (
     TransformError,
     band_project,
     build_lp_window,
+    direct_weighted_field,
     dwt_analyze,
     dwt_synthesize,
     peetre_maximal,
@@ -252,3 +253,90 @@ def test_grid_function_validation():
         GridFunction(1, 12, np.zeros(12))
     with pytest.raises(TransformError):
         GridFunction(1, 8, np.zeros(9))
+
+
+class _CountingWeight(MatrixWeight):
+    """A custom per-point weight that counts its callback's calls."""
+
+    def __init__(self, m):
+        self.calls = 0
+
+        def fn(x):
+            self.calls += 1
+            return np.diag(1.0 + np.arange(m) + np.sin(2 * np.pi * x[0]))
+
+        super().__init__(m, fn)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_weight_evaluated_once_per_grid_point_per_call(m):
+    rng = np.random.default_rng(9)
+    # four levels on one 64-point grid, two on a 32-point grid
+    fj = {j: rng.standard_normal((64 if j < 5 else 32, m)).squeeze()
+          for j in range(1, 7)}
+    calls = [
+        lambda W: direct_weighted_field(fj, mode="matrix", W=W, p=2.0),
+        lambda W: peetre_maximal(fj, 1.25, mode="matrix", W=W, p=2.0),
+        lambda W: square_functions(fj, kind="gstar", W=W, p=2.0),
+        lambda W: square_functions(fj, kind="lusin", W=W, p=2.0),
+    ]
+    for call in calls:
+        W = _CountingWeight(m)
+        call(W)
+        assert W.calls == 64 + 32
+
+
+def _peetre_product_oracle(fj, eta, W, p):
+    """The [N, N, m] product sum: sup_y |W^{1/p}(x) f(y)| / pen^eta."""
+    out = {}
+    for j, v in fj.items():
+        vals = np.asarray(v, dtype=complex).reshape(len(v), -1)
+        Ng = len(vals)
+        Wp = W.powers(((np.arange(Ng) + 0.5) / Ng)[:, None], 1.0 / p)
+        diff = np.abs(np.arange(Ng)[:, None] - np.arange(Ng)[None, :])
+        pen = 1.0 + 2.0**j * np.minimum(diff, Ng - diff) / Ng
+        mags = np.linalg.norm(np.einsum("xab,yb->xya", Wp, vals), axis=-1)
+        out[j] = np.max(mags / pen**eta, axis=1)
+    return out
+
+
+@pytest.mark.parametrize("eta", [0.5, 1.25, 3.0])
+@pytest.mark.parametrize("W", [_TORUS_W, identity_weight(1)])
+def test_peetre_scalar_path_matches_product_oracle(eta, W):
+    rng = np.random.default_rng(13)
+    fj = {j: rng.standard_normal(64) + 1j * rng.standard_normal(64)
+          for j in (1, 3, 5)}
+    fj[2] = np.zeros(64)
+    fj[6] = rng.standard_normal(32)
+    got = peetre_maximal(fj, eta, mode="matrix", W=W, p=2.0)
+    want = _peetre_product_oracle(fj, eta, W, 2.0)
+    assert sorted(got) == sorted(want)
+    assert np.all(got[2] == 0.0)
+    for j in want:
+        assert np.max(np.abs(got[j] - want[j])) <= 1e-14 * np.max(want[j])
+
+
+def test_peetre_matrix_weight_matches_product_oracle():
+    rng = np.random.default_rng(14)
+    W = diag_power_weight(-0.5, -0.25)
+    fj = {j: rng.standard_normal((32, 2)) for j in (1, 4)}
+    got = peetre_maximal(fj, 1.25, mode="matrix", W=W, p=2.0)
+    want = _peetre_product_oracle(fj, 1.25, W, 2.0)
+    for j in want:
+        assert np.array_equal(got[j], want[j])
+
+
+def test_peetre_and_direct_field_without_weight():
+    rng = np.random.default_rng(15)
+    fj = {3: rng.standard_normal((32, 2))}
+    got = peetre_maximal(fj, 1.25)
+    want = _peetre_product_oracle(fj, 1.25, identity_weight(2), 2.0)
+    assert np.max(np.abs(got[3] - want[3])) <= 1e-14 * np.max(want[3])
+    direct = direct_weighted_field(fj)
+    assert np.allclose(direct[3], np.linalg.norm(fj[3], axis=-1), rtol=0,
+                       atol=1e-15)
+
+
+def test_lusin_rejects_negative_aperture():
+    with pytest.raises(TransformError):
+        square_functions({1: np.ones(16)}, kind="lusin", alpha=-0.5)

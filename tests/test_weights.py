@@ -234,3 +234,101 @@ def test_powers_stack_per_point_values():
     for x, Px in zip(pts[:, 0], P):
         assert np.allclose(Px, np.diag([x**-0.25, x**-0.125]), atol=1e-14)
     assert W.powers(pts[:0], 0.5).shape == (0, 2, 2)
+
+
+# The per-point callbacks the presets were written as before they became
+# array expressions: the oracle for the batched evaluation.
+def _per_point_presets():
+    D = np.array([[2.0, 0.5], [0.5, 1.0]])
+    return [
+        (identity_weight(3), lambda x: np.eye(3)),
+        (constant_weight(D), lambda x: D),
+        (power_weight(-0.5), lambda x: np.array([[np.linalg.norm(x) ** -0.5]])),
+        (power_weight(0.75, n=2),
+         lambda x: np.array([[np.linalg.norm(x) ** 0.75]])),
+        (diag_power_weight(-0.5, -0.25),
+         lambda x: np.diag([np.linalg.norm(x) ** -0.5,
+                            np.linalg.norm(x) ** -0.25])),
+        (diag_power_weight(-1.5, 0.5, n=2),
+         lambda x: np.diag([np.linalg.norm(x) ** -1.5,
+                            np.linalg.norm(x) ** 0.5])),
+    ]
+
+
+def _oracle_points(n):
+    rng = np.random.default_rng(21)
+    near = np.array([1e-13, -1e-13, 3e-12, 1e-300, 2.0 ** -40])
+    edges = np.array([-1.0, -0.5, 0.25, 0.5, 1.0, 1.0 - 2.0 ** -52])
+    axis = np.concatenate([near, edges, rng.uniform(-1, 1, 40)])
+    if n == 1:
+        return axis[:, None]
+    return np.concatenate([np.stack([axis, axis[::-1]], axis=-1),
+                           np.stack([near, np.zeros_like(near)], axis=-1),
+                           rng.uniform(-1, 1, (40, 2))])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_preset_eval_matches_per_point_callback(n):
+    for W, fn in _per_point_presets():
+        pts = _oracle_points(n)
+        with np.errstate(divide="ignore", over="ignore"):
+            got = W.eval(pts)  # 1e-300 reaches |x| = 0 and overflow
+            want = np.stack([fn(x) for x in pts])
+        assert got.shape == (len(pts), W.m, W.m)
+        finite = np.isfinite(want)
+        assert np.array_equal(got[~finite], want[~finite]), W.label
+        assert np.all(np.abs(got[finite] - want[finite])
+                      <= np.spacing(np.abs(want[finite]))), W.label
+        empty = W.eval(np.zeros((0, n)))
+        assert empty.shape == (0, W.m, W.m)
+        assert W.powers(np.zeros((0, n)), 0.5).shape == (0, W.m, W.m)
+
+
+def test_harness_torus_weight_matches_per_point_callback():
+    from dwlab.harness.experiments import _torus_weight
+
+    pts = np.concatenate([(np.arange(256) + 0.5) / 256,
+                          [0.0, 1.0, 0.5 - 1e-13, 0.5 + 2.0 ** -40]])[:, None]
+    want = np.stack([np.array([[abs(float(x[0]) - 0.5) ** -0.5]])
+                     for x in pts])
+    assert np.array_equal(_torus_weight().eval(pts), want)
+
+
+def test_custom_per_point_weight_powers_unchanged():
+    def fn(x):
+        return np.array([[1.0 + x[0] ** 2, 0.25j * x[0]],
+                         [-0.25j * x[0], 2.0 + abs(x[0])]])
+
+    W = MatrixWeight(2, fn)
+    pts = np.linspace(-1.0, 1.0, 17)[:, None]
+    for a in (0.5, -0.5, 1.0 / 3.0):
+        want = matrix_power(np.array([fn(x) for x in pts]), a)
+        assert np.array_equal(W.powers(pts, a), want)
+    assert W.eval(pts[:0]).shape == (0, 2, 2)
+    with pytest.raises(WeightError):
+        W.eval(pts[:, 0])
+
+
+def test_weight_statistics_on_presets_reach_no_per_point_callback(
+        monkeypatch):
+    import dwlab.weights as wmod
+    from dwlab.reducing import build_family
+
+    def refuse(fn, m):
+        def batch(pts):
+            raise AssertionError("a per-point weight callback was called")
+        return batch
+
+    monkeypatch.setattr(wmod, "_pointwise", refuse)
+    t = Truncation(1, 0, 4, 1)
+    for W in (identity_weight(2), constant_weight(np.diag([1.0, 4.0])),
+              power_weight(-0.5), diag_power_weight(-0.5, -0.25)):
+        p = 2.0
+        build_family(W, p, t, QuadratureSpec(3))
+        build_family(W, 1.0, Truncation(1, 0, 2, 1), QuadratureSpec(3),
+                     backend="mvee")
+        apinf_characteristic(W, p, t)
+        estimate_dimensions(W, p, t)
+        eigen_spread(W, np.linspace(0.05, 0.95, 7)[:, None])
+    with pytest.raises(AssertionError):
+        MatrixWeight(1, lambda x: np.eye(1)).eval(np.zeros((1, 1)))
