@@ -13,21 +13,17 @@ from .dyadic import (
     DyadicError,
     Truncation,
     ancestor,
-    children,
-    contains_cube,
     cube_geometry,
     enumerate_cubes,
-    parent,
     separation,
 )
-from .growth import GrowthFn, class_constant, is_almost_increasing, make_growth
+from .growth import GrowthFn, class_constant, make_growth
 from .weights import (
     MatrixWeight,
     QuadratureSpec,
     apinf_characteristic,
     constant_weight,
     diag_power_weight,
-    doubling_exponent,
     estimate_dimensions,
     hermitian_eig,
     identity_weight,
@@ -48,7 +44,6 @@ from .seqspace import (
     build_besov_counterexample,
     build_random,
     build_single_point,
-    finfty_norm,
     la_norm,
     seq_norm,
     single_point_oracle,
@@ -60,7 +55,6 @@ from .adops import (
     ad_apply,
     ad_entry,
     ad_thresholds,
-    compose_check,
     majorant,
     molecule_thresholds,
 )
@@ -68,7 +62,6 @@ from .transforms import (
     GridFunction,
     LPWindow,
     WaveletCoeffs,
-    band_project,
     build_lp_window,
     direct_weighted_field,
     dwt_analyze,
@@ -77,7 +70,6 @@ from .transforms import (
     phi_analyze,
     phi_synthesize,
     square_functions,
-    wavelet_gram_check,
 )
 from .harness import EXPERIMENTS, Report, emit_report, run_all, run_experiment
 

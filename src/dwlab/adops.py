@@ -1,5 +1,5 @@
-"""Almost-diagonal envelopes, admissibility thresholds, majorants,
-composition checks, and molecule/wavelet smoothness thresholds.
+"""Almost-diagonal envelopes, admissibility thresholds, majorants, and
+molecule/wavelet smoothness thresholds.
 
 The envelope entry is
 
@@ -16,8 +16,7 @@ is Toeplitz within each pair of levels (Frazier-Jawerth, J. Funct.
 Anal. 93 (1990)).  ``ad_apply`` and ``majorant`` therefore run as
 strided FFT convolutions on per-level window arrays, O(L^2 N log N)
 time and O(N) memory for N window cubes on L levels.  The dense
-``_entry_matrix`` table is kept as the oracle for the tests and for
-``compose_check``.
+``_entry_matrix`` table is kept as the oracle for the tests.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from .dyadic import (
     DwlabError,
     Truncation,
     cube_geometry,
-    enumerate_cubes,
     separation,
 )
 from .seqspace import CoeffSeq, SeqSpaceError
@@ -76,7 +74,7 @@ def _entry_matrix(rows, cols, p: ADParams):
     """Vectorized envelope entries for cube lists (rows x cols).
 
     Dense O(rows x cols) time and memory: the oracle that the tests hold
-    ``ad_apply`` to, and the kernel of ``compose_check``.
+    ``ad_apply`` to.
     """
     xr = np.array([cube_geometry(Q)[0] for Q in rows])
     xc = np.array([cube_geometry(R)[0] for R in cols])
@@ -182,30 +180,22 @@ def _envelope_apply(p: ADParams, tv: CoeffSeq, t: Truncation):
     return _finite(res)
 
 
-def ad_apply(U, tv: CoeffSeq, t: Truncation):
+def ad_apply(U: ADParams, tv: CoeffSeq, t: Truncation):
     """(Ut)_Q = sum_R u_{Q,R} t_R over the window ``t``, on which ``tv``
-    must live (ADError otherwise).
+    must live (ADError otherwise), for the (D, E, F) envelope ``U``.
 
-    ``U`` is either ADParams (the extremal envelope, applied as one
-    strided FFT convolution per pair of levels, see the module
-    docstring) or an explicit {(Q, R): value} table.  The FFT error is
-    absolute, about 1e-16 of the largest contributions at a target, so
-    an entry many orders below its neighbourhood (far from a lone
-    source under a large D) is only accurate to that absolute level.
+    The envelope is applied as one strided FFT convolution per pair of
+    levels (see the module docstring).  The FFT error is absolute, about
+    1e-16 of the largest contributions at a target, so an entry many
+    orders below its neighbourhood (far from a lone source under a
+    large D) is only accurate to that absolute level.
     """
+    if not isinstance(U, ADParams):
+        raise ADError(f"need ADParams (D, E, F), got {type(U).__name__}")
     _on_window(tv, t)
     if not len(tv):
         return CoeffSeq(t, tv.m)
-    if isinstance(U, ADParams):
-        return _envelope_apply(U, tv, t)
-    out = CoeffSeq(t, tv.m)
-    targets = enumerate_cubes(t)
-    support = tv.entries
-    vals = np.stack(list(support.values()))
-    M = np.array([[U.get((Q, R), 0.0) for R in support] for Q in targets])
-    for Q, z in zip(targets, M @ vals):
-        out[Q] = z
-    return out
+    return _envelope_apply(U, tv, t)
 
 
 def ad_thresholds(s, p, q, family, delta1, delta2, omega, n=1,
@@ -298,24 +288,6 @@ def majorant(tv: CoeffSeq, r, lam, t: Truncation):
             vals = (w + np.maximum(conv, 0.0)) ** (1.0 / r)
         out.levels[j][..., 0] = vals.reshape(mag.shape)
     return _finite(out)
-
-
-def compose_check(p1: ADParams, p2: ADParams, t: Truncation):
-    """Brute-force composition constant over the window.
-
-    With D1 = D2 the composed kernel should be dominated by the envelope
-    of (D1, min E, min F); returns (C, claimed) with C the worst ratio
-    of sum_P u1_{Q,P} u2_{P,R} to the claimed envelope entry.
-    """
-    if p1.D != p2.D:
-        raise ADError("composition check requires D1 = D2 (pre-normalize)")
-    claimed = ADParams(p1.D, min(p1.E, p2.E), min(p1.F, p2.F))
-    cubes = enumerate_cubes(t)
-    U1 = _entry_matrix(cubes, cubes, p1)
-    U2 = _entry_matrix(cubes, cubes, p2)
-    Uc = _entry_matrix(cubes, cubes, claimed)
-    C = float(np.max((U1 @ U2) / Uc))
-    return C, claimed
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ geometry is derived on demand.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,33 +111,12 @@ def cube_geometry(c: CubeId):
     return x, ell, c.j
 
 
-def children(c: CubeId):
-    """The 2^n level-(j+1) cubes whose union is c."""
-    base = tuple(2 * ki for ki in c.k)
-    out = []
-    for bits in itertools.product((0, 1), repeat=c.n):
-        out.append(CubeId(c.j + 1, tuple(b + o for b, o in zip(base, bits))))
-    return out
-
-
-def parent(c: CubeId):
-    """The unique level-(j-1) cube containing c."""
-    return CubeId(c.j - 1, tuple(ki >> 1 for ki in c.k))
-
-
 def ancestor(c: CubeId, level: int):
     """The unique level-``level`` cube containing c; level <= j required."""
     if level > c.j:
         raise DyadicError(f"ancestor level {level} above cube level {c.j}")
     shift = c.j - level
     return CubeId(level, tuple(ki >> shift for ki in c.k))
-
-
-def contains_cube(P: CubeId, Q: CubeId):
-    """True iff Q is contained in P (as half-open cubes)."""
-    if P.n != Q.n or Q.j < P.j:
-        return False
-    return ancestor(Q, P.j) == P
 
 
 def separation(Q: CubeId, R: CubeId):
@@ -150,22 +128,9 @@ def separation(Q: CubeId, R: CubeId):
     return 1.0 + float(np.linalg.norm(xq - xr)) / max(lq, lr)
 
 
-def enumerate_cubes(t: Truncation, level=None, contained_in=None):
-    """All window cubes in deterministic (j, k)-lexicographic order.
-
-    ``level`` restricts to a single level j; ``contained_in`` restricts
-    to cubes Q with Q contained in P and j_Q >= j_P.
-    """
-    P = contained_in
-    if P is not None and not t.contains(P):
-        raise DyadicError("containment anchor outside the window")
+def enumerate_cubes(t: Truncation, level=None):
+    """All window cubes in deterministic (j, k)-lexicographic order;
+    ``level`` restricts to a single level j."""
     levels = range(t.j_min, t.j_max + 1) if level is None else (level,)
-    out = []
-    for j in levels:
-        ks = t.level_k(j).reshape(-1, t.n).tolist()  # validates the level
-        if P is not None:
-            if j < P.j:
-                continue
-            ks = [k for k in ks if [ki >> (j - P.j) for ki in k] == list(P.k)]
-        out.extend(CubeId(j, k) for k in ks)
-    return out
+    return [CubeId(j, k) for j in levels  # level_k validates the level
+            for k in t.level_k(j).reshape(-1, t.n).tolist()]

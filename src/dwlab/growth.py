@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dyadic import CubeId, DwlabError, Truncation, ancestor, enumerate_cubes
+from .dyadic import CubeId, DwlabError, Truncation
 
 PAIR_CAP = 2_000_000
 _SUBSAMPLE_SEED = 0xDAD1C
@@ -169,14 +169,3 @@ def class_constant(v: GrowthFn, delta1, delta2, omega, t: Truncation):
     bound = sep**omega * vol_ratio**expo
     return float(np.max(vals[ii] / vals[jj] / bound))
 
-
-def is_almost_increasing(v: GrowthFn, t: Truncation, cap=10.0):
-    """(bool, worst constant) for v(Q) <= C v(P) over nested pairs Q <= P."""
-    worst = 0.0
-    for Q in enumerate_cubes(t):
-        vq = v(Q)
-        for lvl in range(t.j_min, Q.j + 1):
-            worst = max(worst, vq / v(ancestor(Q, lvl)))
-    if worst == 0.0:
-        worst = 1.0
-    return worst <= cap, worst

@@ -31,6 +31,9 @@ from .weights import (
 
 MVEE_TOL = 1e-4
 MVEE_MAX_ITERS = 20_000
+VALIDATION_CUBE_CAP = 24  # build_family validates on at most this many cubes
+VALIDATION_SEED = 11
+PAIR_SEED = 5  # doubling_orders' pair subsample above pair_cap
 
 
 class ReducingError(DwlabError):
@@ -101,7 +104,7 @@ def _exact_p2(W, p, t, spec, j, ks):
     return matrix_power(avg, 0.5)
 
 
-def _reduce(W, p, Q, t, spec, backend, directions=None):
+def _reduce(W, p, Q, t, spec, backend):
     """(A_Q, solver iterations, solver gap); both are 0 off the MVEE path."""
     if backend == "exact_p2":
         return _exact_p2(W, p, t, spec, Q.j, np.array([Q.k]))[0], 0, 0.0
@@ -111,18 +114,16 @@ def _reduce(W, p, Q, t, spec, backend, directions=None):
         # scalar case: the "ellipsoid" is the exact interval
         rho = _rho_values(W, p, Q, t, spec, np.ones((1, 1)))
         return np.array([[rho[0]]]), 0, 0.0
-    dirs = sphere_directions(W.m, directions or max(40, 20 * W.m * W.m))
+    dirs = sphere_directions(W.m, max(40, 20 * W.m * W.m))
     rho = _rho_values(W, p, Q, t, spec, dirs)
     E, iters, gap = _mvee_centered(dirs / rho[:, None])
     return matrix_power(0.5 * (E + E.T), 0.5), iters, gap
 
 
 def reduce_cube(W: MatrixWeight, p, Q: CubeId, t: Truncation,
-                spec: QuadratureSpec = None, backend="exact_p2",
-                directions=None):
+                spec: QuadratureSpec = None, backend="exact_p2"):
     """One reducing operator A_Q (Hermitian PD m x m)."""
-    return _reduce(W, p, Q, t, spec or QuadratureSpec(), backend,
-                   directions)[0]
+    return _reduce(W, p, Q, t, spec or QuadratureSpec(), backend)[0]
 
 
 @dataclass
@@ -165,8 +166,7 @@ def identity_family(t: Truncation, m=1, p=2):
 
 
 def build_family(W: MatrixWeight, p, t: Truncation, spec=None,
-                 backend="exact_p2", validation_dirs=200,
-                 validation_cube_cap=24, seed=11):
+                 backend="exact_p2", validation_dirs=200):
     """Reducing operators for every window cube, with empirical
     equivalence bounds from random validation directions and, for the
     mvee backend, the solver's worst gap, largest iteration count and
@@ -186,10 +186,10 @@ def build_family(W: MatrixWeight, p, t: Truncation, spec=None,
     fam = ReducingFamily(p=p, backend=backend, truncation=t, levels=levels,
                          mvee_gap=max(op[2] for op in runs), mvee_iters=iters,
                          mvee_capped=iters >= MVEE_MAX_ITERS)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(VALIDATION_SEED)
     sample = fam.cubes()
-    if len(sample) > validation_cube_cap:
-        idx = np.linspace(0, len(sample) - 1, validation_cube_cap).astype(int)
+    if len(sample) > VALIDATION_CUBE_CAP:
+        idx = np.linspace(0, len(sample) - 1, VALIDATION_CUBE_CAP).astype(int)
         sample = [sample[i] for i in idx]
     lo, hi = np.inf, 0.0
     for Q in sample:
@@ -207,7 +207,7 @@ def build_family(W: MatrixWeight, p, t: Truncation, spec=None,
 
 
 def doubling_orders(F: ReducingFamily, t: Truncation, cap_C=4.0,
-                    pair_cap=400_000, seed=5):
+                    pair_cap=400_000):
     """Fit (beta1, beta2, beta_weak) for the family's cross-cube growth.
 
     The strong orders are the smallest (beta1, beta2) >= 0 with
@@ -230,7 +230,7 @@ def doubling_orders(F: ReducingFamily, t: Truncation, cap_C=4.0,
     # ordered pairs (i, j), i != j, row-major
     I, J = np.nonzero(~np.eye(len(cubes), dtype=bool))
     if len(I) > pair_cap:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(PAIR_SEED)
         sel = rng.choice(len(I), size=pair_cap, replace=False)
         I, J = I[sel], J[sel]
     # ||A_Q A_R^{-1}|| over the pairs, in blocks to bound the memory
@@ -262,19 +262,3 @@ def doubling_orders(F: ReducingFamily, t: Truncation, cap_C=4.0,
         beta_weak = float(np.polyfit(keys * 0.25, envelope, 1)[0])
     return beta1, beta2, max(beta_weak, 0.0)
 
-
-def cube_containing(x, j, t: Truncation):
-    """The level-j window cube containing the point x."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    k = tuple(int(np.floor(xi * 2.0**j)) for xi in x)
-    Q = CubeId(j, k)
-    if not t.contains(Q):
-        raise ReducingError(f"point {x} at level {j} falls outside the window")
-    return Q
-
-
-def gamma_field(W: MatrixWeight, F: ReducingFamily, j, x, t: Truncation):
-    """||W^{1/p}(x) A_Q^{-1}|| for the level-j cube Q containing x."""
-    Q = cube_containing(x, j, t)
-    wp = W.powers(np.reshape(x, (1, -1)), 1.0 / F.p)[0]
-    return float(op_norm(wp @ np.linalg.inv(F[Q]).astype(wp.dtype)))

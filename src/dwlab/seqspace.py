@@ -160,13 +160,6 @@ class SpaceParams:
             raise SeqSpaceError("matrix mode needs a MatrixWeight")
 
 
-def gamma_pq(params: SpaceParams):
-    """min(p, q) for F-type spaces, p for B-type."""
-    if params.family == "F":
-        return min(params.p, params.q)
-    return params.p
-
-
 # ---------------------------------------------------------------------------
 # The L A-norm engine (prefix/suffix sums over the finest grid)
 # ---------------------------------------------------------------------------
@@ -293,41 +286,6 @@ def seq_norm(tv: CoeffSeq, params: SpaceParams, t: Truncation):
     fields, subdiv = _level_fields(tv, params, t)
     scaled = {j: (2.0 ** (j * params.s)) * f for j, f in fields.items()}
     return la_norm(scaled, params, t, subdiv=subdiv)
-
-
-def finfty_norm(tv: CoeffSeq, s, q, t: Truncation, w=None, w_nodes=32):
-    """The f_{infinity,q}-style norm by its exact cube-sum form.
-
-    sup_P { (1/w(P)) sum_{Q <= P} (|Q|^{-s/n-1/2} |t_Q|)^q w(Q) }^{1/q},
-    with w(.) the (possibly weighted) measure; q = infinity collapses to
-    sup_Q |Q|^{-s/n-1/2} |t_Q| (the b_{infinity,infinity} reading).
-    """
-    if tv.m != 1:
-        raise SeqSpaceError("finfty_norm takes scalar (m=1) sequences")
-    n = t.n
-    if np.isinf(q):
-        return max([2.0 ** (Q.j * (s + n / 2.0)) * abs(z[0])
-                    for Q, z in tv.entries.items()], default=0.0)
-
-    from .growth import _cell_average
-
-    def measure(Q):
-        if w is None:
-            return 2.0 ** (-Q.j * n)
-        return float(_cell_average(w, Q.j, np.array(Q.k), w_nodes))
-
-    acc = {}
-    for Q, z in tv.entries.items():
-        if not t.contains(Q):
-            raise SeqSpaceError(f"coefficient cube {Q} outside the window")
-        contrib = (2.0 ** (Q.j * (s + n / 2.0)) * abs(z[0])) ** q * measure(Q)
-        for lvl in range(t.j_min, Q.j + 1):
-            P = ancestor(Q, lvl)
-            acc[P] = acc.get(P, 0.0) + contrib
-    best = 0.0
-    for P, total in acc.items():
-        best = max(best, (total / measure(P)) ** (1.0 / q))
-    return best
 
 
 def single_point_oracle(Q: CubeId, z, params: SpaceParams, t: Truncation,

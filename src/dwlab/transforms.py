@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .dyadic import CubeId, DwlabError, Truncation
+from .dyadic import DwlabError, Truncation
 from .seqspace import CoeffSeq
 
 
@@ -113,14 +113,6 @@ def build_lp_window(N, J=None):
         psi[w.covered] = w.phi_hat[j][w.covered] / total[w.covered]
         w.psi_hat[j] = psi
     return w
-
-
-def band_project(f: GridFunction, w: LPWindow):
-    """Project onto the covered frequency band (the caller's job before
-    asking for an exact round trip)."""
-    fhat = np.fft.fft(f.values, axis=0)
-    fhat[~w.covered] = 0.0
-    return GridFunction(f.n, f.N, np.fft.ifft(fhat, axis=0), m=f.m)
 
 
 def phi_analyze(f: GridFunction, w: LPWindow):
@@ -325,27 +317,6 @@ def dwt_synthesize(c: WaveletCoeffs):
     return GridFunction(c.n, c.N, a, m=1)
 
 
-def wavelet_basis_function(c_template: WaveletCoeffs, j, k, orientation=None):
-    """The discrete wavelet theta_Q as a grid function (unit L^2 norm
-    with respect to the grid measure)."""
-    c = WaveletCoeffs(
-        n=c_template.n, N=c_template.N, filter_k=c_template.filter_k,
-        approx=np.zeros_like(c_template.approx),
-        details={
-            jj: (np.zeros_like(d) if c_template.n == 1
-                 else {o: np.zeros_like(b) for o, b in d.items()})
-            for jj, d in c_template.details.items()
-        },
-    )
-    if c.n == 1:
-        c.details[j][k[0]] = 1.0
-    else:
-        c.details[j][orientation][k] = 1.0
-    gfun = dwt_synthesize(c)
-    gfun.values = gfun.values * c.N ** (c.n / 2.0)  # grid-measure unit norm
-    return gfun
-
-
 # ---------------------------------------------------------------------------
 # Peetre maximal and square functions
 # ---------------------------------------------------------------------------
@@ -376,37 +347,29 @@ def _grid_powers(W, p):
     return at
 
 
-def _level_matrices(fj, mode, W=None, p=None, fam=None, t=None):
+def _level_matrices(fj, mode, W=None, p=None):
     """(j, values [Ng, m], M(x) [Ng, m, m]) for each level of a field map:
-    M = W^{1/p} (matrix mode; None without a weight) or A_Q of the level-j
-    cube containing x (averaging mode)."""
-    if mode == "matrix":
-        wp = _grid_powers(W, p) if W is not None else None
-        for j, vals, pts in _grid_levels(fj):
-            yield j, vals, None if wp is None else wp(pts)
-        return
-    # averaging: A_Q of the level-j cube containing x
-    from .reducing import cube_containing
-
+    M = W^{1/p}, or None without a weight.  "matrix" is the only mode."""
+    if mode != "matrix":
+        raise TransformError(f"unknown mode {mode!r}; only 'matrix' exists")
+    wp = _grid_powers(W, p) if W is not None else None
     for j, vals, pts in _grid_levels(fj):
-        yield j, vals, np.stack([fam[cube_containing(x, j, t)] for x in pts]
-                                ).astype(complex)
+        yield j, vals, None if wp is None else wp(pts)
 
 
-def peetre_maximal(fj, eta, mode="matrix", W=None, p=None, fam=None,
-                   t=None):
+def peetre_maximal(fj, eta, mode="matrix", W=None, p=None):
     """sup_y |M(x) f_j(y)| / (1 + 2^j d(x, y))^eta on the periodic grid.
 
     ``fj`` maps level j to grid values (N,) or (N, m); returns the same
-    structure with scalar fields.  M is W^{1/p}(x) (matrix mode, the
-    identity when W is None) or A_Q (averaging mode).  For scalar M the
-    sup is |M(x)| sup_y |f_j(y)| / pen(x - y); an m > 1 matrix needs the
-    [N, N, m] products M(x) f_j(y).  1-d only (brute-force sup).
+    structure with scalar fields.  M is W^{1/p}(x), the identity when W
+    is None.  For scalar M the sup is |M(x)| sup_y |f_j(y)| / pen(x - y);
+    an m > 1 matrix needs the [N, N, m] products M(x) f_j(y).  1-d only
+    (brute-force sup).
     """
     if eta <= 0:
         raise TransformError("eta must be positive")
     out = {}
-    for j, vals, M in _level_matrices(fj, mode, W=W, p=p, fam=fam, t=t):
+    for j, vals, M in _level_matrices(fj, mode, W=W, p=p):
         # pen^eta once per torus offset, gathered at x - y (mod N)
         idx = np.arange(len(vals))
         pen = ((1.0 + 2.0**j * _torus_dist(len(vals))) ** eta)[
@@ -420,11 +383,11 @@ def peetre_maximal(fj, eta, mode="matrix", W=None, p=None, fam=None,
     return out
 
 
-def direct_weighted_field(fj, mode="matrix", W=None, p=None, fam=None, t=None):
+def direct_weighted_field(fj, mode="matrix", W=None, p=None):
     """|M(x) f_j(x)| pointwise (the y = x term of the Peetre sup); M as in
     peetre_maximal."""
     out = {}
-    for j, vals, M in _level_matrices(fj, mode, W=W, p=p, fam=fam, t=t):
+    for j, vals, M in _level_matrices(fj, mode, W=W, p=p):
         if M is not None:
             vals = np.einsum("xab,xb->xa", M, vals)
         out[j] = np.linalg.norm(vals, axis=-1)
@@ -470,35 +433,3 @@ def square_functions(fj, kind="gstar", r=2.0, lam=2.0, alpha=1.0,
         out[j] = np.maximum(np.sum(M * conv, axis=1).real, 0.0) ** (1.0 / r)
     return out
 
-
-def wavelet_gram_check(filter_k, N, ad, t: Truncation, level_lo=None,
-                       level_hi=None):
-    """Max of |<theta_Q, theta_R>| / u_{Q,R} over window wavelet pairs.
-
-    Same-family orthonormality gives an exact 0/1 diagonal; the ratio
-    exercises the cross-level decay of the discrete Gram matrix against
-    the almost-diagonal envelope.
-    """
-    from .adops import ad_entry
-
-    f0 = GridFunction(1, N, np.zeros(N))
-    template = dwt_analyze(f0, k=filter_k)
-    J = int(np.log2(N))
-    level_lo = level_lo if level_lo is not None else max(min(template.details), 1)
-    level_hi = level_hi if level_hi is not None else J - 1
-    items = []
-    for j in range(level_lo, level_hi + 1):
-        if j not in template.details:
-            continue
-        for k in range(1 << j):
-            Q = CubeId(j, (k,))
-            if t.contains(Q):
-                vec = wavelet_basis_function(template, j, (k,)).values
-                items.append((Q, vec))
-    worst = 0.0
-    vol = 1.0 / N
-    for i, (Q, u) in enumerate(items):
-        for R, v in items[i:]:
-            ip = abs(np.vdot(u, v)) * vol
-            worst = max(worst, ip / ad_entry(Q, R, ad))
-    return worst

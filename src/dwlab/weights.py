@@ -4,8 +4,8 @@ A matrix weight is an a.e. positive-definite Hermitian-matrix-valued
 function W(x), evaluated on whole arrays of midpoint quadrature nodes
 at once (``MatrixWeight.eval``).  The module provides batched fractional
 matrix powers (LAPACK eigh), the exp-log double-average characteristic,
-doubling exponents, eigenvalue spread, and the lower/upper dimension
-estimates used by the weighted almost-diagonal thresholds.
+and the lower/upper dimension estimates used by the weighted
+almost-diagonal thresholds.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .dyadic import (CubeId, DwlabError, Truncation, cube_geometry,
                      enumerate_cubes)
 
 HERMITIAN_TOL = 1e-12
+SINGULAR_TOL = 1e-14  # distance at which a point hits the singular set
 
 
 class WeightError(DwlabError):
@@ -135,12 +136,12 @@ class MatrixWeight:
             raise WeightError(f"need points [M, n], got shape {pts.shape}")
         return self._batch(pts)
 
-    def is_singular_at(self, pts, tol=1e-14):
+    def is_singular_at(self, pts):
         """Mask over points [..., n]: True where x hits the singular set."""
         x = np.atleast_1d(np.asarray(pts, dtype=float))
         hit = np.zeros(x.shape[:-1], dtype=bool)
         for s in self.singular_set:
-            hit |= np.linalg.norm(x - s, axis=-1) < tol
+            hit |= np.linalg.norm(x - s, axis=-1) < SINGULAR_TOL
         return hit
 
     def powers(self, pts, alpha):
@@ -231,14 +232,6 @@ def wp_stack(W: MatrixWeight, p, pts):
     return pts, W.powers(pts, 1.0 / p)
 
 
-def avg_wp_z(W, p, pts, z):
-    """(avg over pts of |W^{1/p}(x) z|^p)^{1/p} by equal-weight midpoint rule."""
-    _, stack = wp_stack(W, p, pts)
-    vals = np.linalg.norm(stack.astype(complex) @ np.asarray(z, dtype=complex),
-                          axis=-1)
-    return float(np.mean(vals**p) ** (1.0 / p))
-
-
 def _subsample(pts, cap):
     if len(pts) <= cap:
         return pts
@@ -250,10 +243,12 @@ def _subsample(pts, cap):
 # Weight statistics
 # ---------------------------------------------------------------------------
 
-def _pairwise_norm_pp(stack_x, stack_y_inv, p):
-    """Matrix of ||W^{1/p}(x) W^{-1/p}(y)||^p over node pairs (y rows)."""
+def _exp_log_avg(stack_x, stack_y_inv, p):
+    """exp( avg_y log( avg_x ||W^{1/p}(x) W^{-1/p}(y)||^p ) ) from the
+    stacks of W^{1/p} over the x nodes and W^{-1/p} over the y nodes."""
     prods = np.einsum("xab,ybc->yxac", stack_x, stack_y_inv)
-    return op_norm(prods) ** p
+    inner = np.mean(op_norm(prods) ** p, axis=1)
+    return float(np.exp(np.mean(np.log(inner))))
 
 
 def apinf_characteristic(W: MatrixWeight, p, t: Truncation, spec=None,
@@ -266,9 +261,8 @@ def apinf_characteristic(W: MatrixWeight, p, t: Truncation, spec=None,
     for Q in enumerate_cubes(t):
         pts, _ = cube_nodes(Q, t, spec)
         pts = _subsample(_filter_singular(W, pts), node_cap)
-        stack, stack_inv = W.powers(pts, 1.0 / p), W.powers(pts, -1.0 / p)
-        inner = np.mean(_pairwise_norm_pp(stack, stack_inv, p), axis=1)
-        best = max(best, float(np.exp(np.mean(np.log(inner)))))
+        best = max(best, _exp_log_avg(W.powers(pts, 1.0 / p),
+                                      W.powers(pts, -1.0 / p), p))
     return best
 
 
@@ -312,70 +306,15 @@ def _fits_window(t, lo, hi):
     return np.all(lo >= wlo - 1e-12) and np.all(hi <= whi + 1e-12)
 
 
-def doubling_exponent(W: MatrixWeight, p, t: Truncation, spec=None,
-                      directions=20, g=None):
-    """log2 of the worst ratio int_{2Q}|W^{1/p}z|^p / int_Q over window cubes."""
-    spec = spec or QuadratureSpec()
-    g = g or (48 if t.n == 1 else 10)
-    dirs = sphere_directions(W.m, directions)
-    best = 0.0
-    found = False
-    for Q in enumerate_cubes(t):
-        lo2, hi2 = _dilated_box(Q, 2.0)
-        if not _fits_window(t, lo2, hi2):
-            continue
-        found = True
-        lo1, hi1 = _dilated_box(Q, 1.0)
-        for (lo, hi, sgn) in ((lo1, hi1, -1), (lo2, hi2, +1)):
-            pts, wt = box_nodes(lo, hi, g)
-            pts, stack = wp_stack(W, p, pts)
-            vals = np.linalg.norm(
-                np.einsum("xab,db->xda", stack, dirs.astype(stack.dtype)),
-                axis=-1,
-            ) ** p
-            integ = np.sum(vals, axis=0) * wt
-            if sgn < 0:
-                denom = integ
-            else:
-                best = max(best, float(np.max(integ / denom)))
-    if not found:
-        raise WeightError("window too small to double any cube")
-    return float(np.log2(best))
-
-
-def eigen_spread(W: MatrixWeight, sample_points):
-    """(sup over points of lambda_max/lambda_min, per-point eigenvalue table)."""
-    pts = np.asarray(sample_points, dtype=float)
-    pts = pts.reshape(len(pts), -1)
-    pts = pts[~W.is_singular_at(pts)]
-    if not len(pts):
-        raise WeightError("all sample points were singular")
-    lam = hermitian_eig(W.eval(pts))
-    rows = [(x, float(l[0]), float(l[-1])) for x, l in zip(pts, lam)]
-    sup = max(hi / lo for _, lo, hi in rows)
-    return float(sup), rows
-
-
-def _dilation_value(W, p, Q_box, lamQ_box, g, inner_over_dilate):
-    """exp-log double average with inner x-average over one box and outer
-    y-average over the other (the two A_{p,infty}-dimension quantities)."""
-    inner_box = lamQ_box if inner_over_dilate else Q_box
-    outer_box = Q_box if inner_over_dilate else lamQ_box
-    xin, _ = box_nodes(*inner_box, g)
-    yout, _ = box_nodes(*outer_box, g)
-    stack_x = W.powers(_filter_singular(W, xin), 1.0 / p)
-    stack_yinv = W.powers(_filter_singular(W, yout), -1.0 / p)
-    inner = np.mean(_pairwise_norm_pp(stack_x, stack_yinv, p), axis=1)
-    return float(np.exp(np.mean(np.log(inner))))
-
-
-def estimate_dimensions(W: MatrixWeight, p, t: Truncation, spec=None,
+def estimate_dimensions(W: MatrixWeight, p, t: Truncation,
                         lams=(1.0, 2.0, 4.0, 8.0), g=None, cube_cap=12):
     """(d_lower, d_upper) by log-log slope fit of the dilation averages.
 
     For each sampled cube Q and dilation factor lam the two exp-log
-    quantities are evaluated on midpoint grids; d is the largest fitted
-    slope of log(value) against log(lam), floored at 0.
+    quantities (inner x-average over Q and outer y-average over lam*Q,
+    and the reverse) are evaluated on midpoint grids; d is the largest
+    fitted slope of log(value) against log(lam), floored at 0.  W^{1/p}
+    and W^{-1/p} are evaluated once per box.
     """
     g = g or (40 if t.n == 1 else 8)
     cubes = [Q for Q in enumerate_cubes(t)
@@ -388,16 +327,13 @@ def estimate_dimensions(W: MatrixWeight, p, t: Truncation, spec=None,
     loglam = np.log(np.asarray(lams))
     d_low, d_up = 0.0, 0.0
     for Q in cubes:
-        qbox = _dilated_box(Q, 1.0)
-        vals_low, vals_up = [], []
-        for lam in lams:
-            lbox = _dilated_box(Q, lam)
-            vals_low.append(_dilation_value(W, p, qbox, lbox, g, False))
-            vals_up.append(_dilation_value(W, p, qbox, lbox, g, True))
-        for vals, acc in ((vals_low, "low"), (vals_up, "up")):
-            slope = np.polyfit(loglam, np.log(np.asarray(vals)), 1)[0]
-            if acc == "low":
-                d_low = max(d_low, float(slope))
-            else:
-                d_up = max(d_up, float(slope))
+        stacks = {}  # lam -> (W^{1/p}, W^{-1/p}) on the lam*Q box nodes
+        for lam in {1.0, *lams}:
+            pts = _filter_singular(W, box_nodes(*_dilated_box(Q, lam), g)[0])
+            stacks[lam] = W.powers(pts, 1.0 / p), W.powers(pts, -1.0 / p)
+        wq, wq_inv = stacks[1.0]
+        low = [_exp_log_avg(wq, stacks[lam][1], p) for lam in lams]
+        up = [_exp_log_avg(stacks[lam][0], wq_inv, p) for lam in lams]
+        d_low = max(d_low, float(np.polyfit(loglam, np.log(low), 1)[0]))
+        d_up = max(d_up, float(np.polyfit(loglam, np.log(up), 1)[0]))
     return max(d_low, 0.0), max(d_up, 0.0)

@@ -8,7 +8,6 @@ from dwlab.adops import (
     ad_apply,
     ad_entry,
     ad_thresholds,
-    compose_check,
     majorant,
     molecule_thresholds,
 )
@@ -37,13 +36,14 @@ def test_envelope_with_zero_exponents_spreads_mass():
         assert abs(out[Q][0] - 3.0) < 1e-15
 
 
-def test_ad_apply_explicit_table():
+def test_ad_apply_rejects_an_operator_that_is_not_adparams():
     t = Truncation(1, 0, 1, 1)
     tv = build_single_point(CubeId(1, (0,)), 2.0, t)
     table = {(CubeId(0, (0,)), CubeId(1, (0,))): 0.5}
-    out = ad_apply(table, tv, t)
-    assert abs(out[CubeId(0, (0,))][0] - 1.0) < 1e-15
-    assert abs(out[CubeId(1, (1,))][0]) == 0.0
+    for U in (table, [3.0, 2.0, 2.0], 3.0, None):
+        for seq in (tv, CoeffSeq(t, 1)):
+            with pytest.raises(ADError):
+                ad_apply(U, seq, t)
 
 
 def _assert_matches_dense(U, tv, t):
@@ -204,13 +204,22 @@ def test_majorant_matches_brute_force(t, m, r):
         assert abs(out[Q][0] - v) <= 1e-10 * v
 
 
+def compose_check(p1, p2, t):
+    """Brute-force composition constant over the window: with D1 = D2 the
+    composed kernel should be dominated by the envelope of (D1, min E,
+    min F); returns (C, claimed) with C the worst ratio of
+    sum_P u1_{Q,P} u2_{P,R} to the claimed envelope entry."""
+    claimed = ADParams(p1.D, min(p1.E, p2.E), min(p1.F, p2.F))
+    cubes = enumerate_cubes(t)
+    U1, U2, Uc = (_entry_matrix(cubes, cubes, u) for u in (p1, p2, claimed))
+    return float(np.max((U1 @ U2) / Uc)), claimed
+
+
 def test_compose_check_bounded_constant():
     t = Truncation(1, 0, 3, 1)
     C, claimed = compose_check(ADParams(3.0, 2.0, 2.0), ADParams(3.0, 2.0, 2.0), t)
     assert claimed == ADParams(3.0, 2.0, 2.0)
     assert 1.0 <= C <= 50.0
-    with pytest.raises(ADError):
-        compose_check(ADParams(3.0, 2.0, 2.0), ADParams(2.0, 2.0, 2.0), t)
 
 
 def test_molecule_thresholds_f22():

@@ -7,11 +7,8 @@ from dwlab.dyadic import (
     DyadicError,
     Truncation,
     ancestor,
-    children,
-    contains_cube,
     cube_geometry,
     enumerate_cubes,
-    parent,
     separation,
 )
 
@@ -26,19 +23,20 @@ def test_geometry_examples():
 
 
 def test_children_parent():
-    assert children(CubeId(0, (0,))) == [CubeId(1, (0,)), CubeId(1, (1,))]
-    assert parent(CubeId(1, (1,))) == CubeId(0, (0,))
+    # the children of Q_{0,0} are the level-1 cubes of its one-cube window;
+    # the parent is the ancestor one level up
+    got = enumerate_cubes(Truncation(1, 0, 1, 1), level=1)
+    assert got == [CubeId(1, (0,)), CubeId(1, (1,))]
+    assert ancestor(CubeId(1, (1,)), 0) == CubeId(0, (0,))
     # 5 * 2^-3 = 0.625 lies in [0.5, 1)
     assert ancestor(CubeId(3, (5,)), 1) == CubeId(1, (1,))
 
 
 def test_children_parent_roundtrip_2d():
     Q = CubeId(2, (1, 3))
-    kids = children(Q)
-    assert len(kids) == 4
-    for c in kids:
-        assert parent(c) == Q
-        assert contains_cube(Q, c)
+    kids = [c for c in enumerate_cubes(Truncation(2, 2, 3, 8), level=3)
+            if ancestor(c, 2) == Q]
+    assert [c.k for c in kids] == [(2, 6), (2, 7), (3, 6), (3, 7)]
 
 
 def test_separation_values():
@@ -55,12 +53,6 @@ def test_truncation_counts():
     assert len(enumerate_cubes(t)) == 3
     t2 = Truncation(2, 0, 0, 2)
     assert len(enumerate_cubes(t2)) == 4
-
-
-def test_contained_in():
-    t = Truncation(1, 0, 1, 1)
-    got = enumerate_cubes(t, contained_in=CubeId(0, (0,)))
-    assert got == [CubeId(0, (0,)), CubeId(1, (0,)), CubeId(1, (1,))]
 
 
 def test_enumeration_order_is_lexicographic():
@@ -115,7 +107,6 @@ def test_ancestor_contains(j, k, up):
     Q = CubeId(j, (k,))
     lvl = max(j - up, 0)
     A = ancestor(Q, lvl)
-    assert contains_cube(A, Q)
     x, ell, _ = cube_geometry(Q)
     ax, aell, _ = cube_geometry(A)
     assert ax[0] <= x[0] and x[0] + ell <= ax[0] + aell + 1e-12

@@ -7,7 +7,6 @@ from dwlab.growth import (
     GrowthError,
     GrowthFn,
     class_constant,
-    is_almost_increasing,
     make_growth,
 )
 
@@ -59,20 +58,6 @@ def test_class_constant_constant_function():
     t = Truncation(1, 0, 3, 1)
     v = GrowthFn(eval=lambda j, k: 5.0)
     assert abs(class_constant(v, 0.0, 0.0, 0.0, t) - 1.0) < 1e-12
-
-
-def test_almost_increasing():
-    t = Truncation(1, 0, 3, 1)
-    ok, c = is_almost_increasing(make_growth("power", tau=1.0), t)
-    assert ok and c <= 1.0 + 1e-12
-    ok, c = is_almost_increasing(make_growth("power", tau=0.0), t)
-    assert ok and c == 1.0
-    # v(Q) = |Q|^{-1} grows into subcubes: constant 2^3 at depth 3
-    v = GrowthFn(eval=lambda j, k: 2.0 ** (j * k.shape[-1]))
-    ok, c = is_almost_increasing(v, t, cap=10.0)
-    assert ok and abs(c - 8.0) < 1e-12
-    ok, _ = is_almost_increasing(v, Truncation(1, 0, 5, 1), cap=10.0)
-    assert not ok
 
 
 def test_validation_errors():

@@ -9,9 +9,7 @@ from dwlab.reducing import (
     _mvee_centered,
     _rho_values,
     build_family,
-    cube_containing,
     doubling_orders,
-    gamma_field,
     identity_family,
     reduce_cube,
 )
@@ -20,13 +18,30 @@ from dwlab.weights import (
     QuadratureSpec,
     constant_weight,
     cube_nodes,
-    avg_wp_z,
     diag_power_weight,
     identity_weight,
     matrix_power,
     power_weight,
     sphere_directions,
 )
+
+
+def avg_wp_z(W, p, pts, z):
+    """(avg over pts of |W^{1/p}(x) z|^p)^{1/p} by the equal-weight
+    midpoint rule, singular nodes dropped: the scalar MVEE oracle."""
+    stack = W.powers(pts[~W.is_singular_at(pts)], 1.0 / p)
+    vals = np.linalg.norm(stack.astype(complex) @ np.asarray(z, dtype=complex),
+                          axis=-1)
+    return float(np.mean(vals**p) ** (1.0 / p))
+
+
+def test_avg_wp_z_constant_weight_is_exact():
+    W = constant_weight(np.diag([1.0, 4.0]))
+    t = Truncation(1, 0, 2, 1)
+    pts, _ = cube_nodes(CubeId(0, (0,)), t, QuadratureSpec(3))
+    z = np.array([0.0, 1.0])
+    # |W^{1/2} z| = 2 at every node
+    assert abs(avg_wp_z(W, 2.0, pts, z) - 2.0) < 1e-12
 
 
 def test_exact_p2_constant_diag():
@@ -112,21 +127,6 @@ def test_doubling_orders_weak_exponent_power_weight():
     fam = build_family(power_weight(-0.5), p, t)
     _, _, bw = doubling_orders(fam, t)
     assert abs(bw - 1.0 / (2.0 * p)) < 0.1
-
-
-def test_gamma_field_constant_weight_is_one():
-    W = constant_weight(np.diag([2.0, 5.0]))
-    t = Truncation(1, 0, 2, 1)
-    fam = build_family(W, 2.0, t)
-    for x, j in ((0.3, 0), (0.6, 2), (0.95, 1)):
-        assert abs(gamma_field(W, fam, j, x, t) - 1.0) < 1e-10
-
-
-def test_cube_containing():
-    t = Truncation(1, 0, 2, 1)
-    assert cube_containing(0.3, 2, t) == CubeId(2, (1,))
-    with pytest.raises(ReducingError):
-        cube_containing(1.5, 2, t)
 
 
 def test_family_indexing_round_trips_on_level_stacks():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dwlab.dyadic import CubeId, Truncation, enumerate_cubes
+from dwlab.dyadic import CubeId, Truncation, ancestor, enumerate_cubes
 from dwlab.growth import make_growth
 from dwlab.reducing import identity_family, build_family
 from dwlab.seqspace import (
@@ -14,8 +14,6 @@ from dwlab.seqspace import (
     build_besov_counterexample,
     build_random,
     build_single_point,
-    finfty_norm,
-    gamma_pq,
     la_norm,
     seq_norm,
     single_point_oracle,
@@ -58,8 +56,6 @@ def test_space_params_validation():
         _params(mode="averaging")
     with pytest.raises(SeqSpaceError):
         _params(mode="matrix")
-    assert gamma_pq(_params("F", p=1.0, q=3.0)) == 1.0
-    assert gamma_pq(_params("B", p=1.0, q=0.5)) == 1.0
 
 
 @pytest.mark.parametrize("bad", [
@@ -137,6 +133,28 @@ def test_averaging_identity_family_matches_unweighted():
     for seed in range(5):
         tv = build_random(t, m=2, seed=seed)
         assert abs(seq_norm(tv, pa, t) - seq_norm(tv, pu, t)) < 1e-12
+
+
+def finfty_norm(tv, s, q, t):
+    """The F(q, q) norm with growth |P|^{1/q} of a scalar sequence by its
+    exact cube-sum form, independent of the level-field engine:
+
+    sup_P { (1/|P|) sum_{Q <= P} (|Q|^{-s/n-1/2} |t_Q|)^q |Q| }^{1/q};
+    q = infinity collapses to sup_Q |Q|^{-s/n-1/2} |t_Q|.
+    """
+    n = t.n
+    if np.isinf(q):
+        return max([2.0 ** (Q.j * (s + n / 2.0)) * abs(z[0])
+                    for Q, z in tv.entries.items()], default=0.0)
+    acc = {}
+    for Q, z in tv.entries.items():
+        contrib = ((2.0 ** (Q.j * (s + n / 2.0)) * abs(z[0])) ** q
+                   * 2.0 ** (-Q.j * n))
+        for lvl in range(t.j_min, Q.j + 1):
+            P = ancestor(Q, lvl)
+            acc[P] = acc.get(P, 0.0) + contrib
+    return max([(total / 2.0 ** (-P.j * n)) ** (1.0 / q)
+                for P, total in acc.items()], default=0.0)
 
 
 def test_finfty_matches_fqq_with_power_growth():

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from dwlab.adops import ADParams
+from dwlab.adops import ADParams, ad_entry
 from dwlab.dyadic import CubeId, Truncation
 from dwlab.seqspace import CoeffSeq
 from dwlab.transforms import (
     GridFunction,
     TransformError,
-    band_project,
+    WaveletCoeffs,
     build_lp_window,
     direct_weighted_field,
     dwt_analyze,
@@ -16,8 +16,6 @@ from dwlab.transforms import (
     phi_analyze,
     phi_synthesize,
     square_functions,
-    wavelet_basis_function,
-    wavelet_gram_check,
 )
 from dwlab.weights import MatrixWeight, diag_power_weight, identity_weight
 
@@ -69,7 +67,10 @@ def test_band_limited_round_trip_is_exact():
     rng = np.random.default_rng(2)
     vals2 = rng.standard_normal((N, 2)) + 1j * rng.standard_normal((N, 2))
     for raw in (_random_grid(N, seed=2), GridFunction(1, N, vals2, m=2)):
-        f = band_project(raw, w)
+        # project onto the covered band, where the round trip is exact
+        fhat = np.fft.fft(raw.values, axis=0)
+        fhat[~w.covered] = 0.0
+        f = GridFunction(1, N, np.fft.ifft(fhat, axis=0), m=raw.m)
         g = phi_synthesize(phi_analyze(f, w), w)
         assert g.m == f.m
         rel = np.max(np.abs(g.values - f.values)) / np.max(np.abs(f.values))
@@ -130,12 +131,38 @@ def test_dwt_filter_validation():
         dwt_analyze(_random_grid(8), k=8)  # filter longer than the signal
 
 
+def wavelet_basis_function(template, j, k):
+    """The discrete 1-d wavelet theta_{j,k} on the grid of a DWT template,
+    of unit L^2 norm with respect to the grid measure."""
+    details = {jj: np.zeros_like(d) for jj, d in template.details.items()}
+    details[j][k] = 1.0
+    c = WaveletCoeffs(n=1, N=template.N, filter_k=template.filter_k,
+                      approx=np.zeros_like(template.approx), details=details)
+    return dwt_synthesize(c).values * template.N ** 0.5
+
+
+def wavelet_gram_check(filter_k, N, ad, t, level_lo, level_hi):
+    """Max of |<theta_Q, theta_R>| / u_{Q,R} over the window's wavelet
+    pairs on levels level_lo..level_hi: orthonormality gives an exact 0/1
+    diagonal, so the ratio measures the cross-level decay of the discrete
+    Gram matrix against the almost-diagonal envelope."""
+    template = dwt_analyze(GridFunction(1, N, np.zeros(N)), k=filter_k)
+    items = [(CubeId(j, (k,)), wavelet_basis_function(template, j, k))
+             for j in range(level_lo, level_hi + 1) if j in template.details
+             for k in range(1 << j) if t.contains(CubeId(j, (k,)))]
+    worst = 0.0
+    for i, (Q, u) in enumerate(items):
+        for R, v in items[i:]:
+            worst = max(worst, abs(np.vdot(u, v)) / N / ad_entry(Q, R, ad))
+    return worst
+
+
 def test_wavelet_basis_unit_norm_and_orthogonality():
     N = 128
     template = dwt_analyze(GridFunction(1, N, np.zeros(N)), k=4)
-    u = wavelet_basis_function(template, 4, (3,)).values
-    v = wavelet_basis_function(template, 4, (9,)).values
-    w = wavelet_basis_function(template, 5, (3,)).values
+    u = wavelet_basis_function(template, 4, 3)
+    v = wavelet_basis_function(template, 4, 9)
+    w = wavelet_basis_function(template, 5, 3)
     assert abs(np.vdot(u, u).real / N - 1.0) < 1e-12
     assert abs(np.vdot(u, v)) / N < 1e-12  # same level, disjoint shifts
     assert abs(np.vdot(u, w)) / N < 1e-12  # adjacent level
@@ -335,6 +362,18 @@ def test_peetre_and_direct_field_without_weight():
     direct = direct_weighted_field(fj)
     assert np.allclose(direct[3], np.linalg.norm(fj[3], axis=-1), rtol=0,
                        atol=1e-15)
+
+
+def test_peetre_and_direct_field_reject_modes_other_than_matrix():
+    fj = {2: np.ones(16)}
+    W = identity_weight(1)
+    for mode in ("averaging", "unweighted", "bogus", None):
+        for call in (lambda: peetre_maximal(fj, 1.25, mode=mode),
+                     lambda: peetre_maximal(fj, 1.25, mode=mode, W=W, p=2.0),
+                     lambda: direct_weighted_field(fj, mode=mode),
+                     lambda: direct_weighted_field({}, mode=mode, W=W, p=2.0)):
+            with pytest.raises(TransformError):
+                call()
 
 
 def test_lusin_rejects_negative_aperture():

@@ -9,12 +9,8 @@ from dwlab.weights import (
     QuadratureSpec,
     WeightError,
     apinf_characteristic,
-    avg_wp_z,
     constant_weight,
-    cube_nodes,
     diag_power_weight,
-    doubling_exponent,
-    eigen_spread,
     estimate_dimensions,
     hermitian_eig,
     identity_weight,
@@ -90,17 +86,6 @@ def test_weight_presets_validate():
     assert identity_weight(3).m == 3
 
 
-def test_avg_wp_z_constant_weight_is_exact():
-    W = constant_weight(np.diag([1.0, 4.0]))
-    t = Truncation(1, 0, 2, 1)
-    from dwlab.dyadic import CubeId
-
-    pts, _ = cube_nodes(CubeId(0, (0,)), t, QuadratureSpec(3))
-    z = np.array([0.0, 1.0])
-    # |W^{1/2} z| = 2 at every node
-    assert abs(avg_wp_z(W, 2.0, pts, z) - 2.0) < 1e-12
-
-
 def test_apinf_identity_is_one():
     t = Truncation(1, 0, 2, 1)
     assert abs(apinf_characteristic(identity_weight(2), 2.0, t) - 1.0) < 1e-10
@@ -115,28 +100,6 @@ def test_apinf_sqrt_weight_single_cube():
                                node_cap=2048)
     want = np.exp(np.log(2.0 / 3.0) + 0.5)
     assert abs(got - want) < 1e-3
-
-
-def test_doubling_exponent_identity():
-    t = Truncation(1, 0, 3, 2)
-    assert abs(doubling_exponent(identity_weight(1), 2.0, t) - 1.0) < 1e-9
-    t2 = Truncation(2, 0, 2, 2)
-    assert abs(doubling_exponent(identity_weight(2), 2.0, t2, g=8) - 2.0) < 1e-9
-
-
-def test_eigen_spread_diag():
-    W = constant_weight(np.diag([1.0, 4.0]))
-    sup, rows = eigen_spread(W, [np.array([0.1]), np.array([0.7])])
-    assert abs(sup - 4.0) < 1e-12
-    assert len(rows) == 2
-
-
-def test_eigen_spread_skips_singular_points():
-    W = power_weight(0.5)
-    sup, rows = eigen_spread(W, [np.array([0.0]), np.array([0.25])])
-    assert len(rows) == 1
-    with pytest.raises(WeightError):
-        eigen_spread(W, [np.array([0.0])])
 
 
 def test_dimensions_identity_are_zero():
@@ -329,6 +292,5 @@ def test_weight_statistics_on_presets_reach_no_per_point_callback(
                      backend="mvee")
         apinf_characteristic(W, p, t)
         estimate_dimensions(W, p, t)
-        eigen_spread(W, np.linspace(0.05, 0.95, 7)[:, None])
     with pytest.raises(AssertionError):
         MatrixWeight(1, lambda x: np.eye(1)).eval(np.zeros((1, 1)))
