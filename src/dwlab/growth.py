@@ -10,18 +10,23 @@ with sep(Q,R) = 1 + |x_Q - x_R|/(ell(Q) v ell(R)).  Membership is a
 statement about all of the (infinite) dyadic lattice, so this module
 only reports empirical class constants over finite windows; callers
 compare constants across growing windows to detect non-membership.
+
+Growth functions, and the fields of weight-power growths, are evaluated a
+whole level at a time on arrays of cube corners, never point by point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .dyadic import CubeId, DwlabError, Truncation
+from .weights import _libm_pow, box_nodes
 
 PAIR_CAP = 2_000_000
+FIELD_NODES = 16  # midpoint nodes per axis of a weight_power cell integral
 _SUBSAMPLE_SEED = 0xDAD1C
 
 
@@ -31,22 +36,13 @@ class GrowthError(DwlabError):
 
 @dataclass(frozen=True)
 class GrowthFn:
-    """A growth function with an optional declared class.  ``eval(j, k)``
-    gives v on the level-j cubes with integer corners k[..., n] in one
-    call: an array of shape k.shape[:-1], or a scalar constant on the level.
+    """A growth function.  ``eval(j, k)`` gives v on the level-j cubes
+    with integer corners k[..., n] in one call: an array of shape
+    k.shape[:-1], or a scalar constant on the level.
     """
 
     eval: Callable[[int, np.ndarray], object]
-    declared_class: Optional[tuple] = None  # (delta1, delta2, omega)
     label: str = "custom"
-
-    def __post_init__(self):
-        if self.declared_class is not None:
-            d1, d2, om = self.declared_class
-            if d2 < d1 or om < 0:
-                raise GrowthError(
-                    "declared class needs delta2 >= delta1 and omega >= 0"
-                )
 
     def on_level(self, j, k):
         """v at the cubes (j, k[..., n]) as an array, checked positive."""
@@ -60,79 +56,67 @@ class GrowthFn:
         return float(self.on_level(c.j, np.array([c.k]))[0])
 
 
-def _cell_average(field, j, k, nodes_per_axis=16):
-    """Midpoint-rule integrals of a scalar field over cubes (j, k[..., n])."""
-    k = np.asarray(k)
-    n = k.shape[-1]
-    ell = 2.0 ** (-j)
-    g = nodes_per_axis
-    ticks = (np.arange(g) + 0.5) / g * ell
-    offs = np.stack(np.meshgrid(*[ticks] * n, indexing="ij"), axis=-1)
-    pts = k[..., None, :] * ell + offs.reshape(-1, n)
-    vals = np.array([field(p) for p in pts.reshape(-1, n)], dtype=float)
+def _cell_average(field, j, k):
+    """Midpoint-rule integrals of a batched scalar field over the cubes
+    (j, k[..., n]), FIELD_NODES nodes per axis, in one field call."""
+    n, ell = k.shape[-1], 2.0 ** (-j)
+    pts, _ = box_nodes(k * ell, (k + 1) * ell, FIELD_NODES)
+    vals = np.asarray(field(pts.reshape(-1, n)), dtype=float)
+    if vals.shape != (pts.size // n,):
+        raise GrowthError(f"growth field gave shape {vals.shape} for "
+                          f"{pts.size // n} points, not one value per point")
     return np.mean(vals.reshape(pts.shape[:-1]), axis=-1) * 2.0 ** (-j * n)
+
+
+_PARAMS = {"power": {"tau"}, "weight_power": {"field", "tau"},
+           "piecewise_power": {"alpha", "beta"}}
 
 
 def make_growth(kind, **params):
     """Build one of the standard growth-function families.
 
     kind = "power":  v(Q) = |Q|^tau, tau >= 0; class (tau, tau; 0).
-    kind = "weight_power":  v(Q) = [int_Q field]^tau for a positive
-        scalar field (e.g. the operator norm of a matrix weight);
-        class not closed-form, pass declared_class if known.
-    kind = "length":  v(Q) = g(ell(Q)) for g with g(t) t^{-n/p}
-        nonincreasing and g(t) nondecreasing; class (0, 1/p; 0).
+    kind = "weight_power":  v(Q) = [int_Q field]^tau for a positive batched
+        field(points[M, n]) -> [M], e.g. the operator norm of a matrix
+        weight, called once per level; class not closed-form.
     kind = "piecewise_power":  v(Q) = |Q|^beta if ell(Q) >= 1 else
         |Q|^alpha, alpha <= beta; class (alpha, beta; 0).
+    Unknown keys and a field that is not callable raise GrowthError.
     """
+    if not isinstance(kind, str) or kind not in _PARAMS:
+        raise GrowthError(f"unknown growth kind: {kind}")
+    extra = sorted(set(params) - _PARAMS[kind])
+    if extra:
+        raise GrowthError(f"{kind} growth takes no {', '.join(extra)}")
     if kind == "power":
         tau = float(params["tau"])
         if tau < 0:
             raise GrowthError("power growth needs tau >= 0")
-        return GrowthFn(
-            eval=lambda j, k, t=tau: (2.0 ** (-j * k.shape[-1])) ** t,
-            declared_class=(tau, tau, 0.0),
-            label=f"power({tau})",
-        )
+        return GrowthFn(lambda j, k, t=tau: (2.0 ** (-j * k.shape[-1])) ** t,
+                        label=f"power({tau})")
     if kind == "weight_power":
         field = params["field"]
         tau = float(params["tau"])
-        nodes = int(params.get("nodes_per_axis", 16))
-        declared = params.get("declared_class")
+        if not callable(field):
+            raise GrowthError("weight_power growth needs a callable field")
         cache = {}
 
-        def ev(j, k, field=field, tau=tau, nodes=nodes, cache=cache):
+        def ev(j, k, field=field, tau=tau, cache=cache):
             key = (j, k.shape, k.tobytes())
             if key not in cache:
-                avg = _cell_average(field, j, k, nodes)
-                # scalar libm pow: numpy's SIMD power can differ in the
-                # last bit, which would move reported values
-                cache[key] = np.reshape([a ** tau for a in avg.ravel()
-                                         .tolist()], avg.shape)
+                cache[key] = _libm_pow(_cell_average(field, j, k), tau)
             return cache[key]
 
-        return GrowthFn(eval=ev, declared_class=declared,
-                        label=f"weight_power(tau={tau})")
-    if kind == "length":
-        g = params["g"]
-        p = float(params["p"])
-        return GrowthFn(
-            eval=lambda j, k, g=g: float(g(2.0 ** (-j))),
-            declared_class=(0.0, 1.0 / p, 0.0),
-            label="length",
-        )
-    if kind == "piecewise_power":
-        alpha = float(params["alpha"])
-        beta = float(params["beta"])
-        if alpha > beta:
-            raise GrowthError("piecewise_power needs alpha <= beta")
+        return GrowthFn(eval=ev, label=f"weight_power(tau={tau})")
+    alpha = float(params["alpha"])
+    beta = float(params["beta"])
+    if alpha > beta:
+        raise GrowthError("piecewise_power needs alpha <= beta")
 
-        def ev(j, k, a=alpha, b=beta):
-            return (2.0 ** (-j * k.shape[-1])) ** (b if j <= 0 else a)
+    def ev(j, k, a=alpha, b=beta):
+        return (2.0 ** (-j * k.shape[-1])) ** (b if j <= 0 else a)
 
-        return GrowthFn(eval=ev, declared_class=(alpha, beta, 0.0),
-                        label=f"piecewise_power({alpha},{beta})")
-    raise GrowthError(f"unknown growth kind: {kind}")
+    return GrowthFn(eval=ev, label=f"piecewise_power({alpha},{beta})")
 
 
 def _pair_indices(count, rng_seed=_SUBSAMPLE_SEED):

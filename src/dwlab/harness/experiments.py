@@ -315,7 +315,7 @@ def exp_cex_b(seed=DEFAULT_SEED):
 def exp_inv_f(seed=DEFAULT_SEED):
     quad = QuadratureSpec(3)
     # sufficiency: W = w I_2 with a scalar A_infinity weight
-    wfield = lambda x: float(np.linalg.norm(x)) ** -0.5
+    wfield = lambda x: _libm_pow(_radius(x), -0.5)
     Wsuf = MatrixWeight.from_batched(
         2, lambda x: _libm_pow(_radius(x), -0.5)[:, None, None] * np.eye(2),
         singular_set=[np.zeros(1)], label="|x|^-1/2 I2",
@@ -343,7 +343,7 @@ def exp_inv_f(seed=DEFAULT_SEED):
     Wnec = diag_power_weight(-0.5, 0.0)
     pn, qn = 1.0, 4.0
     tn = Truncation(1, -7, 0, 2)
-    nfield = lambda x: max(float(np.linalg.norm(x)) ** -0.5, 1.0)
+    nfield = lambda x: np.maximum(_libm_pow(_radius(x), -0.5), 1.0)
     vqn = make_growth("weight_power", field=nfield, tau=1.0 / qn)
     vpn = make_growth("weight_power", field=nfield, tau=1.0 / pn)
     sqn = SpaceParams("F", 0.0, qn, qn, vqn, mode="matrix", weight=Wnec,

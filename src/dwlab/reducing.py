@@ -218,17 +218,20 @@ def doubling_orders(F: ReducingFamily, t: Truncation, cap_C=4.0,
     beta_weak is the least-squares slope of the upper envelope of
     log||A_Q A_R^{-1}|| against log sep over equal-level pairs (each
     unordered pair contributes max(v, -v), since the ordered pairs come
-    in reciprocal couples whose raw slopes cancel).
+    in reciprocal couples whose raw slopes cancel).  F must live on the
+    window t (ReducingError otherwise).
     """
     from scipy.optimize import linprog
 
-    cubes = F.cubes()
-    if len(cubes) < 2:
+    if F.truncation != t:
+        raise ReducingError(f"family lives on {F.truncation}, not on {t}")
+    js = range(t.j_min, t.j_max + 1)
+    A = np.concatenate([F.levels[j].reshape(-1, F.m, F.m) for j in js])
+    if len(A) < 2:
         raise ReducingError("doubling orders need two window cubes or more")
-    A = np.stack([F[Q] for Q in cubes])
     Ainv = np.linalg.inv(A)
     # ordered pairs (i, j), i != j, row-major
-    I, J = np.nonzero(~np.eye(len(cubes), dtype=bool))
+    I, J = np.nonzero(~np.eye(len(A), dtype=bool))
     if len(I) > pair_cap:
         rng = np.random.default_rng(PAIR_SEED)
         sel = rng.choice(len(I), size=pair_cap, replace=False)
@@ -238,9 +241,10 @@ def doubling_orders(F: ReducingFamily, t: Truncation, cap_C=4.0,
         [op_norm(A[I[s:s + 4096]] @ Ainv[J[s:s + 4096]])
          for s in range(0, len(I), 4096)]), 1e-300))
     # separation(Q, R) from the lower corners and edge lengths
-    lev = np.array([Q.j for Q in cubes])
+    ks = [t.level_k(j).reshape(-1, t.n) for j in js]
+    lev = np.concatenate([np.full(len(k), j) for j, k in zip(js, ks)])
     ell = np.ldexp(1.0, -lev)
-    x = np.array([Q.k for Q in cubes], dtype=float) * ell[:, None]
+    x = np.concatenate(ks) * ell[:, None]
     ls = np.log(1.0 + _radius(x[I] - x[J]) / np.maximum(ell[I], ell[J]))
     dl = (lev[J] - lev[I]) * np.log(2.0)  # log(ell(Q)/ell(R))
     # ell(Q) < ell(R): branch (lR/lQ)^b1; ell(Q) > ell(R): (lQ/lR)^b2

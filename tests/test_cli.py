@@ -6,12 +6,17 @@ import os
 import subprocess
 import sys
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import dwlab
 from dwlab import reducing
 from dwlab.cli import main
 
+# growth configs that once ended in a traceback or a silent number
+GROWTH_FAULTS = [{"kind": "length", "g": 1, "p": 2},
+                 {"kind": "weight_power", "field": 1, "tau": 1},
+                 {"kind": "power", "tau": 1, "bogus": 3}]
 BAD_NUMBERS = [0, -1, math.nan, math.inf, -math.inf, "nan", "abc", None, [1]]
 # (section, key) -> invalid values; ``...`` deletes the key
 FAULTS = {
@@ -31,7 +36,8 @@ FAULTS = {
                           "identity:3", ...],
     ("space", "nodes_per_cell"): [0, -2, "a", [1]],
     ("space", "growth"): [{"kind": "bogus"}, {"kind": "power", "tau": "x"},
-                          {"kind": "power", "bogus": 1}, "power", {}],
+                          {"kind": "power", "bogus": 1}, "power", {},
+                          {"kind": [1]}, *GROWTH_FAULTS],
     ("sequence", "m"): [0, 3, -1, "two"],
     ("sequence", "entries"): [None, 3, [[]], [{"j": 0}],
                               [{"j": 9, "k": [0], "value": [1]}],
@@ -104,6 +110,17 @@ def test_norm_config_fuzz_gives_a_number_or_one_error_line(cfg):
         lines = err.strip().splitlines()
         assert status == 2 and out == "", (status, out, err)
         assert len(lines) == 1 and lines[0].startswith("dwlab: error: "), err
+
+
+@pytest.mark.parametrize("growth", GROWTH_FAULTS)
+def test_growth_config_faults_give_one_error_line(growth):
+    cfg = {"window": {"n": 1, "j_min": 0, "j_max": 2},
+           "space": {"family": "B", "p": 2, "q": 2, "growth": growth},
+           "sequence": {"entries": [{"j": 1, "k": [1], "value": [1.0]}]}}
+    status, out, err = _run_main(["norm", "--config", json.dumps(cfg)])
+    lines = err.strip().splitlines()
+    assert status == 2 and out == "", (status, out, err)
+    assert len(lines) == 1 and lines[0].startswith("dwlab: error: "), err
 
 
 def test_closed_stdout_ends_quietly():

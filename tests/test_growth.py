@@ -4,23 +4,49 @@ from hypothesis import given, settings, strategies as st
 
 from dwlab.dyadic import CubeId, Truncation, enumerate_cubes
 from dwlab.growth import (
+    FIELD_NODES,
     GrowthError,
     GrowthFn,
     class_constant,
     make_growth,
 )
+from dwlab.seqspace import SpaceParams, build_single_point, seq_norm
+from dwlab.weights import QuadratureSpec, _libm_pow, _radius, diag_power_weight
+
+
+def _cell_average_per_point(field, j, k, nodes_per_axis=16):
+    """The per-point midpoint rule: one field(x[n]) call per node."""
+    k = np.asarray(k)
+    n = k.shape[-1]
+    ell = 2.0 ** (-j)
+    g = nodes_per_axis
+    ticks = (np.arange(g) + 0.5) / g * ell
+    offs = np.stack(np.meshgrid(*[ticks] * n, indexing="ij"), axis=-1)
+    pts = k[..., None, :] * ell + offs.reshape(-1, n)
+    vals = np.array([field(p) for p in pts.reshape(-1, n)], dtype=float)
+    return np.mean(vals.reshape(pts.shape[:-1]), axis=-1) * 2.0 ** (-j * n)
+
+
+# (per-point field, its batched form): INV-F's two fields and a smooth one
+FIELDS = [
+    (lambda x: float(np.linalg.norm(x)) ** -0.5,
+     lambda x: _libm_pow(_radius(x), -0.5)),
+    (lambda x: max(float(np.linalg.norm(x)) ** -0.5, 1.0),
+     lambda x: np.maximum(_libm_pow(_radius(x), -0.5), 1.0)),
+    (lambda x: 1.0 + float(np.sum(x ** 2)),
+     lambda x: 1.0 + np.sum(x ** 2, axis=-1)),
+]
 
 
 def test_power_examples():
     v0 = make_growth("power", tau=0.0)
     assert v0(CubeId(5, (17,))) == 1.0
-    assert v0.declared_class == (0.0, 0.0, 0.0)
     v1 = make_growth("power", tau=1.0)
     assert v1(CubeId(2, (0,))) == 0.25
 
 
 def test_weight_power_constant_field():
-    v = make_growth("weight_power", field=lambda x: 1.0, tau=1.0)
+    v = make_growth("weight_power", field=lambda x: np.ones(len(x)), tau=1.0)
     assert abs(v(CubeId(1, (0,))) - 0.5) < 1e-12
 
 
@@ -30,13 +56,6 @@ def test_piecewise_power_switches_at_unit_scale():
     assert v(CubeId(-1, (0,))) == 2.0
     assert v(CubeId(0, (0,))) == 1.0
     assert v(CubeId(2, (0,))) == 0.25 ** 0.25
-
-
-def test_length_growth():
-    v = make_growth("length", g=lambda ell: min(ell, 1.0), p=2.0)
-    assert v(CubeId(3, (0,))) == 0.125
-    assert v(CubeId(-2, (0,))) == 1.0
-    assert v.declared_class == (0.0, 0.5, 0.0)
 
 
 def test_class_constant_power_is_exactly_one():
@@ -67,6 +86,18 @@ def test_validation_errors():
         make_growth("piecewise_power", alpha=2.0, beta=1.0)
     with pytest.raises(GrowthError):
         make_growth("no_such_kind")
+    # keys the kind does not take, and a field that is not callable
+    with pytest.raises(GrowthError):
+        make_growth("power", tau=1.0, bogus=3)
+    with pytest.raises(GrowthError):
+        make_growth("weight_power", field=np.ones, tau=1.0, nodes_per_axis=4)
+    with pytest.raises(GrowthError):
+        make_growth("piecewise_power", alpha=0.0, beta=1.0, tau=1.0)
+    for field in (1, "abs", None, np.ones(3)):
+        with pytest.raises(GrowthError):
+            make_growth("weight_power", field=field, tau=1.0)
+    with pytest.raises(GrowthError):
+        make_growth("length", g=abs, p=2.0)
     v = GrowthFn(eval=lambda j, k: -1.0)
     with pytest.raises(GrowthError):
         v(CubeId(0, (0,)))
@@ -85,9 +116,9 @@ def test_power_class_membership_property(tau, depth):
 
 @pytest.mark.parametrize("kind, params", [
     ("power", {"tau": 0.7}),
-    ("weight_power", {"field": lambda x: 1.0 + float(np.sum(x ** 2)),
-                      "tau": 0.5, "nodes_per_axis": 4}),
-    ("length", {"g": lambda ell: min(ell, 1.0) ** 0.5, "p": 2.0}),
+    ("weight_power", {"field": lambda x: 1.0 + np.sum(x ** 2, axis=-1),
+                      "tau": 0.5}),
+    ("weight_power", {"field": FIELDS[1][1], "tau": 0.25}),
     ("piecewise_power", {"alpha": 0.25, "beta": 1.0}),
 ])
 @pytest.mark.parametrize("t", [Truncation(1, -2, 3, 3),
@@ -99,3 +130,58 @@ def test_level_evaluation_matches_cube_by_cube(kind, params, t):
         assert got.shape == t.level_shape(j)
         assert np.array_equal(got.ravel(),
                               [v(Q) for Q in enumerate_cubes(t, level=j)])
+
+
+@pytest.mark.parametrize("point_field, batch_field", FIELDS,
+                         ids=["inv_f_sufficiency", "inv_f_necessity",
+                              "smooth"])
+@pytest.mark.parametrize("t", [Truncation(2, -1, 1, 2),
+                               Truncation(1, -7, 0, 2)])
+def test_weight_power_matches_per_point_oracle(point_field, batch_field, t):
+    vs = {tau: make_growth("weight_power", field=batch_field, tau=tau)
+          for tau in (0.25, 1.0)}
+    for j in range(t.j_min, t.j_max + 1):
+        k = t.level_k(j)
+        avg = _cell_average_per_point(point_field, j, k).ravel().tolist()
+        for tau, v in vs.items():
+            assert np.array_equal(v.on_level(j, k).ravel(),
+                                  [a ** tau for a in avg])
+
+
+def test_weight_power_calls_its_field_once_per_level():
+    calls = []
+
+    def field(x):
+        calls.append(len(x))
+        return np.maximum(_libm_pow(_radius(x), -0.5), 1.0)
+
+    # INV-F's necessity setting: two growth functions share one field
+    t = Truncation(1, -7, 0, 2)
+    vq = make_growth("weight_power", field=field, tau=0.25)
+    vp = make_growth("weight_power", field=field, tau=1.0)
+    quad = QuadratureSpec(3)
+    W = diag_power_weight(-0.5, 0.0)
+    for v in (vq, vp):
+        params = SpaceParams("F", 0.0, 1.0, 4.0, v, mode="matrix", weight=W,
+                             quad=quad)
+        for k in (1, 4, 16):
+            tv = build_single_point(CubeId(0, (k,)), np.array([1.0, 0.0]), t)
+            seq_norm(tv, params, t)
+    # one call per level and growth function, on all nodes of the level
+    level_nodes = [len(t.level_k(j)) * FIELD_NODES
+                   for j in range(t.j_min, t.j_max + 1)]
+    assert sorted(calls) == sorted(2 * level_nodes)
+
+
+@pytest.mark.parametrize("field", [
+    lambda x: 1.0,                          # a scalar for the whole level
+    lambda x: 1.0 + float(np.sum(x ** 2)),  # a per-point callback
+    lambda x: np.ones((len(x), 1)),
+    lambda x: np.ones(len(x) + 1),
+])
+def test_weight_power_field_must_return_one_value_per_point(field):
+    v = make_growth("weight_power", field=field, tau=1.0)
+    with pytest.raises(GrowthError):
+        v(CubeId(1, (0,)))
+    with pytest.raises(GrowthError):
+        v.on_level(0, Truncation(2, 0, 1, 1).level_k(0))

@@ -119,6 +119,14 @@ def test_doubling_orders_need_two_cubes():
         doubling_orders(identity_family(t, m=2), t)
 
 
+def test_doubling_orders_reject_a_family_on_another_window():
+    fam = identity_family(Truncation(1, 0, 3, 1), m=2)
+    for t in (Truncation(1, 0, 2, 1), Truncation(1, 0, 3, 2),
+              Truncation(2, 0, 3, 1)):
+        with pytest.raises(ReducingError):
+            doubling_orders(fam, t)
+
+
 def test_doubling_orders_weak_exponent_power_weight():
     # |x|^{-1/2}: equal-level decay ~ sep^{-1/(2p)}, so the weak order
     # fitted on ||A_Q A_R^{-1}|| is about 1/(2p)
