@@ -28,7 +28,6 @@ from .weights import (
     hermitian_eig,
     identity_weight,
     matrix_power,
-    op_norm,
     power_weight,
 )
 from .reducing import (

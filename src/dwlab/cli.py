@@ -234,7 +234,10 @@ def cmd_transform(args):
                         for j, d in c.details.items()},
         }
     else:
-        w = build_lp_window(f.N, args.levels)
+        if args.levels is not None:
+            raise DwlabError("--levels applies to dwt only: the level count "
+                             "of phi is fixed by N")
+        w = build_lp_window(f.N)
         tv = phi_analyze(f, w)
         out = {
             "kind": "phi",
@@ -290,7 +293,8 @@ def main(argv=None):
     p.add_argument("kind", choices=["dwt", "phi"])
     p.add_argument("--in", dest="infile", required=True,
                    help="JSON grid function (inline or path)")
-    p.add_argument("--levels", type=int, default=None)
+    p.add_argument("--levels", type=int, default=None,
+                   help="dwt only: levels to take, >= 1 (default: all)")
     p.add_argument("--filter-k", type=int, default=4,
                    choices=[2, 3, 4, 6, 8])
     p.set_defaults(fn=cmd_transform)

@@ -24,7 +24,6 @@ from ..weights import (
     diag_power_weight,
     estimate_dimensions,
     identity_weight,
-    op_norm,
     power_weight,
 )
 from ..reducing import build_family
@@ -55,23 +54,20 @@ from .report import Report, interval_drift, ratio_stats
 
 DEFAULT_SEED = 0xDAD1C
 LADDER_1D = (4, 6, 8)
+BAND_GRIDS = (64, 128, 256)
 
 
 def _pow0():
     return make_growth("power", tau=0.0)
 
 
-def _windows(j_maxes=LADDER_1D, root=1, j_min=0):
-    return [Truncation(1, j_min, jm, root) for jm in j_maxes]
+def _windows(j_maxes=LADDER_1D):
+    return [Truncation(1, 0, jm, 1) for jm in j_maxes]
 
 
-def _sample_seqs(t, m, count, seed, density=0.3):
-    sigmas = (-0.5, 0.0, 0.5)
-    return [
-        build_random(t, m=m, seed=seed + 7919 * i, density=density,
-                     sigma=sigmas[i % 3])
-        for i in range(count)
-    ]
+def _sample_seqs(t, m, count, seed):
+    return [build_random(t, m=m, seed=seed + 7919 * i, density=0.3,
+                         sigma=(-0.5, 0.0, 0.5)[i % 3]) for i in range(count)]
 
 
 def _band_limited(w, seed):
@@ -80,6 +76,25 @@ def _band_limited(w, seed):
     fhat[~w.covered] = 0.0
     vals = np.fft.ifft(fhat) * w.N
     return GridFunction(1, w.N, vals)
+
+
+def _ladder(rungs):
+    """The ratio_stats of each rung's (numerator, denominator) norm pairs,
+    one rung per window, and the drift of their [min, max] intervals."""
+    stats = [ratio_stats([a for a, _ in pairs], [b for _, b in pairs])
+             for pairs in rungs]
+    return stats, interval_drift([(st["min"], st["max"]) for st in stats])
+
+
+def _point_ratios(cubes, z, t, num, den):
+    """Norm ratio num/den of the one-entry sequence z at each cube, on t."""
+    tvs = [build_single_point(Q, z, t) for Q in cubes]
+    return [seq_norm(tv, num, t) / seq_norm(tv, den, t) for tv in tvs]
+
+
+def _growth(r):
+    """Whether the ratios r never decrease, and their last/first growth."""
+    return all(b >= a for a, b in zip(r, r[1:])), r[-1] / r[0]
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +148,7 @@ def exp_single(seed=DEFAULT_SEED):
 def exp_eq_aw(seed=DEFAULT_SEED):
     W = diag_power_weight(-0.5, -0.25)
     quad = QuadratureSpec(3)
-    intervals, stats = [], {}
+    rungs = []
     exact_dev = 0.0
     for t in _windows():
         fam = build_family(W, 2, t, quad, backend="exact_p2")
@@ -148,16 +163,14 @@ def exp_eq_aw(seed=DEFAULT_SEED):
                           weight=W, quad=quad)
         pa1 = SpaceParams("F", 0.0, 2, 1, _pow0(), mode="averaging",
                           reducing=fam)
-        a_vals, b_vals = [], []
+        pairs = []
         for tv in _sample_seqs(t, 2, 30, seed):
             r2 = seq_norm(tv, pm2, t) / seq_norm(tv, pa2, t)
             exact_dev = max(exact_dev, abs(r2 - 1.0))
-            a_vals.append(seq_norm(tv, pm1, t))
-            b_vals.append(seq_norm(tv, pa1, t))
-        st = ratio_stats(a_vals, b_vals)
-        stats[f"j_max={t.j_max}"] = st
-        intervals.append((st["min"], st["max"]))
-    drift = interval_drift(intervals)
+            pairs.append((seq_norm(tv, pm1, t), seq_norm(tv, pa1, t)))
+        rungs.append(pairs)
+    rung_stats, drift = _ladder(rungs)
+    stats = {f"j_max={jm}": st for jm, st in zip(LADDER_1D, rung_stats)}
     stats["drift"] = drift
     stats["q2_exact_deviation"] = exact_dev
     return Report(
@@ -184,25 +197,23 @@ def exp_eq_gstar(seed=DEFAULT_SEED):
     for family, p, q, r in spaces:
         gamma = min(p, q) if family == "F" else p
         lam = 1.0 / min(r, gamma) + 0.25
-        intervals = []
-        key = f"{family.lower()}({p},{q})"
+        rungs = []
         for t in _windows(ladder):
             params = SpaceParams(family, 0.0, p, q, _pow0())
-            ratios = []
+            pairs = []
             for tv in _sample_seqs(t, 1, 10, seed):
                 mags = tv.magnitudes()
                 star = majorant(mags, r, lam, t)
                 for j, a in mags.levels.items():
                     all_ok &= not np.any(np.abs(star.levels[j])
                                          < np.abs(a) - 1e-12)
-                base = seq_norm(mags, params, t)
-                up = seq_norm(star, params, t)
-                if base > 0:
-                    ratios.append(up / base)
-            intervals.append((min(ratios), max(ratios)))
-        drift = interval_drift(intervals)
-        hi = max(i[1] for i in intervals)
-        stats[key] = {"max_ratio": hi, "drift": drift, "r": r, "lam": lam}
+                pairs.append((seq_norm(star, params, t),
+                              seq_norm(mags, params, t)))
+            rungs.append(pairs)
+        rung_stats, drift = _ladder(rungs)
+        hi = max(st["max"] for st in rung_stats)
+        stats[f"{family.lower()}({p},{q})"] = {"max_ratio": hi, "drift": drift,
+                                              "r": r, "lam": lam}
         all_ok = all_ok and hi <= 20 and drift < 1.5
     return Report(
         name="EQ-GSTAR",
@@ -221,24 +232,19 @@ def exp_eq_gstar(seed=DEFAULT_SEED):
 def exp_ad_bound(seed=DEFAULT_SEED):
     th = ad_thresholds(0.0, 2.0, 2.0, "F", 0.0, 0.0, 0.0, n=1)
     ad = ADParams(th.D_min + 0.25, th.E_min + 0.25, th.F_min + 0.25)
-    intervals, stats = [], {}
     params = SpaceParams("F", 0.0, 2.0, 2.0, _pow0())
     # at a thin +0.25 margin the operator constant converges slowly, so
     # the ladder starts deeper than the default
     ladder = (8, 10, 12)
+    rungs = []
     for t in _windows(ladder):
-        ratios = []
-        for tv in _sample_seqs(t, 1, 10, seed):
-            mags = tv.magnitudes()
-            base = seq_norm(mags, params, t)
-            if base == 0:
-                continue
-            out = ad_apply(ad, mags, t)
-            ratios.append(seq_norm(out, params, t) / base)
-        stats[f"j_max={t.j_max}"] = {"min": min(ratios), "max": max(ratios)}
-        intervals.append((min(ratios), max(ratios)))
-    drift = interval_drift(intervals)
-    hi = max(i[1] for i in intervals)
+        mags = [tv.magnitudes() for tv in _sample_seqs(t, 1, 10, seed)]
+        rungs.append([(seq_norm(ad_apply(ad, a, t), params, t),
+                       seq_norm(a, params, t)) for a in mags])
+    rung_stats, drift = _ladder(rungs)
+    stats = {f"j_max={jm}": {"min": st["min"], "max": st["max"]}
+             for jm, st in zip(ladder, rung_stats)}
+    hi = max(st["max"] for st in rung_stats)
     stats["drift"] = drift
     stats["thresholds"] = {"J": th.J, "D_min": th.D_min, "E_min": th.E_min,
                            "F_min": th.F_min, "regime": th.regime}
@@ -260,14 +266,10 @@ def exp_ad_nec(seed=DEFAULT_SEED):
     params = SpaceParams("B", 0.0, 0.5, 0.5, _pow0())
     t = Truncation(1, 0, 8, 1)
     probe_levels = [2, 4, 6, 8]
-    ratios = []
-    for j in probe_levels:
-        tv = build_single_point(CubeId(j, (0,)), 1.0, t)
-        base = seq_norm(tv, params, t)
-        out = ad_apply(ad, tv, t)
-        ratios.append(seq_norm(out, params, t) / base)
-    monotone = all(b >= a for a, b in zip(ratios, ratios[1:]))
-    growth = ratios[-1] / ratios[0]
+    tvs = [build_single_point(CubeId(j, (0,)), 1.0, t) for j in probe_levels]
+    ratios = [seq_norm(ad_apply(ad, tv, t), params, t) / seq_norm(tv, params, t)
+              for tv in tvs]
+    monotone, growth = _growth(ratios)
     return Report(
         name="AD-NEC",
         criterion="0.5 below the threshold: single-point ratios grow >= 4x",
@@ -321,7 +323,7 @@ def exp_inv_f(seed=DEFAULT_SEED):
         singular_set=[np.zeros(1)], label="|x|^-1/2 I2",
     )
     p, q = 1.0, 2.0
-    intervals, stats = [], {}
+    rungs = []
     for t in _windows():
         vq = make_growth("weight_power", field=wfield, tau=1.0 / q)
         vp = make_growth("weight_power", field=wfield, tau=1.0 / p)
@@ -329,14 +331,11 @@ def exp_inv_f(seed=DEFAULT_SEED):
                          quad=quad)
         sp = SpaceParams("F", 0.0, p, q, vp, mode="matrix", weight=Wsuf,
                          quad=quad)
-        a_vals, b_vals = [], []
-        for tv in _sample_seqs(t, 2, 10, seed):
-            a_vals.append(seq_norm(tv, sq, t))
-            b_vals.append(seq_norm(tv, sp, t))
-        st = ratio_stats(a_vals, b_vals)
-        stats[f"sufficiency_j_max={t.j_max}"] = st
-        intervals.append((st["min"], st["max"]))
-    drift = interval_drift(intervals)
+        rungs.append([(seq_norm(tv, sq, t), seq_norm(tv, sp, t))
+                      for tv in _sample_seqs(t, 2, 10, seed)])
+    rung_stats, drift = _ladder(rungs)
+    stats = {f"sufficiency_j_max={jm}": st
+             for jm, st in zip(LADDER_1D, rung_stats)}
     stats["sufficiency_drift"] = drift
 
     # necessity: genuinely non-scalar diag(|x|^{-1/2}, 1)
@@ -350,14 +349,11 @@ def exp_inv_f(seed=DEFAULT_SEED):
                       quad=quad)
     spn = SpaceParams("F", 0.0, pn, qn, vpn, mode="matrix", weight=Wnec,
                       quad=quad)
-    nec = []
-    for k in (1, 4, 16, 64):
-        tv = build_single_point(CubeId(0, (k,)), np.array([1.0, 0.0]), tn)
-        nec.append(seq_norm(tv, sqn, tn) / seq_norm(tv, spn, tn))
-    monotone = all(b >= a for a, b in zip(nec, nec[1:]))
-    growth = nec[-1] / nec[0]
-    stats["necessity"] = {f"x_Q={k}": r for k, r in
-                          zip((1, 4, 16, 64), nec)}
+    xs = (1, 4, 16, 64)
+    nec = _point_ratios([CubeId(0, (k,)) for k in xs], np.array([1.0, 0.0]),
+                        tn, sqn, spn)
+    monotone, growth = _growth(nec)
+    stats["necessity"] = {f"x_Q={k}": r for k, r in zip(xs, nec)}
     stats["necessity_growth"] = growth
     return Report(
         name="INV-F",
@@ -378,34 +374,26 @@ def exp_sob(seed=DEFAULT_SEED):
     s0, p0, s1, p1 = 1.0, 1.0, 0.5, 2.0
     P0 = SpaceParams("B", s0, p0, q, _pow0())
     P1 = SpaceParams("B", s1, p1, q, _pow0())
-    sups, stats = [], {}
+    rungs = []
     for t in _windows():
-        ratios = []
-        for tv in _sample_seqs(t, 1, 10, seed):
-            base = seq_norm(tv, P0, t)
-            if base == 0:
-                continue
-            ratios.append(seq_norm(tv, P1, t) / base)
-        stats[f"j_max={t.j_max}"] = {"min": min(ratios), "max": max(ratios)}
-        sups.append(max(ratios))
+        rungs.append([(seq_norm(tv, P1, t), seq_norm(tv, P0, t))
+                      for tv in _sample_seqs(t, 1, 10, seed)])
+    rung_stats, _ = _ladder(rungs)
+    stats = {f"j_max={jm}": {"min": st["min"], "max": st["max"]}
+             for jm, st in zip(LADDER_1D, rung_stats)}
     # the embedding constant must not grow with the window
+    sups = [st["max"] for st in rung_stats]
     sup_growth = max(b / a for a, b in zip(sups, sups[1:]))
     stats["sup_growth"] = sup_growth
     # single points are the extremizers: their ratio is level-independent
     t = Truncation(1, 0, 6, 1)
-    sharp = []
-    for j in range(0, 7):
-        tv = build_single_point(CubeId(j, (0,)), 1.0, t)
-        sharp.append(seq_norm(tv, P1, t) / seq_norm(tv, P0, t))
+    cubes = [CubeId(j, (0,)) for j in range(0, 7)]
+    sharp = _point_ratios(cubes, 1.0, t, P1, P0)
     sharp_spread = max(sharp) / min(sharp)
     stats["sharp_spread"] = sharp_spread
     # violation by 1/4 in the embedding index
     P1v = SpaceParams("B", s1 + 0.25, p1, q, _pow0())
-    viol = []
-    for j in range(0, 7):
-        tv = build_single_point(CubeId(j, (0,)), 1.0, t)
-        viol.append(seq_norm(tv, P1v, t) / seq_norm(tv, P0, t))
-    vgrowth = viol[-1] / viol[0]
+    _, vgrowth = _growth(_point_ratios(cubes, 1.0, t, P1v, P0))
     stats["violation_growth"] = vgrowth
     return Report(
         name="SOB",
@@ -458,38 +446,34 @@ def exp_fs_gamma(seed=DEFAULT_SEED):
     W = diag_power_weight(-0.5, -0.25)
     quad = QuadratureSpec(3)
     p = 2.0
-    stats, intervals = {}, {}
-    for fk in ("B", "F"):
-        intervals[fk] = []
+    rungs = {"B": [], "F": []}
     for t in _windows((4, 6)):
         fam = build_family(W, p, t, quad, backend="exact_p2")
         R = t.cells_per_axis() * quad.G
         wp = W.powers(_node_coords(t, quad.G)[:, None], 1.0 / p)
         # ||W^{1/p}(x) A_Q^{-1}|| at the nodes x of each cube Q, per level
-        gam = {j: op_norm(wp.reshape(len(A), -1, W.m, W.m)
-                          @ np.linalg.inv(A)[:, None])
+        gam = {j: np.linalg.matrix_norm(wp.reshape(len(A), -1, W.m, W.m)
+                                        @ np.linalg.inv(A)[:, None], ord=2)
                for j, A in fam.levels.items()}
-        for fk in ("B", "F"):
+        for fk, fk_rungs in rungs.items():
             pm = SpaceParams(fk, 0.0, p, 2.0, _pow0(), mode="matrix",
                              weight=W, quad=quad)
-            ratios = []
+            pairs = []
             for tv in _sample_seqs(t, 2, 8, seed):
                 fields = {}
                 for j, z in tv.levels.items():
                     az = vector_norms((fam.levels[j] @ z[..., None])[..., 0])
                     fields[j] = (gam[j] * az[:, None]
                                  * 2.0 ** (j / 2.0)).reshape(R)
-                base = seq_norm(tv, pm, t)
-                if base == 0:
-                    continue
-                ratios.append(la_norm(fields, pm, t, subdiv=quad.G) / base)
-            intervals[fk].append((min(ratios), max(ratios)))
-    ok = True
-    for fk in ("B", "F"):
-        drift = interval_drift(intervals[fk])
-        lo = min(i[0] for i in intervals[fk])
-        hi = max(i[1] for i in intervals[fk])
-        stats[fk] = {"min": lo, "max": hi, "drift": drift}
+                pairs.append((la_norm(fields, pm, t, subdiv=quad.G),
+                              seq_norm(tv, pm, t)))
+            fk_rungs.append(pairs)
+    ok, stats = True, {}
+    for fk, fk_rungs in rungs.items():
+        rung_stats, drift = _ladder(fk_rungs)
+        lo = min(st["min"] for st in rung_stats)
+        stats[fk] = {"min": lo, "max": max(st["max"] for st in rung_stats),
+                     "drift": drift}
         # the deviation-weighted field always dominates the matrix field
         ok &= lo >= 1.0 - 1e-9
         if fk == "B":
@@ -560,40 +544,35 @@ def exp_wav_norm(seed=DEFAULT_SEED):
     # norm comparability of wavelet vs band-limited coefficients, on
     # functions with a fixed frequency band so the comparison is between
     # refinements of the same function
-    intervals = []
+    rungs = []
     freqs = np.arange(17, 65)
-    amps = [
-        np.random.default_rng(seed + 31 * i).standard_normal((2, freqs.size))
-        for i in range(10)
-    ]
-    for N in (128, 256, 512):
-        J = int(np.log2(N))
-        t = Truncation(1, 0, J - 1, 1)
-        params = SpaceParams("B", 0.0, 2.0, 2.0, _pow0())
+    amps = [np.random.default_rng(seed + 31 * i).standard_normal(
+        (2, freqs.size)) for i in range(10)]
+    grids = (128, 256, 512)
+    params = SpaceParams("B", 0.0, 2.0, 2.0, _pow0())
+    for N in grids:
+        t = Truncation(1, 0, int(np.log2(N)) - 1, 1)
         w = build_lp_window(N)
-        ratios = []
-        for i in range(10):
-            a = amps[i]
+        pairs = []
+        for a in amps:
             fhat = np.zeros(N, dtype=complex)
             fhat[freqs] = a[0] + 1j * a[1]
             fhat[-freqs] = np.conj(a[0] + 1j * a[1])
             f = GridFunction(1, N, np.fft.ifft(fhat) * N)
-            tphi = phi_analyze(f, w)
             twav = dwt_analyze(f, k=4).to_coeffseq()
-            nw = seq_norm(twav, params, t)
-            np_ = seq_norm(tphi, params, t)
-            if np_ > 0:
-                ratios.append(nw / np_)
-        intervals.append((min(ratios), max(ratios)))
-        stats[f"norms_N={N}"] = {"min": min(ratios), "max": max(ratios)}
-    drift = interval_drift(intervals)
+            pairs.append((seq_norm(twav, params, t),
+                          seq_norm(phi_analyze(f, w), params, t)))
+        rungs.append(pairs)
+    rung_stats, drift = _ladder(rungs)
+    for N, st in zip(grids, rung_stats):
+        stats[f"norms_N={N}"] = {"min": st["min"], "max": st["max"]}
     stats["drift"] = drift
     ok = ok and drift < 1.5
     return Report(
         name="WAV-NORM",
         criterion="DWT round trip < 1e-10, Parseval < 1e-10, wavelet/band "
                   "coefficient norm ratio drift < 1.5",
-        windows=["N=128", "N=256", "N=512"],
+        windows=[f"N={N}" for N in grids],
         stats=stats,
         passed=bool(ok),
     )
@@ -619,9 +598,21 @@ def _alpha_upper_bound(W, p):
     return (d_low + d_up) / p, (d_low, d_up)
 
 
-def _conv_fields(f, w):
-    fhat = np.fft.fft(f.values)
-    return {j: np.fft.ifft(np.conj(w.phi_hat[j]) * fhat) for j in w.levels}
+def _band_samples(W, p, seed, stride):
+    """The PEETRE/LPFUNC ladder: per grid N in BAND_GRIDS, the window and
+    8 band-limited samples f, each as its per-level fields phi~_j * f and
+    their direct weighted field."""
+    for N in BAND_GRIDS:
+        t = Truncation(1, 0, int(np.log2(N)), 1)
+        w = build_lp_window(N)
+        samples = []
+        for i in range(8):
+            fhat = np.fft.fft(_band_limited(w, seed + stride * i + N).values)
+            fj = {j: np.fft.ifft(np.conj(w.phi_hat[j]) * fhat)
+                  for j in w.levels}
+            samples.append(
+                (fj, direct_weighted_field(fj, mode="matrix", W=W, p=p)))
+        yield t, samples
 
 
 def exp_peetre(seed=DEFAULT_SEED):
@@ -631,37 +622,28 @@ def exp_peetre(seed=DEFAULT_SEED):
     eta = 1.0 / min(p, q) + alpha_bound + 0.25
     stats = {"eta": eta, "alpha_upper_bound": alpha_bound,
              "dims": {"d_lower": dims[0], "d_upper": dims[1]}}
-    intervals = []
+    params = SpaceParams("F", s, p, q, _pow0())
+    rungs = []
     ok = True
-    for N in (64, 128, 256):
-        J = int(np.log2(N))
-        t = Truncation(1, 0, J, 1)
-        w = build_lp_window(N)
-        params = SpaceParams("F", s, p, q, _pow0())
-        ratios = []
-        for i in range(8):
-            f = _band_limited(w, seed + 17 * i + N)
-            fj = _conv_fields(f, w)
-            direct = direct_weighted_field(fj, mode="matrix", W=W, p=p)
+    for t, samples in _band_samples(W, p, seed, 17):
+        pairs = []
+        for fj, direct in samples:
             pee = peetre_maximal(fj, eta, mode="matrix", W=W, p=p)
             for j in fj:
-                if np.any(pee[j] < direct[j] - 1e-9 * np.max(direct[j])):
-                    ok = False
-            nb = la_norm(direct, params, t)
-            npee = la_norm(pee, params, t)
-            if nb > 0:
-                ratios.append(npee / nb)
-        intervals.append((min(ratios), max(ratios)))
-        stats[f"N={N}"] = {"min": min(ratios), "max": max(ratios)}
-    drift = interval_drift(intervals)
+                ok &= not np.any(pee[j] < direct[j] - 1e-9 * np.max(direct[j]))
+            pairs.append((la_norm(pee, params, t), la_norm(direct, params, t)))
+        rungs.append(pairs)
+    rung_stats, drift = _ladder(rungs)
+    for N, st in zip(BAND_GRIDS, rung_stats):
+        stats[f"N={N}"] = {"min": st["min"], "max": st["max"]}
     stats["drift"] = drift
-    hi = max(i[1] for i in intervals)
+    hi = max(st["max"] for st in rung_stats)
     ok = ok and hi <= 50 and drift < 1.5
     return Report(
         name="PEETRE",
         criterion="maximal field dominates pointwise; norm ratio <= 50 "
                   "with drift < 1.5",
-        windows=["N=64", "N=128", "N=256"],
+        windows=[f"N={N}" for N in BAND_GRIDS],
         stats=stats,
         passed=bool(ok),
     )
@@ -673,46 +655,37 @@ def exp_lpfunc(seed=DEFAULT_SEED):
     alpha_bound, _ = _alpha_upper_bound(W, p)
     lam = 1.0 / min(r, min(p, q)) + alpha_bound + 0.25
     stats = {"lam": lam}
-    intervals_g, intervals_s = [], []
+    params = SpaceParams("F", s, p, q, _pow0())
+    const = (1.0 + alpha) ** lam
+    rungs_g, rungs_s = [], []
     ok = True
-    for N in (64, 128, 256):
-        J = int(np.log2(N))
-        t = Truncation(1, 0, J, 1)
-        w = build_lp_window(N)
-        params = SpaceParams("F", s, p, q, _pow0())
-        g_ratios, s_ratios = [], []
-        for i in range(8):
-            f = _band_limited(w, seed + 23 * i + N)
-            fj = _conv_fields(f, w)
-            direct = direct_weighted_field(fj, mode="matrix", W=W, p=p)
+    for t, samples in _band_samples(W, p, seed, 23):
+        g_pairs, s_pairs = [], []
+        for fj, direct in samples:
             gs = square_functions(fj, kind="gstar", r=r, lam=lam, W=W, p=p)
             lu = square_functions(fj, kind="lusin", r=r, alpha=alpha,
                                   W=W, p=p)
-            const = (1.0 + alpha) ** lam
             for j in fj:
-                if np.any(lu[j] > const * gs[j] * (1 + 1e-9)):
-                    ok = False
+                ok &= not np.any(lu[j] > const * gs[j] * (1 + 1e-9))
             nb = la_norm(direct, params, t)
-            if nb > 0:
-                g_ratios.append(la_norm(gs, params, t) / nb)
-                s_ratios.append(la_norm(lu, params, t) / nb)
-        intervals_g.append((min(g_ratios), max(g_ratios)))
-        intervals_s.append((min(s_ratios), max(s_ratios)))
-        stats[f"N={N}"] = {"gstar_min": min(g_ratios),
-                           "gstar_max": max(g_ratios),
-                           "lusin_min": min(s_ratios),
-                           "lusin_max": max(s_ratios)}
-    dg = interval_drift(intervals_g)
-    ds = interval_drift(intervals_s)
+            g_pairs.append((la_norm(gs, params, t), nb))
+            s_pairs.append((la_norm(lu, params, t), nb))
+        rungs_g.append(g_pairs)
+        rungs_s.append(s_pairs)
+    g_stats, dg = _ladder(rungs_g)
+    s_stats, ds = _ladder(rungs_s)
+    for N, g, sl in zip(BAND_GRIDS, g_stats, s_stats):
+        stats[f"N={N}"] = {"gstar_min": g["min"], "gstar_max": g["max"],
+                           "lusin_min": sl["min"], "lusin_max": sl["max"]}
     stats["drift"] = {"gstar": dg, "lusin": ds}
-    within = all(1 / 50 <= v <= 50 for iv in intervals_g + intervals_s
-                 for v in iv)
+    within = all(1 / 50 <= st[k] <= 50 for st in g_stats + s_stats
+                 for k in ("min", "max"))
     ok = ok and within and dg < 1.5 and ds < 1.5
     return Report(
         name="LPFUNC",
         criterion="Lusin <= (1+alpha)^lam g* pointwise; norm ratios within "
                   "a factor 50 with drift < 1.5",
-        windows=["N=64", "N=128", "N=256"],
+        windows=[f"N={N}" for N in BAND_GRIDS],
         stats=stats,
         passed=bool(ok),
     )

@@ -24,7 +24,6 @@ from .weights import (
     box_nodes,
     cube_nodes,
     matrix_power,
-    op_norm,
     sphere_directions,
     wp_stack,
 )
@@ -238,8 +237,9 @@ def doubling_orders(F: ReducingFamily, t: Truncation, cap_C=4.0,
         I, J = I[sel], J[sel]
     # ||A_Q A_R^{-1}|| over the pairs, in blocks to bound the memory
     v = np.log(np.maximum(np.concatenate(
-        [op_norm(A[I[s:s + 4096]] @ Ainv[J[s:s + 4096]])
-         for s in range(0, len(I), 4096)]), 1e-300))
+        [np.linalg.matrix_norm(A[I[s:s + 4096]] @ Ainv[J[s:s + 4096]],
+                               ord=2) for s in range(0, len(I), 4096)]),
+        1e-300))
     # separation(Q, R) from the lower corners and edge lengths
     ks = [t.level_k(j).reshape(-1, t.n) for j in js]
     lev = np.concatenate([np.full(len(k), j) for j, k in zip(js, ks)])

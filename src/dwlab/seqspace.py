@@ -298,11 +298,16 @@ def single_point_oracle(Q: CubeId, z, params: SpaceParams, t: Truncation,
     """
     from .weights import box_nodes
 
+    if not t.contains(Q):
+        raise SeqSpaceError(f"cube {Q} lies outside the window {t}")
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     n = t.n
     x0, ell, j = cube_geometry(Q)
+    # v on each whole ancestor level, as la_norm evaluates it
     sup_inv_v = max(
-        1.0 / params.v(ancestor(Q, lvl)) for lvl in range(t.j_min, Q.j + 1)
+        1.0 / params.v.on_level(lvl, t.level_k(lvl))[
+            t.locate(ancestor(Q, lvl))[1]]
+        for lvl in range(t.j_min, Q.j + 1)
     )
     if params.mode == "matrix":
         W = params.weight

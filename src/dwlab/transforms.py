@@ -89,8 +89,8 @@ class LPWindow:
         return list(range(1, self.J))
 
 
-def build_lp_window(N, J=None):
-    J = J or int(np.log2(N))
+def build_lp_window(N):
+    J = int(np.log2(N))
     if 2**J != N:
         raise TransformError("need N = 2^J")
     if J < 3:
@@ -283,12 +283,14 @@ def dwt_analyze(f: GridFunction, k=4, levels=None):
     if h.size > f.N:
         raise TransformError("filter longer than the signal")
     J = f.J
-    levels = levels or J
+    if levels is None:
+        levels = J
+    elif levels < 1:
+        raise TransformError(f"levels must be >= 1, got {levels}")
     a = f.values
     details = {}
     for step in range(1, levels + 1):
         if a.shape[0] < h.size or a.shape[0] < 2:
-            levels = step - 1
             break
         j = J - step
         if f.n == 1:

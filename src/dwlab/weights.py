@@ -54,14 +54,6 @@ def matrix_power(M, alpha):
     return (V * lam[..., None, :] ** alpha) @ np.swapaxes(V.conj(), -1, -2)
 
 
-def op_norm(A):
-    """Spectral norm; batched over leading axes."""
-    A = np.asarray(A)
-    if A.ndim == 2:
-        return float(np.linalg.svd(A, compute_uv=False)[0])
-    return np.linalg.svd(A, compute_uv=False)[..., 0]
-
-
 # ---------------------------------------------------------------------------
 # Matrix weights
 # ---------------------------------------------------------------------------
@@ -247,7 +239,7 @@ def _exp_log_avg(stack_x, stack_y_inv, p):
     """exp( avg_y log( avg_x ||W^{1/p}(x) W^{-1/p}(y)||^p ) ) from the
     stacks of W^{1/p} over the x nodes and W^{-1/p} over the y nodes."""
     prods = np.einsum("xab,ybc->yxac", stack_x, stack_y_inv)
-    inner = np.mean(op_norm(prods) ** p, axis=1)
+    inner = np.mean(np.linalg.matrix_norm(prods, ord=2) ** p, axis=1)
     return float(np.exp(np.mean(np.log(inner))))
 
 

@@ -154,3 +154,29 @@ def test_reduce_mvee_reports_convergence(monkeypatch):
     assert float(rep["gap"]) > reducing.MVEE_TOL
     status, out, _ = _run_main(argv[:3] + argv[-2:])  # exact: no solver block
     assert status == 0 and "mvee" not in json.loads(out)
+
+
+GRID16 = json.dumps({"n": 1, "N": 16,
+                     "values": [[float(i % 3), 0.0] for i in range(16)]})
+
+
+@pytest.mark.parametrize("argv", [["dwt", "--levels", "0"],
+                                  ["dwt", "--levels", "-1"],
+                                  ["phi", "--levels", "4"],
+                                  ["phi", "--levels", "3"]])
+def test_transform_levels_faults_give_one_error_line(argv):
+    # dwt levels below 1 once gave the full depth or no details; phi's
+    # level count is fixed by N, so --levels applies to dwt only
+    status, out, err = _run_main(["transform", argv[0], "--in", GRID16]
+                                 + argv[1:])
+    lines = err.strip().splitlines()
+    assert status == 2 and out == "", (status, out, err)
+    assert len(lines) == 1 and lines[0].startswith("dwlab: error: "), err
+
+
+def test_transform_levels_in_range():
+    status, out, _ = _run_main(["transform", "dwt", "--in", GRID16,
+                                "--levels", "1"])
+    assert status == 0 and list(json.loads(out)["details"]) == ["3"]
+    status, out, _ = _run_main(["transform", "phi", "--in", GRID16])
+    assert status == 0 and json.loads(out)["kind"] == "phi"

@@ -178,7 +178,8 @@ def test_weighted_experiments_match_reference_report(name):
            for r in json.loads(REFERENCE_REPORT.read_text())["results"]}
     got = run_experiment(name, seed=0xDAD1C).to_dict()
     assert got["passed"] is ref[name]["passed"]
-    _assert_same_tree(got["stats"], ref[name]["stats"], name)
+    # name, criterion, windows, stats, passed and provenance
+    _assert_same_tree(got, ref[name], name)
 
 
 @pytest.mark.parametrize("name", ["EQ-AW", "INV-F", "PEETRE", "LPFUNC"])

@@ -225,7 +225,6 @@ def _doubling_orders_per_pair(F, t, cap_C=4.0, pair_cap=400_000, seed=5):
     from scipy.optimize import linprog
 
     from dwlab.dyadic import separation
-    from dwlab.weights import op_norm
 
     cubes = F.cubes()
     invs = {Q: np.linalg.inv(F[Q]) for Q in cubes}
@@ -238,7 +237,7 @@ def _doubling_orders_per_pair(F, t, cap_C=4.0, pair_cap=400_000, seed=5):
     rows, rhs, weak_x, weak_y = [], [], [], []
     for i, j in pairs:
         Q, R = cubes[i], cubes[j]
-        v = np.log(max(op_norm(F[Q] @ invs[R]), 1e-300))
+        v = np.log(max(np.linalg.norm(F[Q] @ invs[R], 2), 1e-300))
         ls = np.log(separation(Q, R))
         dl = (R.j - Q.j) * np.log(2.0)
         if Q.j > R.j:

@@ -125,6 +125,30 @@ def test_single_point_oracle_constant_matrix_weight():
     assert abs(got - 2.0) < 1e-10
 
 
+def test_single_point_oracle_evaluates_growth_once_per_level():
+    calls = []
+
+    def field(x):
+        calls.append(len(x))
+        return 1.0 + x[:, 0] ** 2
+
+    t = Truncation(1, 0, 8, 1)
+    params = _params("F", v=make_growth("weight_power", field=field, tau=1.0))
+    cubes = enumerate_cubes(t)
+    got = [single_point_oracle(Q, 1.0, params, t) for Q in cubes]
+    # one field call (and one memo entry) per level, not one per cube
+    assert len(calls) == t.j_max - t.j_min + 1 and len(cubes) == 511
+    # the per-cube growth values give the same floats
+    ref = make_growth("weight_power", field=lambda x: 1.0 + x[:, 0] ** 2,
+                      tau=1.0)
+    for Q, g in zip(cubes, got):
+        sup = max(1.0 / ref(ancestor(Q, lvl))
+                  for lvl in range(t.j_min, Q.j + 1))
+        assert g == sup * 2.0 ** (Q.j * 0.5) * (2.0 ** -Q.j) ** 0.5
+    with pytest.raises(SeqSpaceError):
+        single_point_oracle(CubeId(1, (2,)), 1.0, params, t)
+
+
 def test_averaging_identity_family_matches_unweighted():
     t = Truncation(1, 0, 3, 1)
     fam = identity_family(t, m=2)

@@ -131,6 +131,16 @@ def test_dwt_filter_validation():
         dwt_analyze(_random_grid(8), k=8)  # filter longer than the signal
 
 
+def test_dwt_levels_none_is_full_depth_and_below_one_raises():
+    f = _random_grid(64)
+    # full depth stops once the approximation is shorter than the filter
+    assert sorted(dwt_analyze(f, k=2).details) == [1, 2, 3, 4, 5]
+    assert sorted(dwt_analyze(f, k=2, levels=2).details) == [4, 5]
+    for bad in (0, -1):  # once the full depth and a silent no-op
+        with pytest.raises(TransformError):
+            dwt_analyze(f, k=2, levels=bad)
+
+
 def wavelet_basis_function(template, j, k):
     """The discrete 1-d wavelet theta_{j,k} on the grid of a DWT template,
     of unit L^2 norm with respect to the grid measure."""

@@ -15,7 +15,6 @@ from dwlab.weights import (
     hermitian_eig,
     identity_weight,
     matrix_power,
-    op_norm,
     power_weight,
     sphere_directions,
 )
@@ -67,12 +66,6 @@ def test_matrix_power_diagonal_and_errors():
         matrix_power(np.diag([1.0, -1.0]), 0.5)
     with pytest.raises(WeightError):
         matrix_power(np.array([[0.0, 1.0], [2.0, 0.0]]), 0.5)
-
-
-def test_op_norm_batched():
-    A = np.stack([np.diag([3.0, 1.0]), np.diag([0.5, 2.0])])
-    assert op_norm(A[0]) == 3.0
-    assert np.allclose(op_norm(A), [3.0, 2.0])
 
 
 def test_weight_presets_validate():
