@@ -35,7 +35,6 @@ from .reducing import (
     build_family,
     doubling_orders,
     identity_family,
-    reduce_cube,
 )
 from .seqspace import (
     CoeffSeq,

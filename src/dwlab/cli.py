@@ -225,7 +225,7 @@ def cmd_transform(args):
                      for c in doc["values"]])
     f = GridFunction(int(doc.get("n", 1)), int(doc["N"]), vals)
     if args.kind == "dwt":
-        c = dwt_analyze(f, k=args.filter_k, levels=args.levels)
+        c = dwt_analyze(f, k=args.filter_k or 4, levels=args.levels)
         out = {
             "kind": "dwt",
             "filter_k": c.filter_k,
@@ -234,9 +234,9 @@ def cmd_transform(args):
                         for j, d in c.details.items()},
         }
     else:
-        if args.levels is not None:
-            raise DwlabError("--levels applies to dwt only: the level count "
-                             "of phi is fixed by N")
+        if args.levels is not None or args.filter_k is not None:
+            raise DwlabError("--levels and --filter-k apply to dwt only: phi "
+                             "has no wavelet filter and N fixes its levels")
         w = build_lp_window(f.N)
         tv = phi_analyze(f, w)
         out = {
@@ -295,8 +295,9 @@ def main(argv=None):
                    help="JSON grid function (inline or path)")
     p.add_argument("--levels", type=int, default=None,
                    help="dwt only: levels to take, >= 1 (default: all)")
-    p.add_argument("--filter-k", type=int, default=4,
-                   choices=[2, 3, 4, 6, 8])
+    p.add_argument("--filter-k", type=int, default=None,
+                   choices=[2, 3, 4, 6, 8],
+                   help="dwt only: Daubechies DB-k filter (default: 4)")
     p.set_defaults(fn=cmd_transform)
 
     args = ap.parse_args(argv)

@@ -21,15 +21,16 @@ from ..weights import (
     _libm_pow,
     _radius,
     constant_weight,
+    cube_blocks,
     diag_power_weight,
     estimate_dimensions,
     identity_weight,
     power_weight,
+    window_nodes,
 )
 from ..reducing import build_family
 from ..seqspace import (
     SpaceParams,
-    _node_coords,
     build_besov_counterexample,
     build_random,
     build_single_point,
@@ -194,15 +195,17 @@ def exp_eq_gstar(seed=DEFAULT_SEED):
     # quasi-Banach tail sums converge slowly in the window, so the
     # ladder starts deeper than the default
     ladder = (6, 8, 10)
+    # one draw per window serves every space
+    samples = [(t, [tv.magnitudes() for tv in _sample_seqs(t, 1, 10, seed)])
+               for t in _windows(ladder)]
     for family, p, q, r in spaces:
         gamma = min(p, q) if family == "F" else p
         lam = 1.0 / min(r, gamma) + 0.25
         rungs = []
-        for t in _windows(ladder):
+        for t, seqs in samples:
             params = SpaceParams(family, 0.0, p, q, _pow0())
             pairs = []
-            for tv in _sample_seqs(t, 1, 10, seed):
-                mags = tv.magnitudes()
+            for mags in seqs:
                 star = majorant(mags, r, lam, t)
                 for j, a in mags.levels.items():
                     all_ok &= not np.any(np.abs(star.levels[j])
@@ -450,24 +453,25 @@ def exp_fs_gamma(seed=DEFAULT_SEED):
     for t in _windows((4, 6)):
         fam = build_family(W, p, t, quad, backend="exact_p2")
         R = t.cells_per_axis() * quad.G
-        wp = W.powers(_node_coords(t, quad.G)[:, None], 1.0 / p)
+        wp = W.powers(window_nodes(t, quad.G), 1.0 / p)
         # ||W^{1/p}(x) A_Q^{-1}|| at the nodes x of each cube Q, per level
-        gam = {j: np.linalg.matrix_norm(wp.reshape(len(A), -1, W.m, W.m)
+        gam = {j: np.linalg.matrix_norm(cube_blocks(wp, t, quad.G, j)
                                         @ np.linalg.inv(A)[:, None], ord=2)
                for j, A in fam.levels.items()}
+        # the deviation fields do not depend on the family: build them once
+        samples = []
+        for tv in _sample_seqs(t, 2, 8, seed):
+            fields = {}
+            for j, z in tv.levels.items():
+                az = vector_norms((fam.levels[j] @ z[..., None])[..., 0])
+                fields[j] = (gam[j] * az[:, None]
+                             * 2.0 ** (j / 2.0)).reshape(R)
+            samples.append((tv, fields))
         for fk, fk_rungs in rungs.items():
             pm = SpaceParams(fk, 0.0, p, 2.0, _pow0(), mode="matrix",
                              weight=W, quad=quad)
-            pairs = []
-            for tv in _sample_seqs(t, 2, 8, seed):
-                fields = {}
-                for j, z in tv.levels.items():
-                    az = vector_norms((fam.levels[j] @ z[..., None])[..., 0])
-                    fields[j] = (gam[j] * az[:, None]
-                                 * 2.0 ** (j / 2.0)).reshape(R)
-                pairs.append((la_norm(fields, pm, t, subdiv=quad.G),
-                              seq_norm(tv, pm, t)))
-            fk_rungs.append(pairs)
+            fk_rungs.append([(la_norm(fields, pm, t, subdiv=quad.G),
+                              seq_norm(tv, pm, t)) for tv, fields in samples])
     ok, stats = True, {}
     for fk, fk_rungs in rungs.items():
         rung_stats, drift = _ladder(fk_rungs)

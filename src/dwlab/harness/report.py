@@ -7,6 +7,8 @@ import io
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..dyadic import DwlabError
 
 
@@ -43,14 +45,11 @@ def ratio_stats(values_a, values_b):
     if not ratios:
         return {"min": None, "max": None, "median": None, "count": 0,
                 "divergent": divergent}
-    ratios.sort()
-    k = len(ratios)
-    med = ratios[k // 2] if k % 2 else 0.5 * (ratios[k // 2 - 1] + ratios[k // 2])
     return {
-        "min": ratios[0],
-        "max": ratios[-1],
-        "median": med,
-        "count": k,
+        "min": float(np.min(ratios)),
+        "max": float(np.max(ratios)),
+        "median": float(np.median(ratios)),
+        "count": len(ratios),
         "divergent": divergent,
     }
 

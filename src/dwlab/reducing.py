@@ -21,11 +21,10 @@ from .weights import (
     QuadratureSpec,
     WeightError,
     _radius,
-    box_nodes,
-    cube_nodes,
+    cube_blocks,
     matrix_power,
     sphere_directions,
-    wp_stack,
+    window_nodes,
 )
 
 MVEE_TOL = 1e-4
@@ -39,14 +38,15 @@ class ReducingError(DwlabError):
     pass
 
 
-def _rho_values(W, p, Q, t, spec, dirs):
-    """(avg_Q |W^{1/p}(x) z_i|^p)^{1/p} for a batch of directions."""
-    pts, _ = cube_nodes(Q, t, spec)
-    pts, stack = wp_stack(W, p, pts)
+def _rho_values(wp, dirs, p):
+    """(avg_Q |W^{1/p}(x) z_i|^p)^{1/p} for a batch of directions [D, m],
+    from W^{1/p} on each cube's nodes [c, M, m, m] -> [c, D]."""
     vals = np.linalg.norm(
-        np.einsum("xab,db->xda", stack, dirs.astype(stack.dtype)), axis=-1
-    )
-    return np.mean(vals**p, axis=0) ** (1.0 / p)
+        np.einsum("cxab,db->cxda", wp, dirs.astype(wp.dtype)), axis=-1)
+    rho = np.mean(vals**p, axis=1) ** (1.0 / p)
+    if not np.all(rho > 0):
+        raise WeightError("a cube average vanishes (all nodes singular?)")
+    return rho
 
 
 def _mvee_centered(points):
@@ -86,43 +86,17 @@ def _mvee_centered(points):
     return Vinv / w[i], it, w[i] / d - 1.0
 
 
-def _exact_p2(W, p, t, spec, j, ks):
-    """(avg_Q W)^{1/2} for the level-j cubes with corners ks [c, n], from
-    one evaluation of W over all their cube_nodes (singular ones dropped)."""
-    if p != 2:
-        raise ReducingError("exact_p2 backend requires p = 2")
-    x0 = ks * 2.0 ** -j
-    pts, _ = box_nodes(x0, x0 + 2.0 ** -j, (1 << (t.j_max - j)) * spec.G)
-    keep = ~W.is_singular_at(pts)
-    if not keep.any(axis=1).all():
-        raise WeightError("all quadrature nodes singular")
-    vals = W.eval(pts[keep])
-    per_cube = np.zeros(keep.shape + vals.shape[1:], dtype=vals.dtype)
-    per_cube[keep] = vals
-    avg = per_cube.sum(axis=1) / keep.sum(axis=1)[:, None, None]
-    return matrix_power(avg, 0.5)
-
-
-def _reduce(W, p, Q, t, spec, backend):
-    """(A_Q, solver iterations, solver gap); both are 0 off the MVEE path."""
-    if backend == "exact_p2":
-        return _exact_p2(W, p, t, spec, Q.j, np.array([Q.k]))[0], 0, 0.0
-    if backend != "mvee":
-        raise ReducingError(f"unknown backend: {backend}")
-    if W.m == 1:
+def _mvee_level(wp, p, m):
+    """MVEE operators [c, m, m] from W^{1/p} on each cube's nodes
+    [c, M, m, m], and the solver's (E, iterations, gap) per cube."""
+    if m == 1:
         # scalar case: the "ellipsoid" is the exact interval
-        rho = _rho_values(W, p, Q, t, spec, np.ones((1, 1)))
-        return np.array([[rho[0]]]), 0, 0.0
-    dirs = sphere_directions(W.m, max(40, 20 * W.m * W.m))
-    rho = _rho_values(W, p, Q, t, spec, dirs)
-    E, iters, gap = _mvee_centered(dirs / rho[:, None])
-    return matrix_power(0.5 * (E + E.T), 0.5), iters, gap
-
-
-def reduce_cube(W: MatrixWeight, p, Q: CubeId, t: Truncation,
-                spec: QuadratureSpec = None, backend="exact_p2"):
-    """One reducing operator A_Q (Hermitian PD m x m)."""
-    return _reduce(W, p, Q, t, spec or QuadratureSpec(), backend)[0]
+        return _rho_values(wp, np.ones((1, 1)), p)[:, :, None], []
+    dirs = sphere_directions(m, max(40, 20 * m * m))
+    runs = [_mvee_centered(dirs / rho[:, None])
+            for rho in _rho_values(wp, dirs, p)]
+    E = np.stack([E for E, _, _ in runs])
+    return matrix_power(0.5 * (E + np.swapaxes(E, -1, -2)), 0.5), runs
 
 
 @dataclass
@@ -169,36 +143,46 @@ def build_family(W: MatrixWeight, p, t: Truncation, spec=None,
     """Reducing operators for every window cube, with empirical
     equivalence bounds from random validation directions and, for the
     mvee backend, the solver's worst gap, largest iteration count and
-    whether it hit MVEE_MAX_ITERS."""
-    spec = spec or QuadratureSpec()
-    levels, runs = {}, [(None, 0, 0.0)]
-    for j in range(t.j_min, t.j_max + 1):
-        if backend == "exact_p2":  # one batch per level
-            A = _exact_p2(W, p, t, spec, j, t.level_k(j).reshape(-1, t.n))
-        else:
-            ops = [_reduce(W, p, Q, t, spec, backend)
-                   for Q in enumerate_cubes(t, level=j)]
-            runs += ops
-            A = [op[0] for op in ops]
-        levels[j] = np.reshape(A, t.level_shape(j) + (W.m, W.m))
-    iters = max(op[1] for op in runs)
-    fam = ReducingFamily(p=p, backend=backend, truncation=t, levels=levels,
-                         mvee_gap=max(op[2] for op in runs), mvee_iters=iters,
-                         mvee_capped=iters >= MVEE_MAX_ITERS)
+    whether it hit MVEE_MAX_ITERS.
+
+    Every cube average reads the window_nodes grid: W (exact_p2) and
+    W^{1/p} (mvee and validation) are evaluated once per window.
+    """
+    if backend not in ("exact_p2", "mvee"):
+        raise ReducingError(f"unknown backend: {backend}")
+    if backend == "exact_p2" and p != 2:
+        raise ReducingError("exact_p2 backend requires p = 2")
+    G = (spec or QuadratureSpec()).G
+    pts, js = window_nodes(t, G), range(t.j_min, t.j_max + 1)
+    wp = W.powers(pts, 1.0 / p)
+    blocks = {j: cube_blocks(wp, t, G, j) for j in js}
+    ops, runs = {}, []
+    if backend == "exact_p2":
+        w = W.eval(pts)
+        for j in js:
+            ops[j] = matrix_power(np.mean(cube_blocks(w, t, G, j), axis=1), 0.5)
+    else:
+        for j in js:  # one solver run per cube, level by level
+            ops[j], level_runs = _mvee_level(blocks[j], p, W.m)
+            runs += level_runs
+    iters = max((it for _, it, _ in runs), default=0)
+    fam = ReducingFamily(p=p, backend=backend, truncation=t, levels={
+        j: A.reshape(t.level_shape(j) + (W.m, W.m)) for j, A in ops.items()},
+        mvee_gap=max((gap for *_, gap in runs), default=0.0),
+        mvee_iters=iters, mvee_capped=iters >= MVEE_MAX_ITERS)
     rng = np.random.default_rng(VALIDATION_SEED)
-    sample = fam.cubes()
+    sample = [(j, i) for j in js for i in range(len(blocks[j]))]
     if len(sample) > VALIDATION_CUBE_CAP:
         idx = np.linspace(0, len(sample) - 1, VALIDATION_CUBE_CAP).astype(int)
         sample = [sample[i] for i in idx]
     lo, hi = np.inf, 0.0
-    for Q in sample:
+    for j, i in sample:
         z = rng.standard_normal((validation_dirs, W.m))
         z /= np.linalg.norm(z, axis=-1, keepdims=True)
-        rho = _rho_values(W, p, Q, t, spec, z)
-        az = np.linalg.norm(
-            np.einsum("ab,db->da", fam[Q], z.astype(fam[Q].dtype)), axis=-1
-        )
-        ratios = az / rho
+        A = ops[j][i]
+        az = np.linalg.norm(np.einsum("ab,db->da", A, z.astype(A.dtype)),
+                            axis=-1)
+        ratios = az / _rho_values(blocks[j][i:i + 1], z, p)[0]
         lo = min(lo, float(np.min(ratios)))
         hi = max(hi, float(np.max(ratios)))
     fam.equivalence_bounds = (lo, hi)

@@ -30,7 +30,7 @@ from .dyadic import (
 )
 from .growth import GrowthFn
 from .reducing import ReducingFamily
-from .weights import MatrixWeight, QuadratureSpec
+from .weights import MatrixWeight, QuadratureSpec, window_nodes
 
 UNDERFLOW_CLAMP = 1e-300
 
@@ -231,13 +231,6 @@ def la_norm(fields, params: SpaceParams, t: Truncation, subdiv=1):
 # Sequence norms
 # ---------------------------------------------------------------------------
 
-def _node_coords(t: Truncation, subdiv):
-    lo = t.k_origin * 2.0 ** (-t.j_min)
-    h = 2.0 ** (-t.j_max) / subdiv
-    R = t.cells_per_axis() * subdiv
-    return lo + (np.arange(R) + 0.5) * h
-
-
 def _level_fields(tv: CoeffSeq, params: SpaceParams, t: Truncation):
     """Build the unscaled level fields g_j; returns (fields, subdiv)."""
     if tv.t != t:
@@ -249,13 +242,8 @@ def _level_fields(tv: CoeffSeq, params: SpaceParams, t: Truncation):
         W = params.weight
         if W.m != m:
             raise SeqSpaceError(f"weight is {W.m}x{W.m}, sequence has m={m}")
-        # W^{1/p} once on the window's node grid, zero at singular nodes
-        grids = np.meshgrid(*[_node_coords(t, subdiv)] * n, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
-        keep = ~W.is_singular_at(pts)
-        wp = np.zeros((len(pts), m, m), dtype=complex)
-        wp[keep] = W.powers(pts[keep], 1.0 / params.p)
-        wp = wp.reshape((R,) * n + (m, m))
+        # W^{1/p} once on the window's node grid [R^n, m, m]
+        wp = W.powers(window_nodes(t, subdiv), 1.0 / params.p)
     elif mode == "averaging":
         fam = params.reducing
         if fam.truncation != t or fam.m != m:

@@ -2,8 +2,10 @@
 
 A matrix weight is an a.e. positive-definite Hermitian-matrix-valued
 function W(x), evaluated on whole arrays of midpoint quadrature nodes
-at once (``MatrixWeight.eval``).  The module provides batched fractional
-matrix powers (LAPACK eigh), the exp-log double-average characteristic,
+at once (``MatrixWeight.eval``), zero on its singular set.  Weighted cube
+integrals read one node grid per window (``window_nodes``, regrouped per
+cube by ``cube_blocks``).  The module provides batched fractional matrix
+powers (LAPACK eigh), the exp-log double-average characteristic,
 and the lower/upper dimension estimates used by the weighted
 almost-diagonal thresholds.
 """
@@ -105,6 +107,9 @@ class MatrixWeight:
     * ``MatrixWeight(m, fn)`` with a per-point callback
       ``fn(x[n]) -> [m, m]`` for a custom weight, wrapped once into the
       batched form (which then calls ``fn`` point by point).
+
+    On the singular set ``eval`` and ``powers`` give the zero matrix and
+    never call the weight function: a singular node adds nothing.
     """
 
     def __init__(self, m, eval_fn, singular_set=(), label="custom"):
@@ -121,12 +126,21 @@ class MatrixWeight:
         W._batch = batch_fn
         return W
 
-    def eval(self, pts):
-        """W(x) stacked over points [M, n] -> [M, m, m]."""
+    def _masked(self, pts, fn):
+        """fn(W(x)) stacked over points [M, n]: the weight is evaluated off
+        the singular set only, and every singular point gets a zero matrix."""
         pts = np.asarray(pts, dtype=float)
         if pts.ndim != 2:
             raise WeightError(f"need points [M, n], got shape {pts.shape}")
-        return self._batch(pts)
+        hit = self.is_singular_at(pts)
+        vals = fn(self._batch(pts[~hit]))
+        out = np.zeros((len(pts),) + vals.shape[1:], dtype=vals.dtype)
+        out[~hit] = vals
+        return out
+
+    def eval(self, pts):
+        """W(x) stacked over points [M, n] -> [M, m, m]."""
+        return self._masked(pts, lambda vals: vals)
 
     def is_singular_at(self, pts):
         """Mask over points [..., n]: True where x hits the singular set."""
@@ -138,7 +152,7 @@ class MatrixWeight:
 
     def powers(self, pts, alpha):
         """W(x)^alpha stacked over points [M, n] -> [M, m, m]."""
-        return matrix_power(self.eval(pts), alpha)
+        return self._masked(pts, lambda vals: matrix_power(vals, alpha))
 
 
 def _constant(M):
@@ -190,13 +204,31 @@ def diag_power_weight(alpha, beta, n=1):
 # Quadrature over cubes and boxes
 # ---------------------------------------------------------------------------
 
-def cube_nodes(Q: CubeId, t: Truncation, spec: QuadratureSpec):
-    """Midpoint nodes over Q: finest-level cells, G subnodes per axis each.
+def _window_hull(t: Truncation):
+    lo = t.k_origin * 2.0 ** (-t.j_min)
+    hi = (t.k_origin + t.root_extent) * 2.0 ** (-t.j_min)
+    return lo, hi
 
-    Returns (points [M, n], uniform node weight) with weights summing to |Q|.
-    """
-    x0, ell, _ = cube_geometry(Q)
-    return box_nodes(x0, x0 + ell, (1 << (t.j_max - Q.j)) * spec.G)
+
+def window_nodes(t: Truncation, G):
+    """The window's midpoint nodes: each finest-level cell split G ways
+    per axis.  Points [R^n, n] with R = G * t.cells_per_axis(), in C order;
+    every weighted cube integral over the window uses this grid."""
+    R = t.cells_per_axis() * G
+    axis = _window_hull(t)[0] + (np.arange(R) + 0.5) * (2.0 ** -t.j_max / G)
+    grid = np.meshgrid(*[axis] * t.n, indexing="ij")
+    return np.stack(grid, axis=-1).reshape(-1, t.n)
+
+
+def cube_blocks(a, t: Truncation, G, j):
+    """Values a [R^n, ...] on window_nodes(t, G) regrouped per level-j
+    cube: [c_j^n, w^n, ...] with w = G 2^{j_max - j} nodes per axis, the
+    cubes in (j, k) order and each cube's nodes in C order (as box_nodes)."""
+    n, (c, *_) = t.n, t.level_shape(j)
+    w, rest = G << (t.j_max - j), a.shape[1:]
+    grid = a.reshape((c, w) * n + rest)
+    axes = [*range(0, 2 * n, 2), *range(1, 2 * n, 2), *range(2 * n, grid.ndim)]
+    return grid.transpose(axes).reshape((c ** n, w ** n) + rest)
 
 
 def box_nodes(lo, hi, g):
@@ -218,19 +250,6 @@ def _filter_singular(W, pts):
     return pts[keep]
 
 
-def wp_stack(W: MatrixWeight, p, pts):
-    """Stack of W^{1/p}(x) over quadrature points (singular nodes dropped)."""
-    pts = _filter_singular(W, pts)
-    return pts, W.powers(pts, 1.0 / p)
-
-
-def _subsample(pts, cap):
-    if len(pts) <= cap:
-        return pts
-    idx = np.linspace(0, len(pts) - 1, cap).astype(int)
-    return pts[idx]
-
-
 # ---------------------------------------------------------------------------
 # Weight statistics
 # ---------------------------------------------------------------------------
@@ -245,23 +264,27 @@ def _exp_log_avg(stack_x, stack_y_inv, p):
 
 def apinf_characteristic(W: MatrixWeight, p, t: Truncation, spec=None,
                          node_cap=64):
-    """Window max of exp( avg_y log( avg_x ||W^{1/p}(x) W^{-1/p}(y)||^p ) )."""
+    """Window max of exp( avg_y log( avg_x ||W^{1/p}(x) W^{-1/p}(y)||^p ) ).
+
+    Each cube averages over at most node_cap of its window_nodes; nodes on
+    the singular set are dropped, since the log average cannot take a zero.
+    """
     if p <= 0:
         raise WeightError("p must be positive")
-    spec = spec or QuadratureSpec()
+    G = (spec or QuadratureSpec()).G
+    pts = window_nodes(t, G)
+    wp, wm = W.powers(pts, 1.0 / p), W.powers(pts, -1.0 / p)
+    ids = np.where(W.is_singular_at(pts), -1, np.arange(len(pts)))
     best = 0.0
-    for Q in enumerate_cubes(t):
-        pts, _ = cube_nodes(Q, t, spec)
-        pts = _subsample(_filter_singular(W, pts), node_cap)
-        best = max(best, _exp_log_avg(W.powers(pts, 1.0 / p),
-                                      W.powers(pts, -1.0 / p), p))
+    for j in range(t.j_min, t.j_max + 1):
+        for cube in cube_blocks(ids, t, G, j):
+            sel = cube[cube >= 0]
+            if len(sel) == 0:
+                raise WeightError("all quadrature nodes hit the singular set")
+            if len(sel) > node_cap:
+                sel = sel[np.linspace(0, len(sel) - 1, node_cap).astype(int)]
+            best = max(best, _exp_log_avg(wp[sel], wm[sel], p))
     return best
-
-
-def _window_hull(t: Truncation):
-    lo = t.k_origin * 2.0 ** (-t.j_min)
-    hi = (t.k_origin + t.root_extent) * 2.0 ** (-t.j_min)
-    return lo, hi
 
 
 def _dilated_box(Q: CubeId, lam):

@@ -163,10 +163,12 @@ GRID16 = json.dumps({"n": 1, "N": 16,
 @pytest.mark.parametrize("argv", [["dwt", "--levels", "0"],
                                   ["dwt", "--levels", "-1"],
                                   ["phi", "--levels", "4"],
-                                  ["phi", "--levels", "3"]])
+                                  ["phi", "--levels", "3"],
+                                  ["phi", "--filter-k", "2"]])
 def test_transform_levels_faults_give_one_error_line(argv):
     # dwt levels below 1 once gave the full depth or no details; phi's
-    # level count is fixed by N, so --levels applies to dwt only
+    # level count is fixed by N and it uses no wavelet filter, so
+    # --levels and --filter-k apply to dwt only
     status, out, err = _run_main(["transform", argv[0], "--in", GRID16]
                                  + argv[1:])
     lines = err.strip().splitlines()
@@ -178,5 +180,9 @@ def test_transform_levels_in_range():
     status, out, _ = _run_main(["transform", "dwt", "--in", GRID16,
                                 "--levels", "1"])
     assert status == 0 and list(json.loads(out)["details"]) == ["3"]
+    assert json.loads(out)["filter_k"] == 4  # the dwt default
+    status, out, _ = _run_main(["transform", "dwt", "--in", GRID16,
+                                "--filter-k", "2"])
+    assert status == 0 and json.loads(out)["filter_k"] == 2
     status, out, _ = _run_main(["transform", "phi", "--in", GRID16])
     assert status == 0 and json.loads(out)["kind"] == "phi"

@@ -2,22 +2,23 @@ import numpy as np
 import pytest
 
 from dwlab import reducing
-from dwlab.dyadic import CubeId, Truncation, enumerate_cubes
+from dwlab.dyadic import CubeId, Truncation, cube_geometry, enumerate_cubes
 from dwlab.reducing import (
     MVEE_TOL,
     ReducingError,
     _mvee_centered,
-    _rho_values,
     build_family,
     doubling_orders,
     identity_family,
-    reduce_cube,
 )
+from dwlab.seqspace import SpaceParams, build_single_point, seq_norm
+from dwlab.growth import make_growth
 from dwlab.weights import (
     MatrixWeight,
     QuadratureSpec,
+    WeightError,
+    box_nodes,
     constant_weight,
-    cube_nodes,
     diag_power_weight,
     identity_weight,
     matrix_power,
@@ -26,13 +27,22 @@ from dwlab.weights import (
 )
 
 
+def cube_nodes(Q, t, spec):
+    """Per-cube midpoint nodes of Q: G subnodes per axis in each of its
+    finest-level cells (the oracle for the window grid)."""
+    x0, ell, _ = cube_geometry(Q)
+    return box_nodes(x0, x0 + ell, (1 << (t.j_max - Q.j)) * spec.G)
+
+
 def avg_wp_z(W, p, pts, z):
     """(avg over pts of |W^{1/p}(x) z|^p)^{1/p} by the equal-weight
-    midpoint rule, singular nodes dropped: the scalar MVEE oracle."""
-    stack = W.powers(pts[~W.is_singular_at(pts)], 1.0 / p)
-    vals = np.linalg.norm(stack.astype(complex) @ np.asarray(z, dtype=complex),
-                          axis=-1)
-    return float(np.mean(vals**p) ** (1.0 / p))
+    midpoint rule, a singular node counting zero, for one vector z [m] or
+    a batch [D, m]: the scalar MVEE oracle."""
+    stack = W.powers(pts, 1.0 / p).astype(complex)
+    vals = np.linalg.norm(
+        np.einsum("xab,...b->x...a", stack, np.asarray(z, dtype=complex)),
+        axis=-1)
+    return np.mean(vals**p, axis=0) ** (1.0 / p)
 
 
 def test_avg_wp_z_constant_weight_is_exact():
@@ -48,7 +58,7 @@ def test_exact_p2_constant_diag():
     # avg_Q W = diag(1,4), so A_Q = diag(1,2) exactly
     W = constant_weight(np.diag([1.0, 4.0]))
     t = Truncation(1, 0, 2, 1)
-    A = reduce_cube(W, 2.0, CubeId(1, (0,)), t)
+    A = build_family(W, 2.0, t)[CubeId(1, (0,))]
     assert np.allclose(A, np.diag([1.0, 2.0]), atol=1e-12)
 
 
@@ -56,21 +66,20 @@ def test_exact_p2_scalar_linear_weight():
     # w(x) = 3x^2 on Q = [0,1): avg = 1, so A = 1 (up to quadrature)
     W = MatrixWeight(1, lambda x: np.array([[3.0 * x[0] ** 2]]))
     t = Truncation(1, 0, 0, 1)
-    A = reduce_cube(W, 2.0, CubeId(0, (0,)), t, spec=QuadratureSpec(512))
+    A = build_family(W, 2.0, t, QuadratureSpec(512))[CubeId(0, (0,))]
     assert abs(A[0, 0] - 1.0) < 1e-5
 
 
 def test_exact_p2_requires_p_two():
     with pytest.raises(ReducingError):
-        reduce_cube(identity_weight(1), 1.0, CubeId(0, (0,)),
-                    Truncation(1, 0, 0, 1))
+        build_family(identity_weight(1), 1.0, Truncation(1, 0, 0, 1))
 
 
 def test_mvee_scalar_matches_exact_average():
     W = power_weight(0.5)
     t = Truncation(1, 0, 2, 1)
     Q = CubeId(2, (2,))
-    A = reduce_cube(W, 3.0, Q, t, backend="mvee")
+    A = build_family(W, 3.0, t, backend="mvee")[Q]
     pts, _ = cube_nodes(Q, t, QuadratureSpec())
     want = avg_wp_z(W, 3.0, pts, np.array([1.0]))
     assert abs(A[0, 0] - want) < 1e-12
@@ -79,12 +88,12 @@ def test_mvee_scalar_matches_exact_average():
 def test_mvee_agrees_with_exact_at_p2():
     W = diag_power_weight(-0.5, -0.25)
     t = Truncation(1, 0, 2, 1)
+    exact = build_family(W, 2.0, t)
+    mvee = build_family(W, 2.0, t, backend="mvee")
     for Q in (CubeId(0, (0,)), CubeId(2, (3,))):
-        A_exact = reduce_cube(W, 2.0, Q, t)
-        A_mvee = reduce_cube(W, 2.0, Q, t, backend="mvee")
         dirs = sphere_directions(2, 100)
-        r_exact = np.linalg.norm(dirs @ A_exact.T, axis=-1)
-        r_mvee = np.linalg.norm(dirs @ A_mvee.T, axis=-1)
+        r_exact = np.linalg.norm(dirs @ exact[Q].T, axis=-1)
+        r_mvee = np.linalg.norm(dirs @ mvee[Q].T, axis=-1)
         ratio = r_mvee / r_exact
         # John's theorem: within sqrt(m) of the exact ellipsoid
         assert np.max(ratio) / np.min(ratio) <= np.sqrt(2.0) + 1e-6
@@ -146,7 +155,6 @@ def test_family_indexing_round_trips_on_level_stacks():
         j, idx = t.locate(Q)
         assert Q in fam
         assert np.array_equal(fam[Q], fam.levels[j][idx])
-        assert np.array_equal(fam[Q], reduce_cube(W, 2.0, Q, t))
     outside = CubeId(3, (0, 0))
     assert outside not in fam
     with pytest.raises(KeyError):
@@ -175,13 +183,13 @@ def _w3(x):
 
 
 def _boundary(m, D, p=1.0, Q=CubeId(1, (0,))):
-    """Boundary points of the p-average unit ball, as reduce_cube samples
-    them, for an m = 2 or m = 3 weight."""
+    """Boundary points of the p-average unit ball, as the mvee backend
+    samples them, for an m = 2 or m = 3 weight."""
     W = (diag_power_weight(-0.5, -0.25) if m == 2
          else MatrixWeight(3, _w3, singular_set=[np.zeros(1)]))
     dirs = sphere_directions(m, D)
-    rho = _rho_values(W, p, Q, Truncation(1, 0, 2, 1), QuadratureSpec(), dirs)
-    return W, dirs / rho[:, None]
+    pts, _ = cube_nodes(Q, Truncation(1, 0, 2, 1), QuadratureSpec())
+    return W, dirs / avg_wp_z(W, p, pts, dirs)[:, None]
 
 
 def _max_leverage(E, X):
@@ -211,7 +219,7 @@ def test_mvee_cap_is_reported_and_still_encloses(monkeypatch):
     assert fam.mvee_capped and fam.mvee_iters == 3 and fam.mvee_gap > MVEE_TOL
     dirs = sphere_directions(2, 40)
     for Q in fam.cubes():
-        rho = _rho_values(W, 1.0, Q, t, QuadratureSpec(), dirs)
+        rho = avg_wp_z(W, 1.0, cube_nodes(Q, t, QuadratureSpec())[0], dirs)
         assert np.max(np.linalg.norm(dirs @ fam[Q].T, axis=-1) / rho) \
             <= 1.0 + 1e-9
     exact = build_family(W, 2.0, t)
@@ -280,23 +288,54 @@ def test_doubling_orders_match_per_pair_oracle(W, t, pair_cap):
         assert abs(g - w) <= 1e-12 * max(abs(w), 1.0), (got, want)
 
 
+def _custom_singular_node():
+    """A complex 2 x 2 weight singular at 1/16, which is a quadrature node
+    of every cube of Truncation(1, 0, 3, 1) containing it at G = 3."""
+    return MatrixWeight(2, lambda x: np.array([[1.0 + x[0] ** 2, 0.3j],
+                                               [-0.3j, 2.0]]),
+                        singular_set=[np.array([0.0625])])
+
+
 @pytest.mark.parametrize("W,t", [
     (diag_power_weight(-0.5, -0.25), Truncation(1, 0, 5, 1)),
     (power_weight(-0.5), Truncation(1, -2, 3, 2)),
     (diag_power_weight(-0.5, 0.5, n=2), Truncation(2, 0, 2, 2)),
-    # the singular point 1/16 is a node of every cube containing it
-    (MatrixWeight(2, lambda x: np.array([[1.0 + x[0] ** 2, 0.3j],
-                                         [-0.3j, 2.0]]),
-                  singular_set=[np.array([0.0625])]),
-     Truncation(1, 0, 3, 1)),
+    (_custom_singular_node(), Truncation(1, 0, 3, 1)),
 ], ids=["1d", "1d-extent2", "2d", "custom-singular-node"])
 def test_exact_family_matches_per_cube_average(W, t):
     spec = QuadratureSpec(3)
     fam = build_family(W, 2.0, t, spec)
     for Q in enumerate_cubes(t):
         pts, _ = cube_nodes(Q, t, spec)
-        keep = ~W.is_singular_at(pts)
-        assert keep.sum() >= len(pts) - 1
-        want = matrix_power(np.mean(W.eval(pts[keep]), axis=0), 0.5)
+        assert W.is_singular_at(pts).sum() <= 1
+        # a singular node counts as the zero matrix
+        want = matrix_power(np.mean(W.eval(pts), axis=0), 0.5)
         assert np.max(np.abs(fam[Q] - want)) <= 1e-14 * np.max(np.abs(want))
-        assert np.array_equal(reduce_cube(W, 2.0, Q, t, spec), fam[Q])
+
+
+def test_matrix_and_averaging_norms_agree_on_singular_nodes():
+    # p = q = 2: int_Q |W^{1/2} z|^2 = |A_Q z|^2 |Q| on every cube, also
+    # on the cubes whose quadrature nodes include the singular point
+    W, t, quad = _custom_singular_node(), Truncation(1, 0, 3, 1), \
+        QuadratureSpec(3)
+    v = make_growth("power", tau=0.0)
+    pm = SpaceParams("F", 0.0, 2, 2, v, mode="matrix", weight=W, quad=quad)
+    pa = SpaceParams("F", 0.0, 2, 2, v, mode="averaging",
+                     reducing=build_family(W, 2, t, quad))
+    z = np.array([1.0 + 0.5j, -0.25])
+    cubes = enumerate_cubes(t)
+    assert sum(bool(W.is_singular_at(cube_nodes(Q, t, quad)[0]).any())
+               for Q in cubes) == 4
+    for Q in cubes:
+        tv = build_single_point(Q, z, t)
+        assert abs(seq_norm(tv, pm, t) / seq_norm(tv, pa, t) - 1.0) <= 1e-12
+
+
+def test_a_cube_with_only_singular_nodes_is_an_error():
+    # G = 1 on one cube: its only node, the midpoint, is singular
+    W = MatrixWeight(1, lambda x: np.array([[1.0 + x[0]]]),
+                     singular_set=[np.array([0.5])])
+    t, quad = Truncation(1, 0, 0, 1), QuadratureSpec(1)
+    for p, backend in ((2.0, "exact_p2"), (3.0, "mvee")):
+        with pytest.raises(WeightError):
+            build_family(W, p, t, quad, backend=backend)

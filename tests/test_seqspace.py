@@ -10,7 +10,6 @@ from dwlab.seqspace import (
     SeqSpaceError,
     SpaceParams,
     _level_fields,
-    _node_coords,
     build_besov_counterexample,
     build_random,
     build_single_point,
@@ -24,6 +23,7 @@ from dwlab.weights import (
     diag_power_weight,
     identity_weight,
     power_weight,
+    window_nodes,
 )
 
 V0 = make_growth("power", tau=0.0)
@@ -320,11 +320,7 @@ def _fields_by_cube(tv, params, t):
     G = params.quad.G if mode == "matrix" else 1
     R = t.cells_per_axis() * G
     if mode == "matrix":
-        grids = np.meshgrid(*[_node_coords(t, G)] * n, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
-        keep = ~params.weight.is_singular_at(pts)
-        wp = np.zeros((len(pts), m, m), dtype=complex)
-        wp[keep] = params.weight.powers(pts[keep], 1.0 / params.p)
+        wp = params.weight.powers(window_nodes(t, G), 1.0 / params.p)
         wp = wp.reshape((R,) * n + (m, m))
     fields = {}
     for Q, z in tv.entries.items():

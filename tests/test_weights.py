@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dwlab.dyadic import Truncation
+from dwlab.dyadic import Truncation, cube_geometry, enumerate_cubes
 from dwlab.weights import (
+    SINGULAR_TOL,
     MatrixWeight,
     NotPositiveDefinite,
     QuadratureSpec,
     WeightError,
     apinf_characteristic,
+    box_nodes,
     constant_weight,
+    cube_blocks,
     diag_power_weight,
     estimate_dimensions,
     hermitian_eig,
@@ -17,6 +20,7 @@ from dwlab.weights import (
     matrix_power,
     power_weight,
     sphere_directions,
+    window_nodes,
 )
 
 
@@ -230,6 +234,8 @@ def test_preset_eval_matches_per_point_callback(n):
         with np.errstate(divide="ignore", over="ignore"):
             got = W.eval(pts)  # 1e-300 reaches |x| = 0 and overflow
             want = np.stack([fn(x) for x in pts])
+        # the singular set (|x| < SINGULAR_TOL for the power presets) is zero
+        want[W.is_singular_at(pts)] = 0.0
         assert got.shape == (len(pts), W.m, W.m)
         finite = np.isfinite(want)
         assert np.array_equal(got[~finite], want[~finite]), W.label
@@ -287,3 +293,57 @@ def test_weight_statistics_on_presets_reach_no_per_point_callback(
         estimate_dimensions(W, p, t)
     with pytest.raises(AssertionError):
         MatrixWeight(1, lambda x: np.eye(1)).eval(np.zeros((1, 1)))
+
+
+@pytest.mark.parametrize("t", [Truncation(1, 0, 3, 1), Truncation(2, 0, 2, 1),
+                               Truncation(1, -1, 3, 2), Truncation(2, 0, 2, 2)],
+                         ids=["1d", "2d", "1d-extent2", "2d-extent2"])
+@pytest.mark.parametrize("G", [1, 3])
+def test_cube_blocks_match_per_cube_box_nodes(t, G):
+    pts = window_nodes(t, G)
+    assert pts.shape == ((t.cells_per_axis() * G) ** t.n, t.n)
+    # one ulp of the window's largest corner: with a negative origin the
+    # per-cube corner + offset sum cancels near 0
+    ulp = np.spacing(max(-t.k_origin, t.k_origin + t.root_extent)
+                     * 2.0 ** -t.j_min)
+    for j in range(t.j_min, t.j_max + 1):
+        w = G << (t.j_max - j)
+        want = []
+        for Q in enumerate_cubes(t, level=j):
+            x0, ell, _ = cube_geometry(Q)
+            want.append(box_nodes(x0, x0 + ell, w)[0])
+        got = cube_blocks(pts, t, G, j)
+        assert got.shape == (len(want), w ** t.n, t.n)
+        assert np.max(np.abs(got - np.stack(want))) <= ulp
+        # trailing axes ride along: a matrix per node
+        mats = cube_blocks(pts[:, :, None] * np.ones(3), t, G, j)
+        assert np.array_equal(mats, got[..., None] * np.ones(3))
+
+
+def test_singular_nodes_never_reach_a_per_point_weight():
+    from dwlab.growth import make_growth
+    from dwlab.reducing import build_family
+    from dwlab.seqspace import SpaceParams, build_random, seq_norm
+    from dwlab.transforms import peetre_maximal
+
+    s = 0.0625  # a node of Truncation(1, 0, 3, 1) at G = 3 and of N = 8
+
+    def fn(x):
+        if abs(x[0] - s) < SINGULAR_TOL:
+            raise AssertionError("the weight was called on its singular set")
+        return np.array([[1.0 + x[0] ** 2, 0.3j], [-0.3j, 2.0]])
+
+    W = MatrixWeight(2, fn, singular_set=[np.array([s])])
+    t, quad = Truncation(1, 0, 3, 1), QuadratureSpec(3)
+    assert W.is_singular_at(window_nodes(t, quad.G)).any()
+    params = SpaceParams("F", 0.0, 2.0, 2.0, make_growth("power", tau=0.0),
+                         mode="matrix", weight=W, quad=quad)
+    assert np.isfinite(seq_norm(build_random(t, m=2, seed=3), params, t))
+    for p, backend in ((2.0, "exact_p2"), (3.0, "mvee")):
+        fam = build_family(W, p, t, quad, backend=backend)
+        assert np.all(np.isfinite(fam.equivalence_bounds))
+    assert np.isfinite(apinf_characteristic(W, 2.0, t, quad))
+    vals = np.random.default_rng(5).standard_normal((8, 2)) + 0j
+    pee = peetre_maximal({3: vals}, 1.5, W=W, p=2.0)
+    assert ((np.arange(8) + 0.5) / 8 == s).any()
+    assert np.all(np.isfinite(pee[3]))
