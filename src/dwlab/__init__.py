@@ -34,7 +34,6 @@ from .reducing import (
     ReducingFamily,
     build_family,
     doubling_orders,
-    identity_family,
 )
 from .seqspace import (
     CoeffSeq,
@@ -43,7 +42,9 @@ from .seqspace import (
     build_random,
     build_single_point,
     la_norm,
+    la_norms,
     seq_norm,
+    seq_norms,
     single_point_oracle,
 )
 from .adops import (

@@ -15,24 +15,22 @@ the entry depends only on d and on the integer offset k_Q - 2^d k_R
 is Toeplitz within each pair of levels (Frazier-Jawerth, J. Funct.
 Anal. 93 (1990)).  ``ad_apply`` and ``majorant`` therefore run as
 strided FFT convolutions on per-level window arrays, O(L^2 N log N)
-time and O(N) memory for N window cubes on L levels.  The dense
-``_entry_matrix`` table is kept as the oracle for the tests.
+time and O(N) memory per call for N window cubes on L levels.  The
+kernel spectra depend only on the grid, the level gap and D, so they
+are computed once and shared by every call (``_kernel_hat``).  The
+tests hold ``ad_apply`` to a dense entry table built from ``ad_entry``'s
+formula.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .dyadic import (
-    CubeId,
-    DwlabError,
-    Truncation,
-    cube_geometry,
-    separation,
-)
+from .dyadic import CubeId, DwlabError, Truncation, separation
 from .seqspace import CoeffSeq, SeqSpaceError
 
 
@@ -70,27 +68,6 @@ def ad_entry(Q: CubeId, R: CubeId, p: ADParams):
     return separation(Q, R) ** (-p.D) * ratio
 
 
-def _entry_matrix(rows, cols, p: ADParams):
-    """Vectorized envelope entries for cube lists (rows x cols).
-
-    Dense O(rows x cols) time and memory: the oracle that the tests hold
-    ``ad_apply`` to.
-    """
-    xr = np.array([cube_geometry(Q)[0] for Q in rows])
-    xc = np.array([cube_geometry(R)[0] for R in cols])
-    lr = np.array([2.0 ** (-Q.j) for Q in rows])
-    lc = np.array([2.0 ** (-R.j) for R in cols])
-    dist = np.linalg.norm(xr[:, None, :] - xc[None, :, :], axis=-1)
-    lmax = np.maximum(lr[:, None], lc[None, :])
-    sep = 1.0 + dist / lmax
-    ratio = np.where(
-        lr[:, None] <= lc[None, :],
-        (lr[:, None] / lc[None, :]) ** p.E,
-        (lc[None, :] / lr[:, None]) ** p.F,
-    )
-    return sep ** (-p.D) * ratio
-
-
 # ---------------------------------------------------------------------------
 # Per-level window arrays and convolution kernels
 # ---------------------------------------------------------------------------
@@ -120,6 +97,17 @@ def _kernel(L, n, scale, D):
     grids = np.meshgrid(*([o] * n), indexing="ij", sparse=True)
     dist = np.sqrt(sum(g * g for g in grids))
     return (1.0 + dist / scale) ** (-D)
+
+
+@functools.lru_cache(maxsize=512)
+def _kernel_hat(L, n, d, D):
+    """rfftn of the level-gap-d kernel (1 + |o|/2^d)^{-D} on the L^n
+    grid.  Cached (at most 512 spectra, about 2 MB for every level pair
+    of a 1-d j_max 12 window) and read-only, since every caller shares
+    the array."""
+    h = np.fft.rfftn(_kernel(L, n, 2.0 ** d, D))
+    h.flags.writeable = False
+    return h
 
 
 def _envelope_apply(p: ADParams, tv: CoeffSeq, t: Truncation):
@@ -156,7 +144,7 @@ def _envelope_apply(p: ADParams, tv: CoeffSeq, t: Truncation):
             d = a - b
             if b not in src and src_hat is None:
                 continue
-            B_hat = np.fft.rfftn(_kernel(L, n, 2.0 ** d, p.D))
+            B_hat = _kernel_hat(L, n, d, p.D)
             if b in src:
                 if d == 0:
                     up_hat = src_hat
@@ -221,9 +209,12 @@ def ad_thresholds(s, p, q, family, delta1, delta2, omega, n=1,
         raise ADError("need omega in [0, n(delta2 - delta1)]")
     inv_p = 0.0 if np.isinf(p) else 1.0 / p
     gamma = min(p, q) if family == "F" else p
-    if delta1 > inv_p or (delta1 == inv_p and np.isinf(q)):
+    # a delta within 1e-12 of 1/p counts as equal to it (as in the omega
+    # check), so 1 - 2/3 and 1/3 at p = 3 fall in one regime
+    at1, at2 = abs(delta1 - inv_p) <= 1e-12, abs(delta2 - inv_p) <= 1e-12
+    if delta1 > inv_p + 1e-12 or (at1 and np.isinf(q)):
         regime, J = "supercritical", float(n)
-    elif family == "F" and delta1 == delta2 == inv_p and not np.isinf(q):
+    elif family == "F" and at1 and at2 and not np.isinf(q):
         regime, J = "critical", n / min(1.0, q)
     else:
         regime, J = "subcritical", n / min(1.0, gamma)

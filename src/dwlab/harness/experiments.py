@@ -34,8 +34,9 @@ from ..seqspace import (
     build_besov_counterexample,
     build_random,
     build_single_point,
-    la_norm,
+    la_norms,
     seq_norm,
+    seq_norms,
     single_point_oracle,
     vector_norms,
 )
@@ -80,17 +81,22 @@ def _band_limited(w, seed):
 
 
 def _ladder(rungs):
-    """The ratio_stats of each rung's (numerator, denominator) norm pairs,
-    one rung per window, and the drift of their [min, max] intervals."""
-    stats = [ratio_stats([a for a, _ in pairs], [b for _, b in pairs])
-             for pairs in rungs]
+    """The ratio_stats of each rung's (numerators, denominators) norm
+    arrays, one rung per window, and the drift of their [min, max]
+    intervals."""
+    stats = [ratio_stats(a, b) for a, b in rungs]
     return stats, interval_drift([(st["min"], st["max"]) for st in stats])
+
+
+def _stacked(field_sets):
+    """Per-level field dicts of S samples as one la_norms stack."""
+    return {j: np.stack([f[j] for f in field_sets]) for j in field_sets[0]}
 
 
 def _point_ratios(cubes, z, t, num, den):
     """Norm ratio num/den of the one-entry sequence z at each cube, on t."""
     tvs = [build_single_point(Q, z, t) for Q in cubes]
-    return [seq_norm(tv, num, t) / seq_norm(tv, den, t) for tv in tvs]
+    return (seq_norms(tvs, num, t) / seq_norms(tvs, den, t)).tolist()
 
 
 def _growth(r):
@@ -125,13 +131,15 @@ def exp_single(seed=DEFAULT_SEED):
         # with a singular origin, keep cubes half an edge clear of it
         cubes = [Q for Q in enumerate_cubes(t)
                  if not W.singular_set or Q.k[0] not in (-1, 0)]
-        for Q in cubes[:: max(1, len(cubes) // 8)]:
-            z = rng.standard_normal(W.m) + 1j * rng.standard_normal(W.m)
-            tv = build_single_point(Q, z, t)
-            measured = seq_norm(tv, params, t)
+        cubes = cubes[:: max(1, len(cubes) // 8)]
+        zs = [rng.standard_normal(W.m) + 1j * rng.standard_normal(W.m)
+              for _ in cubes]
+        measured = seq_norms([build_single_point(Q, z, t)
+                              for Q, z in zip(cubes, zs)], params, t)
+        for Q, z, got in zip(cubes, zs, measured):
             oracle = single_point_oracle(Q, z, params, t, oracle_nodes=96)
-            worst = max(worst, abs(measured - oracle) / oracle)
-            checked += 1
+            worst = max(worst, abs(got - oracle) / oracle)
+        checked += len(cubes)
     passed = worst < 1e-3 and checked >= 50
     return Report(
         name="SINGLE",
@@ -164,12 +172,10 @@ def exp_eq_aw(seed=DEFAULT_SEED):
                           weight=W, quad=quad)
         pa1 = SpaceParams("F", 0.0, 2, 1, _pow0(), mode="averaging",
                           reducing=fam)
-        pairs = []
-        for tv in _sample_seqs(t, 2, 30, seed):
-            r2 = seq_norm(tv, pm2, t) / seq_norm(tv, pa2, t)
-            exact_dev = max(exact_dev, abs(r2 - 1.0))
-            pairs.append((seq_norm(tv, pm1, t), seq_norm(tv, pa1, t)))
-        rungs.append(pairs)
+        tvs = _sample_seqs(t, 2, 30, seed)
+        r2 = seq_norms(tvs, pm2, t) / seq_norms(tvs, pa2, t)
+        exact_dev = max(exact_dev, float(np.max(np.abs(r2 - 1.0))))
+        rungs.append((seq_norms(tvs, pm1, t), seq_norms(tvs, pa1, t)))
     rung_stats, drift = _ladder(rungs)
     stats = {f"j_max={jm}": st for jm, st in zip(LADDER_1D, rung_stats)}
     stats["drift"] = drift
@@ -204,15 +210,13 @@ def exp_eq_gstar(seed=DEFAULT_SEED):
         rungs = []
         for t, seqs in samples:
             params = SpaceParams(family, 0.0, p, q, _pow0())
-            pairs = []
-            for mags in seqs:
-                star = majorant(mags, r, lam, t)
+            stars = [majorant(mags, r, lam, t) for mags in seqs]
+            for star, mags in zip(stars, seqs):
                 for j, a in mags.levels.items():
                     all_ok &= not np.any(np.abs(star.levels[j])
                                          < np.abs(a) - 1e-12)
-                pairs.append((seq_norm(star, params, t),
-                              seq_norm(mags, params, t)))
-            rungs.append(pairs)
+            rungs.append((seq_norms(stars, params, t),
+                          seq_norms(seqs, params, t)))
         rung_stats, drift = _ladder(rungs)
         hi = max(st["max"] for st in rung_stats)
         stats[f"{family.lower()}({p},{q})"] = {"max_ratio": hi, "drift": drift,
@@ -242,8 +246,8 @@ def exp_ad_bound(seed=DEFAULT_SEED):
     rungs = []
     for t in _windows(ladder):
         mags = [tv.magnitudes() for tv in _sample_seqs(t, 1, 10, seed)]
-        rungs.append([(seq_norm(ad_apply(ad, a, t), params, t),
-                       seq_norm(a, params, t)) for a in mags])
+        rungs.append((seq_norms([ad_apply(ad, a, t) for a in mags], params, t),
+                      seq_norms(mags, params, t)))
     rung_stats, drift = _ladder(rungs)
     stats = {f"j_max={jm}": {"min": st["min"], "max": st["max"]}
              for jm, st in zip(ladder, rung_stats)}
@@ -270,8 +274,8 @@ def exp_ad_nec(seed=DEFAULT_SEED):
     t = Truncation(1, 0, 8, 1)
     probe_levels = [2, 4, 6, 8]
     tvs = [build_single_point(CubeId(j, (0,)), 1.0, t) for j in probe_levels]
-    ratios = [seq_norm(ad_apply(ad, tv, t), params, t) / seq_norm(tv, params, t)
-              for tv in tvs]
+    ratios = (seq_norms([ad_apply(ad, tv, t) for tv in tvs], params, t)
+              / seq_norms(tvs, params, t)).tolist()
     monotone, growth = _growth(ratios)
     return Report(
         name="AD-NEC",
@@ -334,8 +338,8 @@ def exp_inv_f(seed=DEFAULT_SEED):
                          quad=quad)
         sp = SpaceParams("F", 0.0, p, q, vp, mode="matrix", weight=Wsuf,
                          quad=quad)
-        rungs.append([(seq_norm(tv, sq, t), seq_norm(tv, sp, t))
-                      for tv in _sample_seqs(t, 2, 10, seed)])
+        tvs = _sample_seqs(t, 2, 10, seed)
+        rungs.append((seq_norms(tvs, sq, t), seq_norms(tvs, sp, t)))
     rung_stats, drift = _ladder(rungs)
     stats = {f"sufficiency_j_max={jm}": st
              for jm, st in zip(LADDER_1D, rung_stats)}
@@ -379,8 +383,8 @@ def exp_sob(seed=DEFAULT_SEED):
     P1 = SpaceParams("B", s1, p1, q, _pow0())
     rungs = []
     for t in _windows():
-        rungs.append([(seq_norm(tv, P1, t), seq_norm(tv, P0, t))
-                      for tv in _sample_seqs(t, 1, 10, seed)])
+        tvs = _sample_seqs(t, 1, 10, seed)
+        rungs.append((seq_norms(tvs, P1, t), seq_norms(tvs, P0, t)))
     rung_stats, _ = _ladder(rungs)
     stats = {f"j_max={jm}": {"min": st["min"], "max": st["max"]}
              for jm, st in zip(LADDER_1D, rung_stats)}
@@ -417,20 +421,20 @@ def exp_emb(seed=DEFAULT_SEED):
     t = Truncation(1, 0, 6, 1)
     ok = True
     worst = 0.0
-    for tv in _sample_seqs(t, 1, 10, seed):
-        mags = tv.magnitudes()
-        for family in ("B", "F"):
-            n1 = seq_norm(mags, SpaceParams(family, 0.0, 2.0, 1.0, _pow0()), t)
-            n2 = seq_norm(mags, SpaceParams(family, 0.0, 2.0, 2.0, _pow0()), t)
-            ninf = seq_norm(mags, SpaceParams(family, 0.0, 2.0, np.inf,
-                                              _pow0()), t)
-            ok &= n2 <= n1 * (1 + 1e-12) and ninf <= n2 * (1 + 1e-12)
-            worst = max(worst, n2 / n1 if n1 else 0.0)
-        p, qq = 2.0, 1.0
-        bmin = seq_norm(mags, SpaceParams("B", 0.0, p, min(p, qq), _pow0()), t)
-        fm = seq_norm(mags, SpaceParams("F", 0.0, p, qq, _pow0()), t)
-        bmax = seq_norm(mags, SpaceParams("B", 0.0, p, max(p, qq), _pow0()), t)
-        ok &= bmax <= fm * (1 + 1e-12) and fm <= bmin * (1 + 1e-12)
+    mags = [tv.magnitudes() for tv in _sample_seqs(t, 1, 10, seed)]
+    for family in ("B", "F"):
+        n1, n2, ninf = (seq_norms(mags, SpaceParams(family, 0.0, 2.0, q,
+                                                    _pow0()), t)
+                        for q in (1.0, 2.0, np.inf))
+        ok &= bool(np.all((n2 <= n1 * (1 + 1e-12))
+                          & (ninf <= n2 * (1 + 1e-12))))
+        ratio = np.divide(n2, n1, out=np.zeros_like(n2), where=n1 != 0)
+        worst = max(worst, float(np.max(ratio)))
+    p, qq = 2.0, 1.0
+    bmin = seq_norms(mags, SpaceParams("B", 0.0, p, min(p, qq), _pow0()), t)
+    fm = seq_norms(mags, SpaceParams("F", 0.0, p, qq, _pow0()), t)
+    bmax = seq_norms(mags, SpaceParams("B", 0.0, p, max(p, qq), _pow0()), t)
+    ok &= bool(np.all((bmax <= fm * (1 + 1e-12)) & (fm <= bmin * (1 + 1e-12))))
     return Report(
         name="EMB",
         criterion="fine-index monotonicity and the B-F-B sandwich hold "
@@ -459,19 +463,18 @@ def exp_fs_gamma(seed=DEFAULT_SEED):
                                         @ np.linalg.inv(A)[:, None], ord=2)
                for j, A in fam.levels.items()}
         # the deviation fields do not depend on the family: build them once
-        samples = []
-        for tv in _sample_seqs(t, 2, 8, seed):
-            fields = {}
-            for j, z in tv.levels.items():
-                az = vector_norms((fam.levels[j] @ z[..., None])[..., 0])
-                fields[j] = (gam[j] * az[:, None]
-                             * 2.0 ** (j / 2.0)).reshape(R)
-            samples.append((tv, fields))
+        tvs = _sample_seqs(t, 2, 8, seed)
+        fields = {}
+        for j, A in fam.levels.items():
+            z = np.stack([tv.levels[j] for tv in tvs])
+            az = vector_norms((A @ z[..., None])[..., 0])
+            fields[j] = (gam[j] * az[..., None]
+                         * 2.0 ** (j / 2.0)).reshape(len(tvs), R)
         for fk, fk_rungs in rungs.items():
             pm = SpaceParams(fk, 0.0, p, 2.0, _pow0(), mode="matrix",
                              weight=W, quad=quad)
-            fk_rungs.append([(la_norm(fields, pm, t, subdiv=quad.G),
-                              seq_norm(tv, pm, t)) for tv, fields in samples])
+            fk_rungs.append((la_norms(fields, pm, t, subdiv=quad.G),
+                             seq_norms(tvs, pm, t)))
     ok, stats = True, {}
     for fk, fk_rungs in rungs.items():
         rung_stats, drift = _ladder(fk_rungs)
@@ -557,16 +560,15 @@ def exp_wav_norm(seed=DEFAULT_SEED):
     for N in grids:
         t = Truncation(1, 0, int(np.log2(N)) - 1, 1)
         w = build_lp_window(N)
-        pairs = []
+        twavs, phis = [], []
         for a in amps:
             fhat = np.zeros(N, dtype=complex)
             fhat[freqs] = a[0] + 1j * a[1]
             fhat[-freqs] = np.conj(a[0] + 1j * a[1])
             f = GridFunction(1, N, np.fft.ifft(fhat) * N)
-            twav = dwt_analyze(f, k=4).to_coeffseq()
-            pairs.append((seq_norm(twav, params, t),
-                          seq_norm(phi_analyze(f, w), params, t)))
-        rungs.append(pairs)
+            twavs.append(dwt_analyze(f, k=4).to_coeffseq())
+            phis.append(phi_analyze(f, w))
+        rungs.append((seq_norms(twavs, params, t), seq_norms(phis, params, t)))
     rung_stats, drift = _ladder(rungs)
     for N, st in zip(grids, rung_stats):
         stats[f"norms_N={N}"] = {"min": st["min"], "max": st["max"]}
@@ -630,13 +632,14 @@ def exp_peetre(seed=DEFAULT_SEED):
     rungs = []
     ok = True
     for t, samples in _band_samples(W, p, seed, 17):
-        pairs = []
+        pees = []
         for fj, direct in samples:
             pee = peetre_maximal(fj, eta, mode="matrix", W=W, p=p)
             for j in fj:
                 ok &= not np.any(pee[j] < direct[j] - 1e-9 * np.max(direct[j]))
-            pairs.append((la_norm(pee, params, t), la_norm(direct, params, t)))
-        rungs.append(pairs)
+            pees.append(pee)
+        rungs.append((la_norms(_stacked(pees), params, t),
+                      la_norms(_stacked([d for _, d in samples]), params, t)))
     rung_stats, drift = _ladder(rungs)
     for N, st in zip(BAND_GRIDS, rung_stats):
         stats[f"N={N}"] = {"min": st["min"], "max": st["max"]}
@@ -664,18 +667,18 @@ def exp_lpfunc(seed=DEFAULT_SEED):
     rungs_g, rungs_s = [], []
     ok = True
     for t, samples in _band_samples(W, p, seed, 23):
-        g_pairs, s_pairs = [], []
-        for fj, direct in samples:
+        g_sets, s_sets = [], []
+        for fj, _ in samples:
             gs = square_functions(fj, kind="gstar", r=r, lam=lam, W=W, p=p)
             lu = square_functions(fj, kind="lusin", r=r, alpha=alpha,
                                   W=W, p=p)
             for j in fj:
                 ok &= not np.any(lu[j] > const * gs[j] * (1 + 1e-9))
-            nb = la_norm(direct, params, t)
-            g_pairs.append((la_norm(gs, params, t), nb))
-            s_pairs.append((la_norm(lu, params, t), nb))
-        rungs_g.append(g_pairs)
-        rungs_s.append(s_pairs)
+            g_sets.append(gs)
+            s_sets.append(lu)
+        nb = la_norms(_stacked([d for _, d in samples]), params, t)
+        rungs_g.append((la_norms(_stacked(g_sets), params, t), nb))
+        rungs_s.append((la_norms(_stacked(s_sets), params, t), nb))
     g_stats, dg = _ladder(rungs_g)
     s_stats, ds = _ladder(rungs_s)
     for N, g, sl in zip(BAND_GRIDS, g_stats, s_stats):

@@ -132,12 +132,6 @@ class ReducingFamily:
         return enumerate_cubes(self.truncation)
 
 
-def identity_family(t: Truncation, m=1, p=2):
-    levels = {j: np.tile(np.eye(m), t.level_shape(j) + (1, 1))
-              for j in range(t.j_min, t.j_max + 1)}
-    return ReducingFamily(p=p, backend="exact_p2", truncation=t, levels=levels)
-
-
 def build_family(W: MatrixWeight, p, t: Truncation, spec=None,
                  backend="exact_p2", validation_dirs=200):
     """Reducing operators for every window cube, with empirical

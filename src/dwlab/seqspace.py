@@ -9,7 +9,9 @@ where g_j is built from the level-j coefficients:  unweighted mode uses
 mode |W^{1/p}(x) t_j(x)| at quadrature nodes.  All fields are piecewise
 constant on the finest-grid (optionally quadrature-refined) cells, so
 the unweighted and averaging integrals are exact.  Sequences store one
-array per level, so every field is one batched expression per level.
+array per level, and a stack of sequences on one window is evaluated
+together: every field is one batched expression per level with a
+leading sample axis (``seq_norms``, ``la_norms``).
 """
 
 from __future__ import annotations
@@ -161,15 +163,102 @@ class SpaceParams:
 
 
 # ---------------------------------------------------------------------------
-# The L A-norm engine (prefix/suffix sums over the finest grid)
+# The L A-norm engine (suffix sums over the finest grid), on stacks
 # ---------------------------------------------------------------------------
 
 def _box_reduce(arr, w, op):
-    """Reduce an (R,)*n array over disjoint boxes of width w per axis."""
-    for ax in range(arr.ndim):
+    """Reduce a stack (S,) + (R,)*n over disjoint boxes of width w per
+    spatial axis."""
+    for ax in range(1, arr.ndim):
         shape = arr.shape[:ax] + (arr.shape[ax] // w, w) + arr.shape[ax + 1:]
         arr = op(arr.reshape(shape), axis=ax + 1)
     return arr
+
+
+def _expand(f, R):
+    """A stack (S,) + (r,)*n, constant on each of its r^n cells, spread
+    over the (R,)*n grid."""
+    S, r, n = f.shape[0], f.shape[1], f.ndim - 1
+    if r == R:
+        return f
+    cells = np.broadcast_to(f.reshape((S,) + (r, 1) * n),
+                            (S,) + (r, R // r) * n)
+    return cells.reshape((S,) + (R,) * n)
+
+
+def la_norms(fields, params: SpaceParams, t: Truncation, subdiv=1):
+    """la_norm of each member of a stack of S field sets, as an array.
+
+    ``fields`` maps level j to an (S,) + (r,)*n array that is constant on
+    each of the r^n equal cells of the window, where r divides the
+    ``subdiv``-fold refined finest grid's R; absent levels are zero.
+    Matrix-mode fields come at r = R and cube-resolution fields at
+    r = 2^(j - j_min) * root_extent; each level is spread over the finest
+    grid only while the sweep reads it.  The sums run in the order of a
+    one-member call, so member i equals ``la_norm`` of its own fields.
+    """
+    n = t.n
+    R = t.cells_per_axis() * subdiv
+    node_vol = (2.0 ** (-t.j_max) / subdiv) ** n
+    p, q = params.p, params.q
+    levels = range(t.j_min, t.j_max + 1)
+    shapes = [np.shape(f) for f in fields.values()]
+    if not shapes or not shapes[0]:
+        raise SeqSpaceError("need a stack of level fields")
+    S = shapes[0][0]  # every level's shape is checked when it is read
+    expo = p if params.family == "B" else q
+
+    def level(j):
+        """|f_j|, clamped, to the power that the family sums it in."""
+        f = np.abs(np.asarray(fields.get(j, np.zeros((S,) + (1,) * n)),
+                              dtype=float))
+        r = f.shape[1] if f.ndim == n + 1 else 0
+        if f.shape != (S,) + (r,) * n or not r or R % r:
+            raise SeqSpaceError(f"level {j} field has shape {f.shape}")
+        f[f < UNDERFLOW_CLAMP] = 0.0
+        if not np.isinf(expo):
+            f **= expo
+        return f
+
+    best = np.zeros(S)
+    if params.family == "B":
+        G = {j: level(j) for j in levels}
+    else:
+        # suffix accumulation of |f_j|^q (running max for q = inf), fine
+        # to coarse, one level at a time
+        acc = np.zeros((S,) + (R,) * n)
+    for jP in reversed(levels):
+        w = subdiv * (1 << (t.j_max - jP))
+        if params.family == "B":
+            op = np.max if np.isinf(p) else np.sum
+            per_level = [_box_reduce(_expand(G[j], R), w, op)
+                         for j in levels if j >= jP]
+            if not np.isinf(p):
+                per_level = [(b * node_vol) ** (1.0 / p) for b in per_level]
+            # levels on axis 1: each member sums its levels as a
+            # one-member stack does (pairwise at a single cube)
+            stack = np.stack(per_level, axis=1)
+            if np.isinf(q):
+                vals = np.max(stack, axis=1)
+            else:
+                vals = np.sum(stack**q, axis=1) ** (1.0 / q)
+        else:
+            # add level jP to every finest cell of its cubes, in place
+            g = level(jP)
+            r = g.shape[1]
+            cells = acc.reshape((S,) + (r, R // r) * n)
+            g = g.reshape((S,) + (r, 1) * n)
+            if np.isinf(q):
+                np.maximum(cells, g, out=cells)
+                Tp = acc ** p
+            else:
+                cells += g
+                Tp = acc ** (1.0 / q)
+                Tp **= p
+            vals = (_box_reduce(Tp, w, np.sum) * node_vol) ** (1.0 / p)
+        vP = params.v.on_level(jP, t.level_k(jP))
+        best = np.fmax(best, np.max((vals / vP).reshape(S, -1), axis=1))
+    return best
 
 
 def la_norm(fields, params: SpaceParams, t: Truncation, subdiv=1):
@@ -177,72 +266,40 @@ def la_norm(fields, params: SpaceParams, t: Truncation, subdiv=1):
     L^p(l^q) (F) mixing and the usual modifications at infinity.
 
     ``fields`` maps level j to a piecewise-constant array on the finest
-    grid refined ``subdiv``-fold per axis; absent levels are zero.
+    grid refined ``subdiv``-fold per axis; absent levels are zero.  A
+    one-member ``la_norms``.
     """
-    n = t.n
-    R = t.cells_per_axis() * subdiv
-    node_vol = (2.0 ** (-t.j_max) / subdiv) ** n
-    p, q = params.p, params.q
-    levels = list(range(t.j_min, t.j_max + 1))
-    F = {}
-    for j in levels:
-        f = np.abs(np.asarray(fields.get(j, np.zeros((R,) * n)), dtype=float))
-        if f.shape != (R,) * n:
-            raise SeqSpaceError(f"level {j} field has shape {f.shape}")
-        F[j] = np.where(f < UNDERFLOW_CLAMP, 0.0, f)
-
-    if params.family == "F":
-        # suffix accumulation of |f_j|^q (or running max for q = inf)
-        suffix = {}
-        acc = np.zeros((R,) * n)
-        for j in reversed(levels):
-            acc = np.maximum(acc, F[j]) if np.isinf(q) else acc + F[j] ** q
-            suffix[j] = acc.copy()
-
-    best = 0.0
-    for jP in levels:
-        w = subdiv * (1 << (t.j_max - jP))
-        if params.family == "B":
-            per_level = []
-            for j in levels:
-                if j < jP:
-                    continue
-                if np.isinf(p):
-                    per_level.append(_box_reduce(F[j], w, np.max))
-                else:
-                    per_level.append(
-                        (_box_reduce(F[j] ** p, w, np.sum) * node_vol)
-                        ** (1.0 / p)
-                    )
-            stack = np.stack(per_level)
-            if np.isinf(q):
-                vals = np.max(stack, axis=0)
-            else:
-                vals = np.sum(stack**q, axis=0) ** (1.0 / q)
-        else:
-            T = suffix[jP] if np.isinf(q) else suffix[jP] ** (1.0 / q)
-            vals = (_box_reduce(T**p, w, np.sum) * node_vol) ** (1.0 / p)
-        vP = params.v.on_level(jP, t.level_k(jP))
-        best = max(best, float(np.max(vals / vP)))
-    return best
+    if not fields:
+        return 0.0
+    stack = {j: np.asarray(f, dtype=float)[None] for j, f in fields.items()}
+    return float(la_norms(stack, params, t, subdiv)[0])
 
 
 # ---------------------------------------------------------------------------
 # Sequence norms
 # ---------------------------------------------------------------------------
 
-def _level_fields(tv: CoeffSeq, params: SpaceParams, t: Truncation):
-    """Build the unscaled level fields g_j; returns (fields, subdiv)."""
-    if tv.t != t:
-        raise SeqSpaceError(f"sequence lives on {tv.t}, not on {t}")
+def _level_fields(tvs, params: SpaceParams, t: Truncation):
+    """The unscaled level fields g_j of a stack of S sequences on ``t``:
+    {j: (S,) + (r,)*n}, at node resolution (r = R) in matrix mode and at
+    cube resolution otherwise (see ``la_norms``); a level that no member
+    has entries on is left out.  Returns (fields, subdiv)."""
+    if not tvs:
+        raise SeqSpaceError("need at least one sequence")
+    for tv in tvs:
+        if tv.t != t:
+            raise SeqSpaceError(f"sequence lives on {tv.t}, not on {t}")
+    m = tvs[0].m
+    if any(tv.m != m for tv in tvs):
+        raise SeqSpaceError(f"stack mixes m = {sorted({tv.m for tv in tvs})}")
     mode = params.mode
     subdiv = params.quad.G if mode == "matrix" else 1
-    n, m, R = t.n, tv.m, t.cells_per_axis() * subdiv
+    n, S, R = t.n, len(tvs), t.cells_per_axis() * subdiv
     if mode == "matrix":
         W = params.weight
         if W.m != m:
             raise SeqSpaceError(f"weight is {W.m}x{W.m}, sequence has m={m}")
-        # W^{1/p} once on the window's node grid [R^n, m, m]
+        # W^{1/p} once per stack on the window's node grid [R^n, m, m]
         wp = W.powers(window_nodes(t, subdiv), 1.0 / params.p)
     elif mode == "averaging":
         fam = params.reducing
@@ -250,30 +307,39 @@ def _level_fields(tv: CoeffSeq, params: SpaceParams, t: Truncation):
             raise SeqSpaceError(f"reducing family (m={fam.m}) on "
                                 f"{fam.truncation} does not fit m={m} on {t}")
     fields = {}
-    for j, z in tv.levels.items():
+    for j in range(t.j_min, t.j_max + 1):
+        z = np.stack([tv.levels[j] for tv in tvs])  # (S,) + (c,)*n + (m,)
         if not z.any():
-            continue  # la_norm reads an absent level as zero
+            continue  # la_norms reads an absent level as zero
         scale = 2.0 ** (j * n / 2.0)  # |Q|^{-1/2}
-        c, w = z.shape[0], subdiv << (t.j_max - j)  # cubes, cells per cube
+        c, w = z.shape[1], subdiv << (t.j_max - j)  # cubes, cells per cube
         if mode == "matrix":
             # |W^{1/p}(x) t_Q| at the nodes of each cube Q, blocked (c, w)^n
             blocks = wp.reshape((c, w) * n + (m, m))
-            per_node = blocks @ z.reshape((c, 1) * n + (m, 1))
+            per_node = blocks @ z.reshape((S,) + (c, 1) * n + (m, 1))
             f = np.linalg.norm(per_node[..., 0], axis=-1) * scale
+            fields[j] = f.reshape((S,) + (R,) * n)
         else:
             if mode == "averaging":
                 z = (fam.levels[j] @ z[..., None])[..., 0]
-            f = np.broadcast_to((vector_norms(z) * scale).reshape((c, 1) * n),
-                                (c, w) * n)
-        fields[j] = f.reshape((R,) * n)
+            fields[j] = vector_norms(z) * scale
     return fields, subdiv
+
+
+def seq_norms(tvs, params: SpaceParams, t: Truncation):
+    """The quasi-norms ||{2^{js} g_j}||_{LA^v_{p,q}} of a stack of
+    sequences that share the window ``t`` and m, as an array: W^{1/p},
+    the reducing family and the growth are read once for the stack."""
+    fields, subdiv = _level_fields(tvs, params, t)
+    for j, f in fields.items():
+        f *= 2.0 ** (j * params.s)
+    return la_norms(fields or {t.j_min: np.zeros((len(tvs),) + (1,) * t.n)},
+                    params, t, subdiv=subdiv)
 
 
 def seq_norm(tv: CoeffSeq, params: SpaceParams, t: Truncation):
     """The full sequence quasi-norm ||{2^{js} g_j}||_{LA^v_{p,q}}."""
-    fields, subdiv = _level_fields(tv, params, t)
-    scaled = {j: (2.0 ** (j * params.s)) * f for j, f in fields.items()}
-    return la_norm(scaled, params, t, subdiv=subdiv)
+    return float(seq_norms([tv], params, t)[0])
 
 
 def single_point_oracle(Q: CubeId, z, params: SpaceParams, t: Truncation,
@@ -326,17 +392,22 @@ def build_single_point(Q: CubeId, z, t: Truncation):
 def build_random(t: Truncation, m=1, seed=0, density=0.3, sigma=0.0):
     """Bernoulli(density) support over the window; |t_Q| scales like
     |Q|^sigma with standard-normal components.  Draws run cube by cube
-    in (j, k) order: one uniform, then 2m normals for a kept cube."""
+    in (j, k) order: one uniform, then 2m normals for a kept cube; each
+    level's kept entries are written at once."""
     rng = np.random.default_rng(seed)
     random, normal = rng.random, rng.standard_normal
     tv = CoeffSeq(t, m)
     for j, a in tv.levels.items():
         rows = a.reshape(-1, m)
-        scale = 2.0 ** (-j * t.n * sigma) / np.sqrt(2.0)
+        kept, draws = [], []
         for i in range(len(rows)):
             if random() < density:
-                g = normal(2 * m)  # real parts, then imaginary parts
-                rows[i] = (g[:m] + 1j * g[m:]) * scale
+                kept.append(i)
+                draws.append(normal(2 * m))  # real parts, then imaginary parts
+        if kept:
+            g = np.array(draws)
+            scale = 2.0 ** (-j * t.n * sigma) / np.sqrt(2.0)
+            rows[kept] = (g[:, :m] + 1j * g[:, m:]) * scale
     return tv
 
 

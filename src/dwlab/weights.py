@@ -143,10 +143,14 @@ class MatrixWeight:
         return self._masked(pts, lambda vals: vals)
 
     def is_singular_at(self, pts):
-        """Mask over points [..., n]: True where x hits the singular set."""
+        """Mask over points [..., n]: True where x hits the singular set.
+        A singular point of another dimension than n is a WeightError."""
         x = np.atleast_1d(np.asarray(pts, dtype=float))
         hit = np.zeros(x.shape[:-1], dtype=bool)
         for s in self.singular_set:
+            if s.shape != x.shape[-1:]:
+                raise WeightError(f"singular point {s} is {s.size}-d, the "
+                                  f"points are {x.shape[-1]}-d")
             hit |= np.linalg.norm(x - s, axis=-1) < SINGULAR_TOL
         return hit
 

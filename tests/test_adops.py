@@ -4,7 +4,6 @@ import pytest
 from dwlab.adops import (
     ADError,
     ADParams,
-    _entry_matrix,
     ad_apply,
     ad_entry,
     ad_thresholds,
@@ -13,6 +12,7 @@ from dwlab.adops import (
 )
 from dwlab.dyadic import CubeId, Truncation, cube_geometry, enumerate_cubes
 from dwlab.seqspace import CoeffSeq, build_random, build_single_point
+from oracles import _entry_matrix
 
 _TH = ad_thresholds(0.0, 2.0, 2.0, "F", 0.0, 0.0, 0.0)
 F22 = ADParams(_TH.D_min + 0.25, _TH.E_min + 0.25, _TH.F_min + 0.25)
@@ -115,6 +115,36 @@ def test_thresholds_regimes():
     assert th.regime == "critical" and th.J == 1.0 / min(1.0, 2.0)
     th = ad_thresholds(0.0, 0.5, 0.25, "F", 0.0, 0.0, 0.0)
     assert th.regime == "subcritical" and th.J == 4.0
+
+
+def test_thresholds_regime_switch_at_delta1_equal_one_over_p():
+    # at p = 3, 1 - 2/3 rounds one ulp above 1/3: the same delta
+    assert 1.0 - 2.0 / 3.0 != 1.0 / 3.0
+    for family, q, regime in (("F", 2.0, "critical"),
+                              ("F", np.inf, "supercritical"),
+                              ("B", 2.0, "subcritical")):
+        got = [ad_thresholds(0.0, 3.0, q, family, d, d, 0.0)
+               for d in (1.0 / 3.0, 1.0 - 2.0 / 3.0)]
+        a, b = got
+        assert a.regime == b.regime == regime and a.J == b.J, family
+        assert abs(a.F_min - b.F_min) <= 1e-12 and a.D_min == b.D_min
+    above = ad_thresholds(0.0, 3.0, 2.0, "F", 1.0 / 3.0 + 1e-9, 0.5, 0.0)
+    assert above.regime == "supercritical"
+
+
+def test_kernel_spectra_are_shared_read_only():
+    from dwlab.adops import _kernel_hat
+
+    t = Truncation(1, 0, 6, 1)
+    tv = build_random(t, seed=4, density=0.5)
+    first = ad_apply(F22, tv, t)
+    h = _kernel_hat(8, 1, 2, F22.D)
+    assert h is _kernel_hat(8, 1, 2, F22.D) and not h.flags.writeable
+    with pytest.raises(ValueError):
+        h[0] = 0.0
+    again = ad_apply(F22, tv, t)
+    for j, a in first.levels.items():
+        assert np.array_equal(again.levels[j], a)
 
 
 def test_thresholds_shift_in_s():

@@ -9,7 +9,6 @@ from dwlab.reducing import (
     _mvee_centered,
     build_family,
     doubling_orders,
-    identity_family,
 )
 from dwlab.seqspace import SpaceParams, build_single_point, seq_norm
 from dwlab.growth import make_growth
@@ -25,6 +24,7 @@ from dwlab.weights import (
     power_weight,
     sphere_directions,
 )
+from oracles import identity_family
 
 
 def cube_nodes(Q, t, spec):

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from dwlab.dyadic import CubeId, Truncation, ancestor, enumerate_cubes
 from dwlab.growth import make_growth
-from dwlab.reducing import identity_family, build_family
+from dwlab.reducing import build_family
 from dwlab.seqspace import (
     CoeffSeq,
     SeqSpaceError,
@@ -14,7 +14,9 @@ from dwlab.seqspace import (
     build_random,
     build_single_point,
     la_norm,
+    la_norms,
     seq_norm,
+    seq_norms,
     single_point_oracle,
 )
 from dwlab.weights import (
@@ -25,6 +27,7 @@ from dwlab.weights import (
     power_weight,
     window_nodes,
 )
+from oracles import identity_family, seq_norm_one_by_one
 
 V0 = make_growth("power", tau=0.0)
 V1 = make_growth("power", tau=1.0)
@@ -353,8 +356,102 @@ def test_level_fields_equal_the_per_cube_reference(t, W):
                 reducing=build_family(W, 2.0, t, quad)),
         _params("F", p=1.5, q=2.0, mode="matrix", weight=W, quad=quad),
     ):
-        got, _ = _level_fields(tv, params, t)
+        # a stack of the sequence and the zero sequence
+        got, _ = _level_fields([tv, CoeffSeq(t, W.m)], params, t)
         want = _fields_by_cube(tv, params, t)
         assert sorted(got) == sorted(want)
         for j in want:
-            assert np.array_equal(got[j], want[j]), (params.mode, j)
+            f = got[j]
+            for ax in range(1, f.ndim):  # cube resolution onto the grid
+                f = np.repeat(f, want[j].shape[0] // f.shape[ax], axis=ax)
+            assert np.array_equal(f[0], want[j]), (params.mode, j)
+            assert not f[1].any()
+
+
+def _build_random_cube_by_cube(t, m, seed, density, sigma):
+    """build_random as one draw and one write per cube, in (j, k) order."""
+    rng = np.random.default_rng(seed)
+    tv = CoeffSeq(t, m)
+    for j, a in tv.levels.items():
+        rows = a.reshape(-1, m)
+        scale = 2.0 ** (-j * t.n * sigma) / np.sqrt(2.0)
+        for i in range(len(rows)):
+            if rng.random() < density:
+                g = rng.standard_normal(2 * m)
+                rows[i] = (g[:m] + 1j * g[m:]) * scale
+    return tv
+
+
+@pytest.mark.parametrize("t", [
+    Truncation(1, -2, 5, 2),
+    Truncation(2, -1, 2, 2),
+    Truncation(1, 0, 9, 1),
+])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_build_random_is_bitwise_the_cube_by_cube_stream(t, m):
+    for sigma in (-0.5, 0.0, 0.5):
+        for seed, density in ((0, 0.3), (17, 0.8), (5, 0.0)):
+            got = build_random(t, m=m, seed=seed, density=density,
+                               sigma=sigma)
+            want = _build_random_cube_by_cube(t, m, seed, density, sigma)
+            for j, a in want.levels.items():
+                assert np.array_equal(got.levels[j].view(np.uint64),
+                                      a.view(np.uint64)), (sigma, seed, j)
+
+
+def _stack_cases():
+    """(window, m, members): random sequences, an all-zero one, and one
+    whose only entries sit on the coarsest level, so that finer levels
+    are empty for some members only."""
+    for t, m in ((Truncation(1, -1, 3, 2), 2), (Truncation(2, 0, 2, 2), 2),
+                 (Truncation(1, 0, 11, 1), 1)):
+        coarse = CoeffSeq(t, m)
+        coarse.levels[t.j_min][...] = 0.5 + 0.25j
+        yield t, m, [build_random(t, m=m, seed=s, density=0.4,
+                                  sigma=(-0.5, 0.0, 0.5)[s % 3])
+                     for s in range(4)] + [CoeffSeq(t, m), coarse]
+
+
+def _stack_params(t, m):
+    W = diag_power_weight(-0.5, -0.25, n=t.n)
+    quad = QuadratureSpec(2)
+    fam = build_family(W, 2.0, t, quad)
+    for family in ("B", "F"):
+        for p, q in ((1.0, 1.0), (2.0, 1.0), (0.5, np.inf), (3.0, 0.5)):
+            yield _params(family, p=p, q=q)
+            yield _params(family, s=0.25, p=p, q=q, v=V1)
+            if m == 2:
+                yield _params(family, p=p, q=q, mode="matrix", weight=W,
+                              quad=quad)
+                yield _params(family, p=p, q=q, mode="averaging",
+                              reducing=fam)
+    for q in (1.0, np.inf):
+        yield _params("B", s=-0.5, p=np.inf, q=q)
+
+
+def test_seq_norms_match_one_sequence_at_a_time():
+    checked = 0
+    for t, m, tvs in _stack_cases():
+        for params in _stack_params(t, m):
+            got = seq_norms(tvs, params, t)
+            assert got.shape == (len(tvs),)
+            for tv, g in zip(tvs, got):
+                want = seq_norm_one_by_one(tv, params, t)
+                assert abs(g - want) <= 1e-15 * want, (params, t)
+                assert seq_norm(tv, params, t) == g
+            assert got[4] == 0.0 and got[5] > 0.0
+            checked += 1
+    assert checked == 2 * (2 * 4 * 4 + 2) + (2 * 4 * 2 + 2)
+
+
+def test_seq_norms_reject_a_mixed_or_empty_stack():
+    t = Truncation(1, 0, 3, 1)
+    tv = build_random(t, m=2, seed=1, density=0.5)
+    for bad in ([], [tv, build_random(Truncation(1, 0, 4, 1), m=2, seed=1)],
+                [tv, build_random(t, m=1, seed=1)]):
+        with pytest.raises(SeqSpaceError):
+            seq_norms(bad, _params(), t)
+    with pytest.raises(SeqSpaceError):
+        la_norms({0: np.ones((2, 3))}, _params(), t)  # 3 does not divide 8
+    with pytest.raises(SeqSpaceError):
+        la_norms({0: np.ones((2, 8)), 1: np.ones((3, 8))}, _params(), t)

@@ -186,6 +186,20 @@ def test_is_singular_at_masks_point_arrays():
     assert not identity_weight(1).is_singular_at(pts).any()
 
 
+def test_singular_points_of_another_dimension_are_an_error():
+    # a 1-d point against 2-d nodes used to broadcast and mark only the
+    # diagonal node (0.0625, 0.0625)
+    W = MatrixWeight(1, lambda x: np.eye(1), singular_set=[[0.0625]])
+    pts = window_nodes(Truncation(2, 0, 3, 1), 1)
+    for call in (W.is_singular_at, W.eval, lambda x: W.powers(x, 0.5)):
+        with pytest.raises(WeightError):
+            call(pts)
+    with pytest.raises(WeightError):
+        power_weight(-0.5, n=3).eval(pts)
+    assert W.is_singular_at(0.0625) and not W.is_singular_at([0.5])
+    assert W.is_singular_at(pts[:, :1]).sum() == 8
+
+
 def test_powers_stack_per_point_values():
     W = diag_power_weight(-0.5, -0.25)
     pts = np.array([[0.1], [0.3], [0.7]])
@@ -231,6 +245,11 @@ def _oracle_points(n):
 def test_preset_eval_matches_per_point_callback(n):
     for W, fn in _per_point_presets():
         pts = _oracle_points(n)
+        if any(s.size != n for s in W.singular_set):
+            # a preset on R^d is evaluated at d-dimensional points only
+            with pytest.raises(WeightError):
+                W.eval(pts)
+            continue
         with np.errstate(divide="ignore", over="ignore"):
             got = W.eval(pts)  # 1e-300 reaches |x| = 0 and overflow
             want = np.stack([fn(x) for x in pts])
