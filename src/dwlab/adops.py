@@ -30,7 +30,8 @@ from typing import Optional
 
 import numpy as np
 
-from .dyadic import CubeId, DwlabError, Truncation, separation
+from .dyadic import (CubeId, DwlabError, Truncation, check_exponent,
+                     check_finite, separation)
 from .seqspace import CoeffSeq, SeqSpaceError
 
 
@@ -200,9 +201,16 @@ def ad_thresholds(s, p, q, family, delta1, delta2, omega, n=1,
         E > n/2 + s + n Delta,
         F > J - n/2 - s - n(delta1 - 1/p)_+ + d_upper/p.
     """
-    family = family.upper()
-    if family not in ("B", "F"):
+    if family not in ("B", "F", "b", "f"):
         raise ADError("family must be B or F")
+    family = family.upper()
+    check_exponent(p, "p", ADError)
+    check_exponent(q, "q", ADError)
+    for name, x in (("s", s), ("delta1", delta1), ("delta2", delta2),
+                    ("omega", omega)):
+        check_finite(x, name, ADError)
+    if not n >= 1:
+        raise ADError(f"need n >= 1, got {n}")
     if delta2 < delta1:
         raise ADError("need delta2 >= delta1")
     if not (0 <= omega <= n * (delta2 - delta1) + 1e-12):
@@ -225,7 +233,7 @@ def ad_thresholds(s, p, q, family, delta1, delta2, omega, n=1,
         F_min = J - n / 2.0 - s - n * pos(delta1 - inv_p)
         return Thresholds(J, D_min, E_min, F_min, regime, weighted=False)
     d_lower, d_upper = weighted
-    if not (0 <= d_lower < n) or d_upper < 0:
+    if not (0 <= d_lower < n and 0 <= d_upper < np.inf):
         raise ADError("need d_lower in [0, n) and d_upper >= 0")
     Delta = pos(delta2 - inv_p + d_lower / (n * p))
     D_min = J + min(n * Delta, omega + d_lower / p) + d_upper / p

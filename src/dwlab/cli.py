@@ -34,6 +34,7 @@ from .seqspace import CoeffSeq, SeqSpaceError, SpaceParams, seq_norm
 from .adops import ad_thresholds, molecule_thresholds
 from .transforms import GridFunction, build_lp_window, dwt_analyze, phi_analyze
 from .harness import EXPERIMENTS, emit_report, run_all, run_experiment
+from .harness.report import _sig12
 
 
 def _fmt(x):
@@ -76,12 +77,8 @@ def _parse_weight(spec):
 
 
 def _parse_window(doc):
-    return Truncation(
-        int(doc.get("n", 1)),
-        int(doc["j_min"]),
-        int(doc["j_max"]),
-        int(doc.get("root_extent", 1)),
-    )
+    return Truncation(int(doc.get("n", 1)), int(doc["j_min"]),
+                      int(doc["j_max"]), int(doc.get("root_extent", 1)))
 
 
 def _parse_growth(doc):
@@ -105,17 +102,11 @@ def _parse_space(doc, t=None):
         if weight is None or t is None:
             raise SeqSpaceError("averaging mode needs a weight and a window")
         reducing = build_family(weight, float(doc["p"]), t, quad)
-    return SpaceParams(
-        doc["family"],
-        float(doc.get("s", 0.0)),
-        _parse_q(doc["p"]),
-        _parse_q(doc["q"]),
-        _parse_growth(doc.get("growth")),
-        mode=mode,
-        reducing=reducing,
-        weight=weight if mode == "matrix" else None,
-        quad=quad,
-    )
+    return SpaceParams(doc["family"], float(doc.get("s", 0.0)),
+                       _parse_q(doc["p"]), _parse_q(doc["q"]),
+                       _parse_growth(doc.get("growth")), mode=mode,
+                       reducing=reducing, quad=quad,
+                       weight=weight if mode == "matrix" else None)
 
 
 def _parse_sequence(doc, t):
@@ -127,12 +118,8 @@ def _parse_sequence(doc, t):
     return tv
 
 
-def _r12(x):
-    return float(f"{float(x):.12g}")
-
-
 def _pair(v):
-    return [_r12(np.real(v)), _r12(np.imag(v))]
+    return [_sig12(np.real(v)), _sig12(np.imag(v))]
 
 
 def _matrix_doc(M):
@@ -175,18 +162,16 @@ def cmd_reduce(args):
 
 def cmd_thresholds(args):
     doc = _load_json(args.space)
-    th = ad_thresholds(
-        float(doc.get("s", 0.0)),
-        _parse_q(doc["p"]),
-        _parse_q(doc["q"]),
-        doc["family"],
-        float(doc.get("delta1", 0.0)),
-        float(doc.get("delta2", 0.0)),
-        float(doc.get("omega", 0.0)),
-        n=int(doc.get("n", 1)),
-        weighted=tuple(doc["weighted"]) if "weighted" in doc else None,
-    )
-    mol = molecule_thresholds(th, n=int(doc.get("n", 1)))
+    try:
+        n = int(doc.get("n", 1))
+        th = ad_thresholds(
+            float(doc.get("s", 0.0)), _parse_q(doc["p"]), _parse_q(doc["q"]),
+            doc["family"], *(float(doc.get(key, 0.0))
+                             for key in ("delta1", "delta2", "omega")),
+            n=n, weighted=tuple(doc["weighted"]) if "weighted" in doc else None)
+    except (TypeError, AttributeError) as exc:  # a value of the wrong type
+        raise DwlabError(f"malformed space: {exc}") from exc
+    mol = molecule_thresholds(th, n=n)
     print(f"regime   {th.regime}" + ("  (weighted)" if th.weighted else ""))
     for label, val in (("J", th.J), ("D_min", th.D_min),
                        ("E_min", th.E_min), ("F_min", th.F_min)):

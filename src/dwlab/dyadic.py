@@ -9,9 +9,12 @@ geometry is derived on demand.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+PAIR_BLOCK = 1 << 16  # ordered cube pairs per pair_blocks block
 
 
 class DwlabError(ValueError):
@@ -20,6 +23,18 @@ class DwlabError(ValueError):
 
 class DyadicError(DwlabError):
     """Invalid cube-algebra argument (bad level, dimension mismatch, ...)."""
+
+
+def check_exponent(x, name, error):
+    """Raise ``error`` unless x is a real number in (0, inf]; NaN fails."""
+    if not (isinstance(x, numbers.Real) and float(x) > 0):
+        raise error(f"{name} must lie in (0, inf], got {x!r}")
+
+
+def check_finite(x, name, error):
+    """Raise ``error`` unless x is a finite real number."""
+    if not (isinstance(x, numbers.Real) and np.isfinite(float(x))):
+        raise error(f"{name} must be finite, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -119,6 +134,12 @@ def ancestor(c: CubeId, level: int):
     return CubeId(level, tuple(ki >> shift for ki in c.k))
 
 
+def _radius(pts):
+    """|x| over points [M, n]; x.x as a dot product, as np.linalg.norm of
+    one point sums it, so per-point values keep their bits."""
+    return np.sqrt((pts[:, None, :] @ pts[:, :, None])[:, 0, 0])
+
+
 def separation(Q: CubeId, R: CubeId):
     """1 + |x_Q - x_R| / max(ell(Q), ell(R)), Euclidean lower-corner distance."""
     if Q.n != R.n:
@@ -128,9 +149,47 @@ def separation(Q: CubeId, R: CubeId):
     return 1.0 + float(np.linalg.norm(xq - xr)) / max(lq, lr)
 
 
-def enumerate_cubes(t: Truncation, level=None):
-    """All window cubes in deterministic (j, k)-lexicographic order;
-    ``level`` restricts to a single level j."""
-    levels = range(t.j_min, t.j_max + 1) if level is None else (level,)
-    return [CubeId(j, k) for j in levels  # level_k validates the level
+def enumerate_cubes(t: Truncation):
+    """All window cubes in deterministic (j, k)-lexicographic order."""
+    return [CubeId(j, k) for j in range(t.j_min, t.j_max + 1)
             for k in t.level_k(j).reshape(-1, t.n).tolist()]
+
+
+def _spread_at(i, total, cap):
+    """The entries i (< min(total, cap)) of spread(total, cap)."""
+    if total <= cap or cap < 2:  # a cap of one keeps index 0
+        return i
+    q, r = divmod(total - 1, cap - 1)  # i (total - 1) without overflow
+    return i * q + i * r // (cap - 1)
+
+
+def spread(total, cap):
+    """The one subsample rule of every window-wide statistic: all of
+    range(total) within the cap, else the cap indices i (total - 1) //
+    (cap - 1), i < cap, evenly spread from 0 to total - 1 and exact in
+    integers."""
+    return _spread_at(np.arange(min(total, cap)), total, cap)
+
+
+def pair_blocks(count, cap):
+    """The ordered pairs (i, j) of range(count) in row-major order, or
+    the cap of them that spread picks above the cap, as index arrays
+    (I, J) of at most PAIR_BLOCK pairs, built one block at a time."""
+    total = count * count
+    for s in range(0, min(total, cap), PAIR_BLOCK):
+        i = np.arange(s, min(s + PAIR_BLOCK, total, cap))
+        yield np.divmod(_spread_at(i, total, cap), count)
+
+
+def window_pairs(t: Truncation, cap):
+    """The cube pairs (Q_I, Q_J) of pair_blocks(cube count, cap), with the
+    cubes in enumerate_cubes order, block by block: the index arrays I, J,
+    the level differences j_I - j_J and separation(Q_I, Q_J)."""
+    js = range(t.j_min, t.j_max + 1)
+    ks = [t.level_k(j).reshape(-1, t.n) for j in js]
+    lev = np.concatenate([np.full(len(k), j) for j, k in zip(js, ks)])
+    ell = np.ldexp(1.0, -lev)
+    x = np.concatenate(ks) * ell[:, None]
+    for I, J in pair_blocks(len(lev), cap):
+        sep = 1.0 + _radius(x[I] - x[J]) / np.maximum(ell[I], ell[J])
+        yield I, J, lev[I] - lev[J], sep

@@ -22,12 +22,11 @@ from typing import Callable
 
 import numpy as np
 
-from .dyadic import CubeId, DwlabError, Truncation
+from .dyadic import CubeId, DwlabError, Truncation, window_pairs
 from .weights import _libm_pow, box_nodes
 
-PAIR_CAP = 2_000_000
+PAIR_CAP = 2_000_000  # class_constant's cube pairs; spread picks above it
 FIELD_NODES = 16  # midpoint nodes per axis of a weight_power cell integral
-_SUBSAMPLE_SEED = 0xDAD1C
 
 
 class GrowthError(DwlabError):
@@ -119,37 +118,21 @@ def make_growth(kind, **params):
     return GrowthFn(eval=ev, label=f"piecewise_power({alpha},{beta})")
 
 
-def _pair_indices(count, rng_seed=_SUBSAMPLE_SEED):
-    """All-pairs index arrays, uniformly subsampled above PAIR_CAP."""
-    total = count * count
-    if total <= PAIR_CAP:
-        ii, jj = np.meshgrid(np.arange(count), np.arange(count), indexing="ij")
-        return ii.ravel(), jj.ravel()
-    rng = np.random.default_rng(rng_seed)
-    flat = rng.integers(0, total, size=PAIR_CAP)
-    return flat // count, flat % count
-
-
 def class_constant(v: GrowthFn, delta1, delta2, omega, t: Truncation):
     """Worst ratio of v(Q)/v(R) to the class bound over window pairs.
 
     Finite by construction on a finite window; growth of this constant
-    across nested windows signals non-membership.
+    across nested windows signals non-membership.  The pairs run in
+    window_pairs blocks, so the memory stays bounded at any depth.
     """
     if delta2 < delta1 or omega < 0:
         raise GrowthError("need delta2 >= delta1 and omega >= 0")
-    ks = {j: t.level_k(j).reshape(-1, t.n)
-          for j in range(t.j_min, t.j_max + 1)}
-    vals = np.concatenate([v.on_level(j, k) for j, k in ks.items()])
-    js = np.concatenate([np.full(len(k), j) for j, k in ks.items()])
-    xs = np.concatenate([k * 2.0 ** (-j) for j, k in ks.items()])
-    ells = 2.0 ** (-js.astype(float))
-    ii, jj = _pair_indices(len(vals))
-    sep = 1.0 + np.linalg.norm(xs[ii] - xs[jj], axis=-1) / np.maximum(
-        ells[ii], ells[jj]
-    )
-    vol_ratio = 2.0 ** (-(js[ii] - js[jj]) * float(t.n))  # |Q_i| / |Q_j|
-    expo = np.where(ells[ii] <= ells[jj], delta1, delta2)
-    bound = sep**omega * vol_ratio**expo
-    return float(np.max(vals[ii] / vals[jj] / bound))
-
+    vals = np.concatenate([v.on_level(j, t.level_k(j).reshape(-1, t.n))
+                           for j in range(t.j_min, t.j_max + 1)])
+    worst = []
+    for I, J, dj, sep in window_pairs(t, PAIR_CAP):
+        vol_ratio = 2.0 ** (-dj * float(t.n))  # |Q_I| / |Q_J|
+        expo = np.where(dj >= 0, delta1, delta2)  # ell(Q_I) <= ell(Q_J)
+        bound = sep**omega * vol_ratio**expo
+        worst.append(np.max(vals[I] / vals[J] / bound))
+    return float(np.max(worst))

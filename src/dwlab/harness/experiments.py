@@ -13,13 +13,12 @@ import time
 
 import numpy as np
 
-from ..dyadic import CubeId, Truncation, enumerate_cubes
+from ..dyadic import CubeId, Truncation, _radius, enumerate_cubes
 from ..growth import make_growth
 from ..weights import (
     MatrixWeight,
     QuadratureSpec,
     _libm_pow,
-    _radius,
     constant_weight,
     cube_blocks,
     diag_power_weight,

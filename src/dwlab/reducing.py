@@ -15,12 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import CubeId, DwlabError, Truncation, enumerate_cubes
+from .dyadic import (CubeId, DwlabError, Truncation, check_exponent, spread,
+                     window_pairs)
 from .weights import (
     MatrixWeight,
     QuadratureSpec,
     WeightError,
-    _radius,
     cube_blocks,
     matrix_power,
     sphere_directions,
@@ -30,8 +30,10 @@ from .weights import (
 MVEE_TOL = 1e-4
 MVEE_MAX_ITERS = 20_000
 VALIDATION_CUBE_CAP = 24  # build_family validates on at most this many cubes
+VALIDATION_DIRS = 200  # random directions per validated cube
 VALIDATION_SEED = 11
-PAIR_SEED = 5  # doubling_orders' pair subsample above pair_cap
+DOUBLING_C = 4.0  # the constant C at which doubling_orders fits its orders
+DOUBLING_PAIR_CAP = 400_000  # doubling_orders' cube pairs; spread above it
 
 
 class ReducingError(DwlabError):
@@ -125,17 +127,12 @@ class ReducingFamily:
             raise KeyError(Q)
         return self.levels[at[0]][at[1]]
 
-    def __contains__(self, Q):
-        return self.truncation.contains(Q)
-
-    def cubes(self):
-        return enumerate_cubes(self.truncation)
-
 
 def build_family(W: MatrixWeight, p, t: Truncation, spec=None,
-                 backend="exact_p2", validation_dirs=200):
+                 backend="exact_p2"):
     """Reducing operators for every window cube, with empirical
-    equivalence bounds from random validation directions and, for the
+    equivalence bounds from VALIDATION_DIRS random directions on at most
+    VALIDATION_CUBE_CAP cubes (spread over the window) and, for the
     mvee backend, the solver's worst gap, largest iteration count and
     whether it hit MVEE_MAX_ITERS.
 
@@ -144,6 +141,9 @@ def build_family(W: MatrixWeight, p, t: Truncation, spec=None,
     """
     if backend not in ("exact_p2", "mvee"):
         raise ReducingError(f"unknown backend: {backend}")
+    check_exponent(p, "p", ReducingError)
+    if np.isinf(p):
+        raise ReducingError("reducing operators need a finite p")
     if backend == "exact_p2" and p != 2:
         raise ReducingError("exact_p2 backend requires p = 2")
     G = (spec or QuadratureSpec()).G
@@ -166,12 +166,10 @@ def build_family(W: MatrixWeight, p, t: Truncation, spec=None,
         mvee_iters=iters, mvee_capped=iters >= MVEE_MAX_ITERS)
     rng = np.random.default_rng(VALIDATION_SEED)
     sample = [(j, i) for j in js for i in range(len(blocks[j]))]
-    if len(sample) > VALIDATION_CUBE_CAP:
-        idx = np.linspace(0, len(sample) - 1, VALIDATION_CUBE_CAP).astype(int)
-        sample = [sample[i] for i in idx]
     lo, hi = np.inf, 0.0
-    for j, i in sample:
-        z = rng.standard_normal((validation_dirs, W.m))
+    for s in spread(len(sample), VALIDATION_CUBE_CAP):
+        j, i = sample[s]
+        z = rng.standard_normal((VALIDATION_DIRS, W.m))
         z /= np.linalg.norm(z, axis=-1, keepdims=True)
         A = ops[j][i]
         az = np.linalg.norm(np.einsum("ab,db->da", A, z.astype(A.dtype)),
@@ -183,15 +181,16 @@ def build_family(W: MatrixWeight, p, t: Truncation, spec=None,
     return fam
 
 
-def doubling_orders(F: ReducingFamily, t: Truncation, cap_C=4.0,
-                    pair_cap=400_000):
+def doubling_orders(F: ReducingFamily, t: Truncation):
     """Fit (beta1, beta2, beta_weak) for the family's cross-cube growth.
 
     The strong orders are the smallest (beta1, beta2) >= 0 with
 
         ||A_Q A_R^{-1}|| <= C * max{(lR/lQ)^b1, (lQ/lR)^b2} * sep^{b1+b2}
 
-    holding at C = cap_C over all window pairs (a small linear program).
+    holding at C = DOUBLING_C over the window pairs (a small linear
+    program): every ordered pair Q != R, or those among the
+    DOUBLING_PAIR_CAP pairs that window_pairs picks above that cap.
     beta_weak is the least-squares slope of the upper envelope of
     log||A_Q A_R^{-1}|| against log sep over equal-level pairs (each
     unordered pair contributes max(v, -v), since the ordered pairs come
@@ -202,35 +201,26 @@ def doubling_orders(F: ReducingFamily, t: Truncation, cap_C=4.0,
 
     if F.truncation != t:
         raise ReducingError(f"family lives on {F.truncation}, not on {t}")
-    js = range(t.j_min, t.j_max + 1)
-    A = np.concatenate([F.levels[j].reshape(-1, F.m, F.m) for j in js])
+    A = np.concatenate([F.levels[j].reshape(-1, F.m, F.m)
+                        for j in range(t.j_min, t.j_max + 1)])
     if len(A) < 2:
         raise ReducingError("doubling orders need two window cubes or more")
     Ainv = np.linalg.inv(A)
-    # ordered pairs (i, j), i != j, row-major
-    I, J = np.nonzero(~np.eye(len(A), dtype=bool))
-    if len(I) > pair_cap:
-        rng = np.random.default_rng(PAIR_SEED)
-        sel = rng.choice(len(I), size=pair_cap, replace=False)
-        I, J = I[sel], J[sel]
-    # ||A_Q A_R^{-1}|| over the pairs, in blocks to bound the memory
+    # ordered pairs Q != R, row-major, and ||A_Q A_R^{-1}|| on them
+    pairs = [[a[I != J] for a in (I, J, dj, sep)]
+             for I, J, dj, sep in window_pairs(t, DOUBLING_PAIR_CAP)]
     v = np.log(np.maximum(np.concatenate(
-        [np.linalg.matrix_norm(A[I[s:s + 4096]] @ Ainv[J[s:s + 4096]],
-                               ord=2) for s in range(0, len(I), 4096)]),
+        [np.linalg.matrix_norm(A[I] @ Ainv[J], ord=2) for I, J, *_ in pairs]),
         1e-300))
-    # separation(Q, R) from the lower corners and edge lengths
-    ks = [t.level_k(j).reshape(-1, t.n) for j in js]
-    lev = np.concatenate([np.full(len(k), j) for j, k in zip(js, ks)])
-    ell = np.ldexp(1.0, -lev)
-    x = np.concatenate(ks) * ell[:, None]
-    ls = np.log(1.0 + _radius(x[I] - x[J]) / np.maximum(ell[I], ell[J]))
-    dl = (lev[J] - lev[I]) * np.log(2.0)  # log(ell(Q)/ell(R))
+    dj = np.concatenate([dj for _, _, dj, _ in pairs])
+    ls = np.log(np.concatenate([sep for *_, sep in pairs]))
+    dl = -dj * np.log(2.0)  # log(ell(Q)/ell(R))
     # ell(Q) < ell(R): branch (lR/lQ)^b1; ell(Q) > ell(R): (lQ/lR)^b2
-    rows = np.stack([np.where(lev[I] > lev[J], dl - ls, -ls),
-                     np.where(lev[I] < lev[J], -dl - ls, -ls)], axis=-1)
-    weak = (lev[I] == lev[J]) & (ls > np.log(2.0))
+    rows = np.stack([np.where(dj > 0, dl - ls, -ls),
+                     np.where(dj < 0, -dl - ls, -ls)], axis=-1)
+    weak = (dj == 0) & (ls > np.log(2.0))
     weak_x, weak_y = ls[weak], np.abs(v[weak])
-    res = linprog(c=[1.0, 1.0], A_ub=rows, b_ub=np.log(cap_C) - v,
+    res = linprog(c=[1.0, 1.0], A_ub=rows, b_ub=np.log(DOUBLING_C) - v,
                   bounds=[(0, None), (0, None)], method="highs")
     if not res.success:
         raise ReducingError(f"doubling-order fit infeasible: {res.message}")

@@ -16,7 +16,6 @@ leading sample axis (``seq_norms``, ``la_norms``).
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field as dc_field
 from types import MappingProxyType
 from typing import Optional
@@ -28,6 +27,8 @@ from .dyadic import (
     DwlabError,
     Truncation,
     ancestor,
+    check_exponent,
+    check_finite,
     cube_geometry,
 )
 from .growth import GrowthFn
@@ -59,15 +60,13 @@ class CoeffSeq:
     window-local k - lo(j), and zero means absent.  CubeIds enter only
     through tv[Q], tv[Q] = z and ``entries``."""
 
-    def __init__(self, t: Truncation, m, entries=None):
+    def __init__(self, t: Truncation, m):
         self.t = t
         self.m = int(m)
         if self.m < 1:
             raise SeqSpaceError(f"need m >= 1, got {m}")
         self.levels = {j: np.zeros(t.level_shape(j) + (self.m,), dtype=complex)
                        for j in range(t.j_min, t.j_max + 1)}
-        for Q, z in (entries or {}).items():
-            self[Q] = z
 
     def __setitem__(self, Q: CubeId, z):
         z = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -100,29 +99,15 @@ class CoeffSeq:
                        for k, z in zip(self.t.level_k(j)[hit], a[hit]))
         return MappingProxyType(out)
 
-    def cubes(self):
-        return list(self.entries)
-
-    def _map(self, m, fn):
-        out = CoeffSeq(self.t, m)
-        out.levels = {j: fn(a) for j, a in self.levels.items()}
-        return out
-
-    def scaled(self, lam):
-        return self._map(self.m, lambda a: lam * a)
-
     def magnitudes(self):
         """The scalar sequence {|t_Q|} (Euclidean entry norms)."""
-        return self._map(
-            1, lambda a: vector_norms(a)[..., None].astype(complex))
+        out = CoeffSeq(self.t, 1)
+        out.levels = {j: vector_norms(a)[..., None].astype(complex)
+                      for j, a in self.levels.items()}
+        return out
 
 
 MODES = ("unweighted", "averaging", "matrix")
-
-
-def _real(x):
-    """x as a float; NaN for anything that is not a real number."""
-    return float(x) if isinstance(x, numbers.Real) else np.nan
 
 
 @dataclass
@@ -146,12 +131,9 @@ class SpaceParams:
         if self.mode not in MODES:
             raise SeqSpaceError(f"mode must be one of {MODES}, "
                                 f"got {self.mode!r}")
-        for name in ("p", "q"):
-            if not _real(getattr(self, name)) > 0:  # NaN fails too
-                raise SeqSpaceError(f"{name} must lie in (0, inf], "
-                                    f"got {getattr(self, name)!r}")
-        if not np.isfinite(_real(self.s)):
-            raise SeqSpaceError(f"s must be finite, got {self.s!r}")
+        check_exponent(self.p, "p", SeqSpaceError)
+        check_exponent(self.q, "q", SeqSpaceError)
+        check_finite(self.s, "s", SeqSpaceError)
         if np.isinf(self.p) and self.family == "F":
             raise SeqSpaceError("p = infinity is only defined for family B")
         if np.isinf(self.p) and self.mode != "unweighted":
@@ -261,18 +243,17 @@ def la_norms(fields, params: SpaceParams, t: Truncation, subdiv=1):
     return best
 
 
-def la_norm(fields, params: SpaceParams, t: Truncation, subdiv=1):
+def la_norm(fields, params: SpaceParams, t: Truncation):
     """sup_P (1/v(P)) ||{f_j 1_P}_{j >= j_P}|| with l^q(L^p) (B) or
     L^p(l^q) (F) mixing and the usual modifications at infinity.
 
     ``fields`` maps level j to a piecewise-constant array on the finest
-    grid refined ``subdiv``-fold per axis; absent levels are zero.  A
-    one-member ``la_norms``.
+    grid; absent levels are zero.  A one-member ``la_norms``.
     """
     if not fields:
         return 0.0
     stack = {j: np.asarray(f, dtype=float)[None] for j, f in fields.items()}
-    return float(la_norms(stack, params, t, subdiv)[0])
+    return float(la_norms(stack, params, t)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import (CubeId, DwlabError, Truncation, cube_geometry,
-                     enumerate_cubes)
+from .dyadic import (CubeId, DwlabError, Truncation, _radius,
+                     check_exponent, cube_geometry, enumerate_cubes, spread)
 
 HERMITIAN_TOL = 1e-12
 SINGULAR_TOL = 1e-14  # distance at which a point hits the singular set
+APINF_NODE_CAP = 64  # apinf_characteristic's nodes per cube; spread above
+DILATIONS = (1.0, 2.0, 4.0, 8.0)  # estimate_dimensions' dilation factors
+DIMENSION_CUBE_CAP = 12  # estimate_dimensions' cubes; spread above it
+SPHERE_SEED = 0  # sphere_directions' Gaussian draw for m >= 4
 
 
 class WeightError(DwlabError):
@@ -88,12 +92,6 @@ def _libm_pow(r, a):
     r = np.asarray(r, dtype=float)
     return np.fromiter((v ** a for v in r.ravel()), float,
                        r.size).reshape(r.shape)
-
-
-def _radius(pts):
-    """|x| over points [M, n]; x.x as a dot product, as np.linalg.norm of
-    one point sums it, so the presets keep their per-point values."""
-    return np.sqrt((pts[:, None, :] @ pts[:, :, None])[:, 0, 0])
 
 
 class MatrixWeight:
@@ -164,6 +162,8 @@ def _constant(M):
 
 
 def identity_weight(m=1):
+    if not m >= 1:
+        raise WeightError(f"identity weight needs m >= 1, got {m}")
     return MatrixWeight.from_batched(m, _constant(np.eye(m)),
                                      label=f"identity({m})")
 
@@ -266,15 +266,14 @@ def _exp_log_avg(stack_x, stack_y_inv, p):
     return float(np.exp(np.mean(np.log(inner))))
 
 
-def apinf_characteristic(W: MatrixWeight, p, t: Truncation, spec=None,
-                         node_cap=64):
+def apinf_characteristic(W: MatrixWeight, p, t: Truncation, spec=None):
     """Window max of exp( avg_y log( avg_x ||W^{1/p}(x) W^{-1/p}(y)||^p ) ).
 
-    Each cube averages over at most node_cap of its window_nodes; nodes on
-    the singular set are dropped, since the log average cannot take a zero.
+    Each cube averages over at most APINF_NODE_CAP of its window_nodes,
+    spread over the cube; nodes on the singular set are dropped, since
+    the log average cannot take a zero.
     """
-    if p <= 0:
-        raise WeightError("p must be positive")
+    check_exponent(p, "p", WeightError)
     G = (spec or QuadratureSpec()).G
     pts = window_nodes(t, G)
     wp, wm = W.powers(pts, 1.0 / p), W.powers(pts, -1.0 / p)
@@ -285,8 +284,7 @@ def apinf_characteristic(W: MatrixWeight, p, t: Truncation, spec=None,
             sel = cube[cube >= 0]
             if len(sel) == 0:
                 raise WeightError("all quadrature nodes hit the singular set")
-            if len(sel) > node_cap:
-                sel = sel[np.linspace(0, len(sel) - 1, node_cap).astype(int)]
+            sel = sel[spread(len(sel), APINF_NODE_CAP)]
             best = max(best, _exp_log_avg(wp[sel], wm[sel], p))
     return best
 
@@ -299,7 +297,7 @@ def _dilated_box(Q: CubeId, lam):
     return c - half, c + half
 
 
-def sphere_directions(m, count, seed=0):
+def sphere_directions(m, count):
     """Quasi-uniform unit directions: Fibonacci spiral for m in {2,3},
     normalized Gaussian otherwise."""
     if m == 1:
@@ -311,12 +309,9 @@ def sphere_directions(m, count, seed=0):
         i = np.arange(count) + 0.5
         phi = np.arccos(1.0 - 2.0 * i / count)
         th = np.pi * (1.0 + np.sqrt(5.0)) * i
-        return np.stack(
-            [np.sin(phi) * np.cos(th), np.sin(phi) * np.sin(th), np.cos(phi)],
-            axis=-1,
-        )
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((count, m))
+        return np.stack([np.sin(phi) * np.cos(th),
+                         np.sin(phi) * np.sin(th), np.cos(phi)], axis=-1)
+    z = np.random.default_rng(SPHERE_SEED).standard_normal((count, m))
     return z / np.linalg.norm(z, axis=-1, keepdims=True)
 
 
@@ -325,27 +320,27 @@ def _fits_window(t, lo, hi):
     return np.all(lo >= wlo - 1e-12) and np.all(hi <= whi + 1e-12)
 
 
-def estimate_dimensions(W: MatrixWeight, p, t: Truncation,
-                        lams=(1.0, 2.0, 4.0, 8.0), g=None, cube_cap=12):
+def estimate_dimensions(W: MatrixWeight, p, t: Truncation):
     """(d_lower, d_upper) by log-log slope fit of the dilation averages.
 
-    For each sampled cube Q and dilation factor lam the two exp-log
-    quantities (inner x-average over Q and outer y-average over lam*Q,
-    and the reverse) are evaluated on midpoint grids; d is the largest
-    fitted slope of log(value) against log(lam), floored at 0.  W^{1/p}
-    and W^{-1/p} are evaluated once per box.
+    The sampled cubes are at most DIMENSION_CUBE_CAP of those that admit
+    every dilation, spread over the window.  For each sampled cube Q and
+    dilation factor lam in DILATIONS the two exp-log quantities (inner
+    x-average over Q and outer y-average over lam*Q, and the reverse)
+    are evaluated on midpoint grids; d is the largest fitted slope of
+    log(value) against log(lam), floored at 0.  W^{1/p} and W^{-1/p}
+    are evaluated once per box.
     """
-    g = g or (40 if t.n == 1 else 8)
+    check_exponent(p, "p", WeightError)
+    lams, g = DILATIONS, 40 if t.n == 1 else 8
     cubes = [Q for Q in enumerate_cubes(t)
              if _fits_window(t, *_dilated_box(Q, max(lams)))]
     if not cubes:
         raise WeightError("no window cube admits the requested dilations")
-    if len(cubes) > cube_cap:
-        idx = np.linspace(0, len(cubes) - 1, cube_cap).astype(int)
-        cubes = [cubes[i] for i in idx]
     loglam = np.log(np.asarray(lams))
     d_low, d_up = 0.0, 0.0
-    for Q in cubes:
+    for i in spread(len(cubes), DIMENSION_CUBE_CAP):
+        Q = cubes[i]
         stacks = {}  # lam -> (W^{1/p}, W^{-1/p}) on the lam*Q box nodes
         for lam in {1.0, *lams}:
             pts = _filter_singular(W, box_nodes(*_dilated_box(Q, lam), g)[0])

@@ -2,9 +2,14 @@
 
 import numpy as np
 
-from dwlab.dyadic import Truncation, cube_geometry
+from dwlab.dyadic import Truncation, cube_geometry, enumerate_cubes
 from dwlab.reducing import ReducingFamily
 from dwlab.weights import window_nodes
+
+
+def level_cubes(t: Truncation, j):
+    """The level-j cubes of the window ``t``, in enumerate_cubes order."""
+    return [Q for Q in enumerate_cubes(t) if Q.j == j]
 
 
 def identity_family(t: Truncation, m=1, p=2):

@@ -12,7 +12,7 @@ from dwlab.adops import (
 )
 from dwlab.dyadic import CubeId, Truncation, cube_geometry, enumerate_cubes
 from dwlab.seqspace import CoeffSeq, build_random, build_single_point
-from oracles import _entry_matrix
+from oracles import _entry_matrix, level_cubes
 
 _TH = ad_thresholds(0.0, 2.0, 2.0, "F", 0.0, 0.0, 0.0)
 F22 = ADParams(_TH.D_min + 0.25, _TH.E_min + 0.25, _TH.F_min + 0.25)
@@ -49,7 +49,7 @@ def test_ad_apply_rejects_an_operator_that_is_not_adparams():
 def _assert_matches_dense(U, tv, t):
     out = ad_apply(U, tv, t)
     cubes = enumerate_cubes(t)
-    support = tv.cubes()
+    support = list(tv.entries)
     want = _entry_matrix(cubes, support, U) @ np.stack([tv[R] for R in support])
     got = np.stack([out[Q] for Q in cubes])
     assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
@@ -206,7 +206,7 @@ def test_majorant_dominates_sequence():
 def _majorant_brute(tv, r, lam, t):
     want = {}
     for j in {R.j for R in tv.entries}:
-        for Q in enumerate_cubes(t, level=j):
+        for Q in level_cubes(t, j):
             xq, ell, _ = cube_geometry(Q)
             terms = [
                 np.linalg.norm(z)

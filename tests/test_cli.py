@@ -186,3 +186,52 @@ def test_transform_levels_in_range():
     assert status == 0 and json.loads(out)["filter_k"] == 2
     status, out, _ = _run_main(["transform", "phi", "--in", GRID16])
     assert status == 0 and json.loads(out)["kind"] == "phi"
+
+
+THRESHOLD_SPACE = {"p": 2, "q": 2, "family": "B"}
+
+
+@pytest.mark.parametrize("fault,named", [
+    ({"p": 0, "q": 1}, "p must"), ({"q": 0, "family": "F"}, "q must"),
+    ({"p": -2}, "p must"), ({"q": math.nan}, "q must"), ({"n": 0}, "n >="),
+    ({"s": math.nan}, "s must"), ({"delta1": math.nan}, "delta1 must"),
+    ({"omega": math.inf}, "omega must"), ({"family": 3}, "family"),
+    ({"p": [1]}, "malformed"), ({"weighted": 3}, "malformed"),
+])
+def test_threshold_faults_give_one_error_line(fault, named):
+    # p = 0 and q = 0 once ended in a ZeroDivisionError traceback, p = -2
+    # and n = 0 printed a table, s = NaN failed inside numpy, and a list
+    # for p ended in a TypeError traceback
+    space = json.dumps(dict(THRESHOLD_SPACE, **fault))
+    status, out, err = _run_main(["thresholds", "--space", space])
+    lines = err.strip().splitlines()
+    assert status == 2 and out == "", (status, out, err)
+    assert len(lines) == 1 and lines[0].startswith("dwlab: error: "), err
+    assert named in lines[0], err
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["--weight", "identity:2", "--p=0", "--backend", "mvee"], "p must"),
+    (["--weight", "identity:2", "--p=-1", "--backend", "mvee"], "p must"),
+    (["--weight", "identity:2", "--p=inf", "--backend", "mvee"], "finite p"),
+    (["--weight", "identity:2", "--p=nan", "--backend", "mvee"], "p must"),
+    (["--weight", "identity:0"], "m >= 1"),
+])
+def test_reduce_faults_give_one_error_line(argv, named):
+    # p = 0 once ended in a ZeroDivisionError traceback, p = -1 and
+    # p = inf wrote operators, and m = 0 failed inside numpy
+    status, out, err = _run_main(["reduce", *argv, "--j-max", "1"])
+    lines = err.strip().splitlines()
+    assert status == 2 and out == "", (status, out, err)
+    assert len(lines) == 1 and lines[0].startswith("dwlab: error: "), err
+    assert named in lines[0], err
+
+
+@pytest.mark.parametrize("p", [math.nan, 0, -1.0, "2"])
+def test_weight_statistics_reject_bad_exponents(p):
+    # estimate_dimensions once raised LinAlgError at p = NaN, and
+    # apinf_characteristic let NaN past its p <= 0 check
+    W, t = dwlab.diag_power_weight(-0.5, -0.25), dwlab.Truncation(1, 0, 4, 1)
+    for stat in (dwlab.estimate_dimensions, dwlab.apinf_characteristic):
+        with pytest.raises(dwlab.DwlabError):
+            stat(W, p, t)

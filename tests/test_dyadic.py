@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from dwlab import dyadic
 from dwlab.dyadic import (
     CubeId,
     DyadicError,
@@ -9,8 +10,11 @@ from dwlab.dyadic import (
     ancestor,
     cube_geometry,
     enumerate_cubes,
+    pair_blocks,
     separation,
+    spread,
 )
+from oracles import level_cubes
 
 
 def test_geometry_examples():
@@ -25,7 +29,7 @@ def test_geometry_examples():
 def test_children_parent():
     # the children of Q_{0,0} are the level-1 cubes of its one-cube window;
     # the parent is the ancestor one level up
-    got = enumerate_cubes(Truncation(1, 0, 1, 1), level=1)
+    got = level_cubes(Truncation(1, 0, 1, 1), 1)
     assert got == [CubeId(1, (0,)), CubeId(1, (1,))]
     assert ancestor(CubeId(1, (1,)), 0) == CubeId(0, (0,))
     # 5 * 2^-3 = 0.625 lies in [0.5, 1)
@@ -34,7 +38,7 @@ def test_children_parent():
 
 def test_children_parent_roundtrip_2d():
     Q = CubeId(2, (1, 3))
-    kids = [c for c in enumerate_cubes(Truncation(2, 2, 3, 8), level=3)
+    kids = [c for c in level_cubes(Truncation(2, 2, 3, 8), 3)
             if ancestor(c, 2) == Q]
     assert [c.k for c in kids] == [(2, 6), (2, 7), (3, 6), (3, 7)]
 
@@ -65,7 +69,7 @@ def test_locate_covers_level_arrays():
     for t in (Truncation(1, 0, 3, 2), Truncation(2, 1, 3, 3)):
         for j in range(t.j_min, t.j_max + 1):
             covered = np.zeros(t.level_shape(j), dtype=int)
-            for Q in enumerate_cubes(t, level=j):
+            for Q in level_cubes(t, j):
                 lvl, idx = t.locate(Q)
                 assert lvl == j and tuple(t.level_k(j)[idx]) == Q.k
                 covered[idx] += 1
@@ -80,7 +84,7 @@ def test_locate_covers_level_arrays():
 def test_negative_levels():
     t = Truncation(1, -2, 0, 2)
     # hull is [-4, 4); root cubes have side 4
-    root = enumerate_cubes(t, level=-2)
+    root = level_cubes(t, -2)
     assert len(root) == 2
     x, ell, _ = cube_geometry(root[0])
     assert x[0] == -4.0 and ell == 4.0
@@ -119,3 +123,58 @@ def test_separation_symmetric_and_at_least_one(j1, k1, j2, k2):
     s = separation(Q, R)
     assert s >= 1.0
     assert s == separation(R, Q)
+
+
+def _linspace_rule(total, cap):
+    """The subsample that build_family, apinf_characteristic and
+    estimate_dimensions took before spread."""
+    if total <= cap:
+        return np.arange(total)
+    return np.linspace(0, total - 1, cap).astype(int)
+
+
+@pytest.mark.parametrize("cap", [12, 24])
+def test_spread_matches_the_linspace_rule(cap):
+    for total in range(20_001):
+        assert np.array_equal(spread(total, cap),
+                              _linspace_rule(total, cap)), total
+
+
+@pytest.mark.parametrize("total,cap", [(0, 5), (7, 12), (12, 12), (154, 64),
+                                       (5, 1), (5, 0),
+                                       (10**6 + 1, 999), (2**62 + 3, 1001)])
+def test_spread_is_exact_and_even(total, cap):
+    got = spread(total, cap)
+    if total <= cap or cap < 2:
+        want = list(range(min(total, cap)))
+    else:  # exact in integers, where a float ramp is off at large totals
+        want = [i * (total - 1) // (cap - 1) for i in range(cap)]
+    assert got.tolist() == want
+    gaps = np.diff(got)
+    assert len(gaps) == 0 or gaps.max() - gaps.min() <= 1
+
+
+def _pairs(count, cap):
+    blocks = list(pair_blocks(count, cap))
+    assert all(len(I) == len(J) <= dyadic.PAIR_BLOCK for I, J in blocks)
+    return [(int(i), int(j)) for I, J in blocks for i, j in zip(I, J)]
+
+
+def test_pair_blocks_are_row_major_within_the_cap(monkeypatch):
+    monkeypatch.setattr(dyadic, "PAIR_BLOCK", 7)
+    for count in (1, 2, 5):
+        for cap in (count * count, count * count + 3):
+            assert _pairs(count, cap) == [(i, j) for i in range(count)
+                                          for j in range(count)]
+
+
+@pytest.mark.parametrize("count,cap", [(9, 20), (9, 80), (40, 7), (101, 500)])
+def test_pair_blocks_pick_cap_spread_pairs_above_it(monkeypatch, count, cap):
+    monkeypatch.setattr(dyadic, "PAIR_BLOCK", 7)
+    pairs = _pairs(count, cap)
+    flat = [i * count + j for i, j in pairs]
+    assert len(set(pairs)) == cap and flat == sorted(flat)
+    assert all(0 <= i < count and 0 <= j < count for i, j in pairs)
+    assert flat[0] == 0 and flat[-1] == count * count - 1
+    gaps = np.diff(flat)
+    assert gaps.max() - gaps.min() <= 1

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dwlab.dyadic import CubeId, Truncation, enumerate_cubes
+from dwlab import growth
+from dwlab.dyadic import (CubeId, Truncation, _radius, enumerate_cubes,
+                          separation, spread)
 from dwlab.growth import (
     FIELD_NODES,
     GrowthError,
@@ -11,7 +15,8 @@ from dwlab.growth import (
     make_growth,
 )
 from dwlab.seqspace import SpaceParams, build_single_point, seq_norm
-from dwlab.weights import QuadratureSpec, _libm_pow, _radius, diag_power_weight
+from dwlab.weights import QuadratureSpec, _libm_pow, diag_power_weight
+from oracles import level_cubes
 
 
 def _cell_average_per_point(field, j, k, nodes_per_axis=16):
@@ -129,7 +134,7 @@ def test_level_evaluation_matches_cube_by_cube(kind, params, t):
         got = v.on_level(j, t.level_k(j))
         assert got.shape == t.level_shape(j)
         assert np.array_equal(got.ravel(),
-                              [v(Q) for Q in enumerate_cubes(t, level=j)])
+                              [v(Q) for Q in level_cubes(t, j)])
 
 
 @pytest.mark.parametrize("point_field, batch_field", FIELDS,
@@ -185,3 +190,51 @@ def test_weight_power_field_must_return_one_value_per_point(field):
         v(CubeId(1, (0,)))
     with pytest.raises(GrowthError):
         v.on_level(0, Truncation(2, 0, 1, 1).level_k(0))
+
+
+def _shifted_field(x):
+    return 1.0 + np.sum((x - 0.3) ** 2, axis=-1)
+
+
+# class_constant(weight_power(_shifted_field, 1.5), 0, 0.2, 0.4, t) as
+# float.hex, from the all-pairs table that window_pairs replaced
+@pytest.mark.parametrize("t,want", [
+    (Truncation(1, 0, 6, 1), "0x1.e73420e6979c6p+7"),
+    (Truncation(1, -1, 4, 2), "0x1.5f5db17718d75p+8"),
+    (Truncation(2, 0, 3, 1), "0x1.16aef5d2cbcb6p+8"),
+], ids=["1d", "1d-extent2", "2d"])
+def test_class_constant_keeps_its_bits_within_the_cap(t, want):
+    v = make_growth("weight_power", field=_shifted_field, tau=1.5)
+    assert class_constant(v, 0.0, 0.2, 0.4, t).hex() == want
+
+
+def test_class_constant_above_the_cap_runs_on_the_spread_pairs(monkeypatch):
+    t = Truncation(2, 0, 2, 1)  # 21 cubes, 441 ordered pairs
+    monkeypatch.setattr(growth, "PAIR_CAP", 100)
+    v = make_growth("weight_power", field=_shifted_field, tau=1.5)
+    cubes = enumerate_cubes(t)
+    N = len(cubes)
+
+    def ratio(Q, R):
+        expo = 0.0 if Q.j >= R.j else 0.2  # delta1 if ell(Q) <= ell(R)
+        bound = (separation(Q, R) ** 0.4
+                 * (2.0 ** (-(Q.j - R.j) * t.n)) ** expo)
+        return v(Q) / v(R) / bound
+
+    want = max(ratio(cubes[f // N], cubes[f % N]) for f in spread(N * N, 100))
+    got = class_constant(v, 0.0, 0.2, 0.4, t)
+    assert abs(got - want) <= 1e-12 * want
+    monkeypatch.setattr(growth, "PAIR_CAP", N * N)
+    assert class_constant(v, 0.0, 0.2, 0.4, t) >= got
+
+
+def test_class_constant_memory_stays_bounded():
+    # 2,047 cubes: the all-pairs table peaked at 123 MB here
+    v = make_growth("power", tau=0.5)
+    tracemalloc.start()
+    try:
+        c = class_constant(v, 0.5, 0.5, 0.0, Truncation(1, 0, 10, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c == 1.0 and peak < 32e6

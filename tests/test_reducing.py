@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from dwlab import reducing
-from dwlab.dyadic import CubeId, Truncation, cube_geometry, enumerate_cubes
+from dwlab.dyadic import (CubeId, Truncation, cube_geometry, enumerate_cubes,
+                          spread)
 from dwlab.reducing import (
     MVEE_TOL,
     ReducingError,
@@ -104,8 +105,8 @@ def test_build_family_identity_bounds():
     fam = build_family(identity_weight(2), 2.0, t)
     lo, hi = fam.equivalence_bounds
     assert abs(lo - 1.0) < 1e-10 and abs(hi - 1.0) < 1e-10
-    assert len(fam.cubes()) == 7
-    assert CubeId(1, (1,)) in fam
+    assert len(enumerate_cubes(fam.truncation)) == 7
+    assert fam.truncation.contains(CubeId(1, (1,)))
 
 
 def test_build_family_diag_power_tight_bounds():
@@ -150,13 +151,12 @@ def test_family_indexing_round_trips_on_level_stacks():
     t = Truncation(2, 1, 2, 3)
     W = MatrixWeight(2, lambda x: np.diag([1.0 + x[0] ** 2, 2.0 + x[1] ** 2]))
     fam = build_family(W, 2.0, t)
-    assert fam.m == 2 and fam.cubes() == enumerate_cubes(t)
-    for Q in fam.cubes():
+    assert fam.m == 2 and fam.truncation == t
+    for Q in enumerate_cubes(t):
         j, idx = t.locate(Q)
-        assert Q in fam
         assert np.array_equal(fam[Q], fam.levels[j][idx])
     outside = CubeId(3, (0, 0))
-    assert outside not in fam
+    assert not fam.truncation.contains(outside)
     with pytest.raises(KeyError):
         fam[outside]
 
@@ -218,7 +218,7 @@ def test_mvee_cap_is_reported_and_still_encloses(monkeypatch):
     fam = build_family(W, 1.0, t, backend="mvee")
     assert fam.mvee_capped and fam.mvee_iters == 3 and fam.mvee_gap > MVEE_TOL
     dirs = sphere_directions(2, 40)
-    for Q in fam.cubes():
+    for Q in enumerate_cubes(t):
         rho = avg_wp_z(W, 1.0, cube_nodes(Q, t, QuadratureSpec())[0], dirs)
         assert np.max(np.linalg.norm(dirs @ fam[Q].T, axis=-1) / rho) \
             <= 1.0 + 1e-9
@@ -227,21 +227,19 @@ def test_mvee_cap_is_reported_and_still_encloses(monkeypatch):
                                                                      False)
 
 
-def _doubling_orders_per_pair(F, t, cap_C=4.0, pair_cap=400_000, seed=5):
+def _doubling_orders_per_pair(F, t, cap_C, pair_cap):
     """The per-pair form of doubling_orders: one SVD and one
-    separation() per ordered pair of window cubes."""
+    separation() per ordered pair Q != R of window cubes, taken from the
+    row-major pairs that spread picks above pair_cap."""
     from scipy.optimize import linprog
 
     from dwlab.dyadic import separation
 
-    cubes = F.cubes()
+    cubes = enumerate_cubes(t)
     invs = {Q: np.linalg.inv(F[Q]) for Q in cubes}
     N = len(cubes)
-    pairs = [(i, j) for i in range(N) for j in range(N) if i != j]
-    if len(pairs) > pair_cap:
-        rng = np.random.default_rng(seed)
-        sel = rng.choice(len(pairs), size=pair_cap, replace=False)
-        pairs = [pairs[i] for i in sel]
+    pairs = [divmod(int(f), N) for f in spread(N * N, pair_cap)]
+    pairs = [(i, j) for i, j in pairs if i != j]
     rows, rhs, weak_x, weak_y = [], [], [], []
     for i, j in pairs:
         Q, R = cubes[i], cubes[j]
@@ -278,14 +276,33 @@ def _doubling_orders_per_pair(F, t, cap_C=4.0, pair_cap=400_000, seed=5):
     (diag_power_weight(-0.5, 0.5, n=2), Truncation(2, 0, 2, 1), 400_000),
     (power_weight(-1.0, n=2), Truncation(2, 0, 2, 1), 150),
 ], ids=["1d", "1d-extent2", "1d-capped", "2d", "2d-capped"])
-def test_doubling_orders_match_per_pair_oracle(W, t, pair_cap):
+def test_doubling_orders_match_per_pair_oracle(W, t, pair_cap, monkeypatch):
     fam = build_family(W, 2.0, t, QuadratureSpec(2))
-    # a tight cap_C keeps the strong orders away from their floor 0
-    got = doubling_orders(fam, t, cap_C=1.1, pair_cap=pair_cap)
+    # a tight C keeps the strong orders away from their floor 0
+    monkeypatch.setattr(reducing, "DOUBLING_C", 1.1)
+    monkeypatch.setattr(reducing, "DOUBLING_PAIR_CAP", pair_cap)
+    got = doubling_orders(fam, t)
     want = _doubling_orders_per_pair(fam, t, cap_C=1.1, pair_cap=pair_cap)
     assert want[0] > 0.05
     for g, w in zip(got, want):
         assert abs(g - w) <= 1e-12 * max(abs(w), 1.0), (got, want)
+
+
+# doubling_orders at C = 1.1 as float.hex, from the all-pairs table that
+# window_pairs replaced (no pair cap binds on these windows)
+@pytest.mark.parametrize("W,t,want", [
+    (power_weight(-0.5), Truncation(1, 0, 5, 1),
+     ("0x1.dd12b33362d29p-3", "0x1.ce40d9ae51d76p-3", "0x1.cc2f7adfbda88p-3")),
+    (diag_power_weight(-0.5, -0.25), Truncation(1, 0, 4, 2),
+     ("0x1.cd48469a6534fp-3", "0x1.bb2ff9623aeb9p-3", "0x0.0p+0")),
+    (diag_power_weight(-0.5, 0.5, n=2), Truncation(2, 0, 2, 1),
+     ("0x1.66b1eb6210036p-3", "0x1.7742f4b8702f3p-3", "0x1.c0e0387a13565p-3")),
+], ids=["1d", "1d-extent2", "2d"])
+def test_doubling_orders_keep_their_bits_within_the_cap(W, t, want,
+                                                         monkeypatch):
+    fam = build_family(W, 2.0, t, QuadratureSpec(2))
+    monkeypatch.setattr(reducing, "DOUBLING_C", 1.1)
+    assert tuple(b.hex() for b in doubling_orders(fam, t)) == want
 
 
 def _custom_singular_node():

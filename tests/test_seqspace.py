@@ -46,7 +46,6 @@ def test_coeffseq_validation():
     tv[CubeId(0, (0,))] = [1.0, 2.0j]
     assert np.allclose(tv[CubeId(1, (0,))], 0.0)  # absent -> zero
     assert len(tv) == 1
-    assert np.allclose(tv.scaled(3.0)[CubeId(0, (0,))], [3.0, 6.0j])
     assert abs(tv.magnitudes()[CubeId(0, (0,))][0] - np.sqrt(5.0)) < 1e-12
 
 
@@ -113,7 +112,9 @@ def test_homogeneity():
     tv = build_random(t, m=2, seed=1)
     for params in (_params(), _params("F", s=0.5, p=1.0, q=np.inf, v=V1)):
         a = seq_norm(tv, params, t)
-        b = seq_norm(tv.scaled(3.0), params, t)
+        scaled = CoeffSeq(t, tv.m)
+        scaled.levels = {j: 3.0 * lv for j, lv in tv.levels.items()}
+        b = seq_norm(scaled, params, t)
         assert abs(b - 3.0 * a) < 1e-10 * max(a, 1.0)
 
 
@@ -208,7 +209,7 @@ def test_finfty_q_inf_is_sup():
 def test_besov_counterexample_support():
     t = Truncation(1, 0, 2, 1)
     tv = build_besov_counterexample(2, t)
-    assert set(tv.cubes()) == {
+    assert set(tv.entries) == {
         CubeId(0, (0,)), CubeId(1, (0,)), CubeId(2, (0,)), CubeId(2, (3,))
     }
     for Q, z in tv.entries.items():
@@ -273,7 +274,7 @@ def test_entries_hold_nonzero_entries_in_jk_order():
     tv[CubeId(1, (0, 0))] = [1.0, 1.0]
     tv[CubeId(1, (0, 0))] = [0.0, 0.0]  # overwritten with zero: absent
     want = [CubeId(0, (1, -1)), CubeId(2, (-4, 5)), CubeId(2, (3, -4))]
-    assert list(tv.entries) == want and tv.cubes() == want and len(tv) == 3
+    assert list(tv.entries) == want and len(tv) == 3
     assert np.array_equal(tv.entries[CubeId(0, (1, -1))], [0.0, 2j])
     with pytest.raises(TypeError):
         tv.entries[CubeId(1, (0, 0))] = np.ones(2)

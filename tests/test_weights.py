@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dwlab.dyadic import Truncation, cube_geometry, enumerate_cubes
+from dwlab import weights
+from dwlab.dyadic import Truncation, cube_geometry
 from dwlab.weights import (
     SINGULAR_TOL,
     MatrixWeight,
@@ -22,6 +23,7 @@ from dwlab.weights import (
     sphere_directions,
     window_nodes,
 )
+from oracles import level_cubes
 
 
 def _rand_hermitian(rng, m, complex_=False):
@@ -88,13 +90,13 @@ def test_apinf_identity_is_one():
     assert abs(apinf_characteristic(identity_weight(2), 2.0, t) - 1.0) < 1e-10
 
 
-def test_apinf_sqrt_weight_single_cube():
+def test_apinf_sqrt_weight_single_cube(monkeypatch):
     # w(x) = sqrt(x), p = 1, one cube [0,1):
     # exp( avg_y log( (2/3) / sqrt(y) ) ) = exp( log(2/3) + 1/2 )
     W = power_weight(0.5)
     t = Truncation(1, 0, 0, 1)
-    got = apinf_characteristic(W, 1.0, t, spec=QuadratureSpec(2048),
-                               node_cap=2048)
+    monkeypatch.setattr(weights, "APINF_NODE_CAP", 2048)
+    got = apinf_characteristic(W, 1.0, t, spec=QuadratureSpec(2048))
     want = np.exp(np.log(2.0 / 3.0) + 0.5)
     assert abs(got - want) < 1e-3
 
@@ -105,13 +107,13 @@ def test_dimensions_identity_are_zero():
     assert abs(d_low) < 1e-6 and abs(d_up) < 1e-6
 
 
-def test_dimensions_sqrt_weight_upper_half():
+def test_dimensions_sqrt_weight_upper_half(monkeypatch):
     # the slope of the dilation average only reaches its limiting value
     # 1/2 once the dilates are much larger than their offset from the
     # singularity, hence the deep window and large dilation factors
     t = Truncation(1, 0, 6, 2)
-    _, d_up = estimate_dimensions(power_weight(0.5), 1.0, t,
-                                  lams=(8.0, 16.0, 32.0, 64.0))
+    monkeypatch.setattr(weights, "DILATIONS", (8.0, 16.0, 32.0, 64.0))
+    _, d_up = estimate_dimensions(power_weight(0.5), 1.0, t)
     assert abs(d_up - 0.5) < 0.1
 
 
@@ -328,7 +330,7 @@ def test_cube_blocks_match_per_cube_box_nodes(t, G):
     for j in range(t.j_min, t.j_max + 1):
         w = G << (t.j_max - j)
         want = []
-        for Q in enumerate_cubes(t, level=j):
+        for Q in level_cubes(t, j):
             x0, ell, _ = cube_geometry(Q)
             want.append(box_nodes(x0, x0 + ell, w)[0])
         got = cube_blocks(pts, t, G, j)
