@@ -101,12 +101,14 @@ def _kernel(L, n, scale, D):
 
 
 @functools.lru_cache(maxsize=512)
-def _kernel_hat(L, n, d, D):
+def _kernel_hat(L, n, d, D, origin=True):
     """rfftn of the level-gap-d kernel (1 + |o|/2^d)^{-D} on the L^n
-    grid.  Cached (at most 512 spectra, about 2 MB for every level pair
-    of a 1-d j_max 12 window) and read-only, since every caller shares
-    the array."""
-    h = np.fft.rfftn(_kernel(L, n, 2.0 ** d, D))
+    grid, its o = 0 entry zeroed unless ``origin``.  Cached (at most 512
+    spectra, about 2 MB for every level pair of a 1-d j_max 12 window)
+    and read-only, since every caller shares the array."""
+    K = _kernel(L, n, 2.0 ** d, D)
+    K.flat[0] *= origin
+    h = np.fft.rfftn(K)
     h.flags.writeable = False
     return h
 
@@ -277,11 +279,10 @@ def majorant(tv: CoeffSeq, r, lam, t: Truncation):
         else:
             shape = (_fft_len(mag.shape[0]),) * n
             axes = tuple(range(n))
-            K = _kernel(shape[0], n, 1.0, lam * r)
-            K.flat[0] = 0.0
             w = mag**r
             conv = np.fft.irfftn(
-                np.fft.rfftn(K) * np.fft.rfftn(w, s=shape, axes=axes),
+                _kernel_hat(shape[0], n, 0, lam * r, False)
+                * np.fft.rfftn(w, s=shape, axes=axes),
                 s=shape, axes=axes)
             conv = conv[(slice(0, mag.shape[0]),) * n]
             vals = (w + np.maximum(conv, 0.0)) ** (1.0 / r)

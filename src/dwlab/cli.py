@@ -41,14 +41,22 @@ def _fmt(x):
     return f"{float(x):.12g}"
 
 
+def _json_int(text):
+    """A JSON integer; one beyond the float range is a DwlabError."""
+    if abs(int(text)) <= sys.float_info.max:
+        return int(text)
+    raise DwlabError(f"integer {text[:8]}... of {len(text)} digits is "
+                     "beyond the float range")
+
+
 def _load_json(arg):
     """Accept inline JSON or a path to a JSON file."""
     s = arg.strip()
     if s.startswith("{") or s.startswith("["):
-        return json.loads(s)
+        return json.loads(s, parse_int=_json_int)
     try:
         with open(arg) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=_json_int)
     except OSError as exc:
         raise DwlabError(f"cannot read {arg}: {exc}") from exc
 

@@ -4,13 +4,15 @@ the L^p cube average of |W^{1/p}(x) z|.
 For p = 2 the average is itself a quadratic form and A_Q = (avg_Q W)^{1/2}
 is exact.  For p != 2 the unit ball of the average norm is a symmetric
 convex (p >= 1) body; we sample its boundary along quasi-uniform
-directions and fit the minimum-volume enclosing ellipsoid with the
-Wolfe-Atwood iteration with away steps, which is within a factor
-sqrt(m) of the body by John's theorem.
+directions and fit the minimum-volume enclosing ellipsoid, which is
+within a factor sqrt(m) of the body by John's theorem, for all window
+cubes in one primal log-barrier Newton solve (Sun and Freund, Oper.
+Res. 52 (2004)).  Equivalence bounds are computed on first read.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,8 +30,11 @@ from .weights import (
 )
 
 MVEE_TOL = 1e-4
-MVEE_MAX_ITERS = 20_000
-VALIDATION_CUBE_CAP = 24  # build_family validates on at most this many cubes
+MVEE_MAX_ITERS = 500  # Newton steps; the largest seen is 199 (m = 4, p = 1)
+# the start's largest x^T E x, the first t, and t's growth factor once a
+# cube is centred (squared Newton decrement below MVEE_CENTRED)
+MVEE_START, MVEE_T0, MVEE_GROWTH, MVEE_CENTRED = 0.99, 1e3, 8.0, 1e-2
+VALIDATION_CUBE_CAP = 24  # equivalence_bounds reads at most this many cubes
 VALIDATION_DIRS = 200  # random directions per validated cube
 VALIDATION_SEED = 11
 DOUBLING_C = 4.0  # the constant C at which doubling_orders fits its orders
@@ -51,71 +56,71 @@ def _rho_values(wp, dirs, p):
     return rho
 
 
-def _mvee_centered(points):
-    """Centered minimum-volume enclosing ellipsoid of the +-points.
+def _mvee(X):
+    """Centered minimum-volume enclosing ellipsoids of the +-points of a
+    stack X [c, N, m] -> (E [c, m, m], steps [c], gap [c]).
 
-    Returns (E, iterations, gap): E is PD with {x : x^T E x <= 1} enclosing
-    every +-point, gap = max leverage / d - 1.  The leverage x^T V^{-1} x
-    of V = sum u_i x_i x_i^T is even in x, so the points alone carry the
-    iteration.  Each step moves weight toward the point of largest
-    leverage w_max or, when the smallest leverage w_min over the supported
-    points is further from d (d - w_min > w_max - d), away from that
-    point, possibly to zero weight (Wolfe-Atwood away steps, linear
-    convergence: Todd-Yildirim 2007).  The final ellipsoid is scaled by
-    the exact worst leverage, so that it encloses the points at any stop.
+    Each member minimises t (-log det E) - sum_i log(1 - x_i^T E x_i)
+    over svec(E) by Newton steps damped to 1/(1 + decrement), feasible
+    by self-concordance without a line search, so the stack moves in
+    lockstep; t grows once a member is centred.  A member stops when the
+    leverages w = x^T V(u)^{-1} x of the dual design u ~ 1/(1 - x^T E x)
+    have max w <= m (1 + MVEE_TOL), or at MVEE_MAX_ITERS steps, with
+    E = V(u)^{-1} / max w (enclosing every +-point) and gap = max w / m - 1.
     """
-    X = np.asarray(points, dtype=float)
-    N, d = X.shape
-    u, it = np.full(N, 1.0 / N), 0
-    while True:
-        Vinv = np.linalg.inv((X.T * u) @ X)
-        w = np.sum((X @ Vinv) * X, axis=1)
-        i = int(np.argmax(w))
-        if w[i] <= d * (1.0 + MVEE_TOL) or it == MVEE_MAX_ITERS:
-            break
-        supp = np.flatnonzero(u > 0.0)
-        k = int(supp[np.argmin(w[supp])])
-        drop = -u[k] / (1.0 - u[k])  # the away step that zeroes u[k]
-        if w[i] - d >= d - w[k]:
-            tau = (w[i] - d) / (d * (w[i] - 1.0))
-        else:
-            i = k
-            tau = drop if w[k] <= 1.0 else max(
-                (w[k] - d) / (d * (w[k] - 1.0)), drop)
-        u *= 1.0 - tau
-        u[i] = 0.0 if tau == drop else u[i] + tau
-        it += 1
-    return Vinv / w[i], it, w[i] / d - 1.0
-
-
-def _mvee_level(wp, p, m):
-    """MVEE operators [c, m, m] from W^{1/p} on each cube's nodes
-    [c, M, m, m], and the solver's (E, iterations, gap) per cube."""
-    if m == 1:
-        # scalar case: the "ellipsoid" is the exact interval
-        return _rho_values(wp, np.ones((1, 1)), p)[:, :, None], []
-    dirs = sphere_directions(m, max(40, 20 * m * m))
-    runs = [_mvee_centered(dirs / rho[:, None])
-            for rho in _rho_values(wp, dirs, p)]
-    E = np.stack([E for E, _, _ in runs])
-    return matrix_power(0.5 * (E + np.swapaxes(E, -1, -2)), 0.5), runs
+    c, N, m = X.shape
+    a, b = np.triu_indices(m)
+    h = np.where(a == b, 1.0, 2.0)
+    B = np.zeros((len(a), m, m))  # E = sum_k e_k B_k with e = E[a, b]
+    B[np.arange(len(a)), a, b] = B[np.arange(len(a)), b, a] = 1.0
+    # x_i^T E x_i = e . S[:, :, i] and sum_i u_i x_i x_i^T = B (S u / h)
+    S = np.swapaxes(X[..., a] * X[..., b] * h, 1, 2).copy()
+    e = np.linalg.inv(np.tensordot(np.mean(S, axis=2) / h, B, 1))[:, a, b]
+    e *= MVEE_START / np.max((e[:, None] @ S)[:, 0], axis=1)[:, None]
+    t = np.full(c, MVEE_T0)
+    E, steps, gap = np.empty((c, m, m)), np.zeros(c, dtype=int), np.empty(c)
+    live, step = np.arange(c), 0
+    while live.size:  # temporaries are at most [c, N, m(m+1)/2]
+        slack = 1.0 - (e[:, None] @ S)[:, 0]
+        q = (S @ (1.0 / slack)[..., None])[..., 0]
+        Vinv = np.linalg.inv(np.tensordot(q / h, B, 1)) * np.sum(
+            1.0 / slack, axis=1)[:, None, None]  # V(u)^{-1}
+        w = np.max((Vinv[:, None, a, b] @ S)[:, 0], axis=1)
+        stop = (w <= m * (1.0 + MVEE_TOL)) | (step >= MVEE_MAX_ITERS)
+        if stop.any():  # freeze the stopped members and drop them
+            E[live[stop]] = Vinv[stop] / w[stop, None, None]
+            gap[live[stop]], steps[live[stop]] = w[stop] / m - 1.0, step
+            go = ~stop
+            live, S, e, t, q, slack = (v[go] for v in (live, S, e, t, q, slack))
+        P = np.linalg.inv(np.tensordot(e, B, 1))
+        PBP = P[:, None] @ B @ P[:, None]  # the Hessian of -log det E
+        g = q - t[:, None] * h * P[:, a, b]
+        H = (t[:, None, None] * h * PBP[:, :, a, b]
+             + (S / slack[:, None] ** 2) @ np.swapaxes(S, 1, 2))
+        d = np.linalg.solve(H, -g[..., None])[..., 0]
+        lam2 = np.maximum(-np.sum(g * d, axis=-1), 0.0)
+        e = e + d / (1.0 + np.sqrt(lam2))[:, None]
+        t = np.where(lam2 < MVEE_CENTRED, t * MVEE_GROWTH, t)
+        step += 1
+    return E, steps, gap
 
 
 @dataclass
 class ReducingFamily:
-    """Reducing operators on every window cube plus validation data;
-    levels[j] stacks the level-j operators like CoeffSeq levels, shape
+    """Reducing operators on every window cube; levels[j] stacks the
+    level-j operators like CoeffSeq levels, shape
     truncation.level_shape(j) + (m, m)."""
 
     p: float
     backend: str
     truncation: Truncation
     levels: dict = field(default_factory=dict)
-    equivalence_bounds: tuple = (1.0, 1.0)
     # MVEE solver report over all cubes (zeros for exact families)
     mvee_gap: float = 0.0
     mvee_iters: int = 0
     mvee_capped: bool = False
+    # the (W, G) that built the family; None for one built by hand
+    source: tuple = field(default=None, repr=False, compare=False)
 
     @property
     def m(self):
@@ -127,17 +132,41 @@ class ReducingFamily:
             raise KeyError(Q)
         return self.levels[at[0]][at[1]]
 
+    @functools.cached_property
+    def equivalence_bounds(self):
+        """Empirical (lo, hi) of |A_Q z| / (avg_Q |W^{1/p} z|^p)^{1/p}
+        over VALIDATION_DIRS random unit z on at most VALIDATION_CUBE_CAP
+        cubes spread over the window; (1, 1) without a source."""
+        if self.source is None:
+            return (1.0, 1.0)
+        W, G = self.source
+        t, p, m = self.truncation, self.p, self.m
+        wp = W.powers(window_nodes(t, G), 1.0 / p)
+        blocks = {j: cube_blocks(wp, t, G, j) for j in self.levels}
+        rng = np.random.default_rng(VALIDATION_SEED)
+        sample = [(j, i) for j, blk in blocks.items() for i in range(len(blk))]
+        ratios = []
+        for s in spread(len(sample), VALIDATION_CUBE_CAP):
+            j, i = sample[s]
+            z = rng.standard_normal((VALIDATION_DIRS, m))
+            z /= np.linalg.norm(z, axis=-1, keepdims=True)
+            A = self.levels[j].reshape(-1, m, m)[i]
+            az = np.linalg.norm(np.einsum("ab,db->da", A, z.astype(A.dtype)),
+                                axis=-1)
+            ratios.append(az / _rho_values(blocks[j][i:i + 1], z, p)[0])
+        ratios = np.concatenate(ratios)
+        return (float(np.min(ratios)), float(np.max(ratios)))
+
 
 def build_family(W: MatrixWeight, p, t: Truncation, spec=None,
                  backend="exact_p2"):
-    """Reducing operators for every window cube, with empirical
-    equivalence bounds from VALIDATION_DIRS random directions on at most
-    VALIDATION_CUBE_CAP cubes (spread over the window) and, for the
-    mvee backend, the solver's worst gap, largest iteration count and
+    """Reducing operators for every window cube and, for the mvee
+    backend, the solver's worst gap, largest Newton step count and
     whether it hit MVEE_MAX_ITERS.
 
-    Every cube average reads the window_nodes grid: W (exact_p2) and
-    W^{1/p} (mvee and validation) are evaluated once per window.
+    Every cube average reads the window_nodes grid: W (exact_p2) or
+    W^{1/p} (mvee) is evaluated once per window, and the mvee backend
+    fits the ellipsoids of all window cubes in one solver call.
     """
     if backend not in ("exact_p2", "mvee"):
         raise ReducingError(f"unknown backend: {backend}")
@@ -146,39 +175,30 @@ def build_family(W: MatrixWeight, p, t: Truncation, spec=None,
         raise ReducingError("reducing operators need a finite p")
     if backend == "exact_p2" and p != 2:
         raise ReducingError("exact_p2 backend requires p = 2")
-    G = (spec or QuadratureSpec()).G
+    G, m = (spec or QuadratureSpec()).G, W.m
     pts, js = window_nodes(t, G), range(t.j_min, t.j_max + 1)
-    wp = W.powers(pts, 1.0 / p)
-    blocks = {j: cube_blocks(wp, t, G, j) for j in js}
-    ops, runs = {}, []
+    iters, gap = 0, 0.0
     if backend == "exact_p2":
         w = W.eval(pts)
-        for j in js:
-            ops[j] = matrix_power(np.mean(cube_blocks(w, t, G, j), axis=1), 0.5)
+        A = np.concatenate([matrix_power(
+            np.mean(cube_blocks(w, t, G, j), axis=1), 0.5) for j in js])
     else:
-        for j in js:  # one solver run per cube, level by level
-            ops[j], level_runs = _mvee_level(blocks[j], p, W.m)
-            runs += level_runs
-    iters = max((it for _, it, _ in runs), default=0)
-    fam = ReducingFamily(p=p, backend=backend, truncation=t, levels={
-        j: A.reshape(t.level_shape(j) + (W.m, W.m)) for j, A in ops.items()},
-        mvee_gap=max((gap for *_, gap in runs), default=0.0),
-        mvee_iters=iters, mvee_capped=iters >= MVEE_MAX_ITERS)
-    rng = np.random.default_rng(VALIDATION_SEED)
-    sample = [(j, i) for j in js for i in range(len(blocks[j]))]
-    lo, hi = np.inf, 0.0
-    for s in spread(len(sample), VALIDATION_CUBE_CAP):
-        j, i = sample[s]
-        z = rng.standard_normal((VALIDATION_DIRS, W.m))
-        z /= np.linalg.norm(z, axis=-1, keepdims=True)
-        A = ops[j][i]
-        az = np.linalg.norm(np.einsum("ab,db->da", A, z.astype(A.dtype)),
-                            axis=-1)
-        ratios = az / _rho_values(blocks[j][i:i + 1], z, p)[0]
-        lo = min(lo, float(np.min(ratios)))
-        hi = max(hi, float(np.max(ratios)))
-    fam.equivalence_bounds = (lo, hi)
-    return fam
+        wp = W.powers(pts, 1.0 / p)
+        dirs = sphere_directions(m, max(40, 20 * m * m))
+        rho = np.concatenate([_rho_values(cube_blocks(wp, t, G, j), dirs, p)
+                              for j in js])
+        if m == 1:  # scalar case: the "ellipsoid" is the exact interval
+            A = rho[:, :, None]
+        else:
+            E, steps, gaps = _mvee(dirs / rho[..., None])
+            iters, gap = int(np.max(steps)), float(np.max(gaps))
+            A = matrix_power(0.5 * (E + np.swapaxes(E, -1, -2)), 0.5)
+    ends = np.cumsum([np.prod(t.level_shape(j)) for j in js])[:-1]
+    return ReducingFamily(p=p, backend=backend, truncation=t, levels={
+        j: a.reshape(t.level_shape(j) + (m, m))
+        for j, a in zip(js, np.split(A, ends))}, mvee_gap=gap,
+        mvee_iters=iters, mvee_capped=iters >= MVEE_MAX_ITERS,
+        source=(W, G))
 
 
 def doubling_orders(F: ReducingFamily, t: Truncation):

@@ -147,6 +147,21 @@ def test_kernel_spectra_are_shared_read_only():
         assert np.array_equal(again.levels[j], a)
 
 
+def test_majorant_spectrum_is_the_zeroed_kernel_and_is_shared():
+    from dwlab.adops import _kernel, _kernel_hat
+
+    # majorant adds the o = 0 term exactly, so its cached spectrum is that
+    # of the kernel with the origin zeroed, bit for bit
+    for L, n, lam_r in ((16, 1, 2.5), (8, 2, 3.0)):
+        K = _kernel(L, n, 1.0, lam_r)
+        full = np.fft.rfftn(K)
+        K.flat[0] = 0.0
+        h = _kernel_hat(L, n, 0, lam_r, False)
+        assert np.array_equal(h, np.fft.rfftn(K))
+        assert h is _kernel_hat(L, n, 0, lam_r, False) and not h.flags.writeable
+        assert np.array_equal(_kernel_hat(L, n, 0, lam_r), full)
+
+
 def test_thresholds_shift_in_s():
     a = ad_thresholds(0.0, 2.0, 2.0, "F", 0.0, 0.0, 0.0)
     b = ad_thresholds(1.0, 2.0, 2.0, "F", 0.0, 0.0, 0.0)

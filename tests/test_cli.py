@@ -123,6 +123,24 @@ def test_growth_config_faults_give_one_error_line(growth):
     assert len(lines) == 1 and lines[0].startswith("dwlab: error: "), err
 
 
+@pytest.mark.parametrize("space", [
+    {"s": 10**400}, {"q": -10**400}, {"growth": {"kind": "power",
+                                                 "tau": 10**400}},
+    {"mode": "matrix", "weight": {"preset": "constant", "diag": [1, 10**400]}},
+])
+def test_norm_huge_integers_give_one_error_line(space):
+    # a JSON integer beyond the float range once ended in an
+    # OverflowError traceback from float()
+    cfg = {"window": {"n": 1, "j_min": 0, "j_max": 2},
+           "space": {"family": "B", "p": 2, "q": 2, **space},
+           "sequence": {"entries": [{"j": 1, "k": [1], "value": [1.0]}]}}
+    status, out, err = _run_main(["norm", "--config", json.dumps(cfg)])
+    lines = err.strip().splitlines()
+    assert status == 2 and out == "", (status, out, err)
+    assert len(lines) == 1 and lines[0].startswith("dwlab: error: "), err
+    assert "digits is beyond the float range" in lines[0], err
+
+
 def test_closed_stdout_ends_quietly():
     # ~380 kB of JSON: more than a pipe holds, so the write must meet the
     # closed end
@@ -145,6 +163,7 @@ def test_reduce_mvee_reports_convergence(monkeypatch):
     status, out, _ = _run_main(argv)
     rep = json.loads(out)["mvee"]
     assert status == 0 and rep["capped"] is False
+    assert type(rep["iterations"]) is int
     assert 0 < rep["iterations"] < reducing.MVEE_MAX_ITERS
     assert float(rep["gap"]) <= reducing.MVEE_TOL
     monkeypatch.setattr(reducing, "MVEE_MAX_ITERS", 3)
@@ -197,6 +216,8 @@ THRESHOLD_SPACE = {"p": 2, "q": 2, "family": "B"}
     ({"s": math.nan}, "s must"), ({"delta1": math.nan}, "delta1 must"),
     ({"omega": math.inf}, "omega must"), ({"family": 3}, "family"),
     ({"p": [1]}, "malformed"), ({"weighted": 3}, "malformed"),
+    ({"s": 10**400}, "10000000... of 401 digits"),
+    ({"n": -10**400}, "-1000000... of 402 digits"),
 ])
 def test_threshold_faults_give_one_error_line(fault, named):
     # p = 0 and q = 0 once ended in a ZeroDivisionError traceback, p = -2

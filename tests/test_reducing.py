@@ -7,7 +7,7 @@ from dwlab.dyadic import (CubeId, Truncation, cube_geometry, enumerate_cubes,
 from dwlab.reducing import (
     MVEE_TOL,
     ReducingError,
-    _mvee_centered,
+    _mvee,
     build_family,
     doubling_orders,
 )
@@ -182,11 +182,24 @@ def _w3(x):
     return np.diag([r ** -0.25, 1.0, r ** 0.25])
 
 
+def _w4(x):
+    r = max(np.linalg.norm(x), 1e-300)
+    return np.diag([r ** -0.5, r ** -0.25, 1.0, r ** 0.25])
+
+
+def _rotating(x):
+    """R(theta) diag(|x|^a, |x|^-a) R(theta)^T with a = 1/2, theta = 3x: a
+    non-diagonal m = 2 weight whose eigenvectors turn across the window."""
+    r, th = max(abs(x[0]), 1e-300), 3.0 * x[0]
+    R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    return R @ np.diag([r ** 0.5, r ** -0.5]) @ R.T
+
+
 def _boundary(m, D, p=1.0, Q=CubeId(1, (0,))):
     """Boundary points of the p-average unit ball, as the mvee backend
-    samples them, for an m = 2 or m = 3 weight."""
+    samples them, for an m = 2, 3 or 4 weight."""
     W = (diag_power_weight(-0.5, -0.25) if m == 2
-         else MatrixWeight(3, _w3, singular_set=[np.zeros(1)]))
+         else MatrixWeight(m, {3: _w3, 4: _w4}[m], singular_set=[np.zeros(1)]))
     dirs = sphere_directions(m, D)
     pts, _ = cube_nodes(Q, Truncation(1, 0, 2, 1), QuadratureSpec())
     return W, dirs / avg_wp_z(W, p, pts, dirs)[:, None]
@@ -197,10 +210,10 @@ def _max_leverage(E, X):
     return float(np.max(np.sum((X @ E) * X, axis=1)))
 
 
-@pytest.mark.parametrize("m,D", [(2, 40), (3, 60)])
+@pytest.mark.parametrize("m,D", [(2, 40), (3, 60), (4, 80)])
 def test_mvee_matches_khachiyan_oracle(m, D):
     _, X = _boundary(m, D)
-    E, iters, gap = _mvee_centered(X)
+    (E,), (iters,), (gap,) = _mvee(X[None])
     assert 0 < iters < reducing.MVEE_MAX_ITERS and 0 <= gap <= MVEE_TOL
     assert _max_leverage(E, X) <= 1.0 + 1e-12
     # both ellipsoids enclose the points within (1 + tol)^d of the optimum
@@ -211,7 +224,7 @@ def test_mvee_matches_khachiyan_oracle(m, D):
 def test_mvee_cap_is_reported_and_still_encloses(monkeypatch):
     W, X = _boundary(2, 40)
     monkeypatch.setattr(reducing, "MVEE_MAX_ITERS", 3)
-    E, iters, gap = _mvee_centered(X)
+    (E,), (iters,), (gap,) = _mvee(X[None])
     assert iters == 3 and gap > MVEE_TOL
     assert _max_leverage(E, X) <= 1.0 + 1e-12
     t = Truncation(1, 0, 1, 1)
@@ -225,6 +238,66 @@ def test_mvee_cap_is_reported_and_still_encloses(monkeypatch):
     exact = build_family(W, 2.0, t)
     assert (exact.mvee_gap, exact.mvee_iters, exact.mvee_capped) == (0.0, 0,
                                                                      False)
+
+
+def _boundary_stack():
+    """Boundary point sets of one size from several cubes, exponents and
+    weights: members that need different step counts."""
+    return np.stack([_boundary(2, 40, p, Q)[1] for p in (1.0, 4.0)
+                     for Q in (CubeId(0, (0,)), CubeId(1, (0,)),
+                               CubeId(2, (3,)))]
+                    + [np.random.default_rng(5).standard_normal((40, 2))])
+
+
+def test_mvee_stack_members_equal_their_solo_solves():
+    X = _boundary_stack()
+    E, steps, gap = _mvee(X)
+    for i, x in enumerate(X):
+        (Ei,), (si,), (gi,) = _mvee(x[None])
+        assert steps[i] == si and abs(gap[i] - gi) <= 1e-12
+        assert np.max(np.abs(E[i] - Ei)) <= 1e-13 * np.max(np.abs(Ei))
+
+
+def test_mvee_stack_freezes_each_member_at_its_own_stop(monkeypatch):
+    X = _boundary_stack()
+    _, steps, _ = _mvee(X)
+    assert len(set(steps.tolist())) >= 3
+    # a cap between the step counts: the early members converge, the rest
+    # stop at the cap, and every member still encloses its points
+    cap = int(np.median(steps))
+    monkeypatch.setattr(reducing, "MVEE_MAX_ITERS", cap)
+    E, capped_steps, gap = _mvee(X)
+    assert np.array_equal(capped_steps, np.minimum(steps, cap))
+    early = steps <= cap
+    assert early.any() and not early.all()
+    assert np.all(gap[early] <= MVEE_TOL) and np.all(gap[~early] > MVEE_TOL)
+    for Ei, x in zip(E, X):
+        assert _max_leverage(Ei, x) <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
+def test_mvee_family_on_a_rotating_weight(p):
+    W = MatrixWeight(2, _rotating, singular_set=[np.zeros(1)])
+    t = Truncation(1, 0, 3, 1)
+    fam = build_family(W, p, t, backend="mvee")
+    assert not fam.mvee_capped and 0.0 <= fam.mvee_gap <= MVEE_TOL
+    lo, hi = fam.equivalence_bounds
+    assert hi / lo <= 2.0 * np.sqrt(2.0), (lo, hi)
+    dirs = sphere_directions(2, 40)
+    for Q in enumerate_cubes(t):
+        rho = avg_wp_z(W, p, cube_nodes(Q, t, QuadratureSpec())[0], dirs)
+        X = dirs / rho[:, None]
+        assert _max_leverage(fam[Q].T @ fam[Q], X) <= 1.0 + 1e-12
+
+
+def test_weighted_workload_family_takes_few_newton_steps():
+    # the benchmark's mvee family: first-order ascent needs thousands of
+    # iterations on it, the barrier method a few dozen Newton steps
+    fam = build_family(diag_power_weight(-0.5, -0.25), 1.0,
+                       Truncation(1, 0, 3, 1), QuadratureSpec(3),
+                       backend="mvee")
+    assert 0 < fam.mvee_iters <= 150 and not fam.mvee_capped
+    assert fam.mvee_gap <= MVEE_TOL
 
 
 def _doubling_orders_per_pair(F, t, cap_C, pair_cap):
