@@ -25,7 +25,6 @@ from .weights import (
     constant_weight,
     diag_power_weight,
     estimate_dimensions,
-    hermitian_eig,
     identity_weight,
     matrix_power,
     power_weight,

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dyadic import CubeId, DwlabError, Truncation, window_pairs
+from .dyadic import DwlabError, Truncation, window_pairs
 from .weights import _libm_pow, box_nodes
 
 PAIR_CAP = 2_000_000  # class_constant's cube pairs; spread picks above it
@@ -50,9 +50,6 @@ class GrowthFn:
         if not np.all(v > 0):
             raise GrowthError(f"growth function nonpositive on level {j}")
         return v
-
-    def __call__(self, c: CubeId):
-        return float(self.on_level(c.j, np.array([c.k]))[0])
 
 
 def _cell_average(field, j, k):

@@ -472,7 +472,7 @@ def exp_fs_gamma(seed=DEFAULT_SEED):
         for fk, fk_rungs in rungs.items():
             pm = SpaceParams(fk, 0.0, p, 2.0, _pow0(), mode="matrix",
                              weight=W, quad=quad)
-            fk_rungs.append((la_norms(fields, pm, t, subdiv=quad.G),
+            fk_rungs.append((la_norms(fields, pm, t),
                              seq_norms(tvs, pm, t)))
     ok, stats = True, {}
     for fk, fk_rungs in rungs.items():

@@ -7,7 +7,8 @@ The Besov-type (B) and Triebel-Lizorkin-type (F) sequence norms are
 where g_j is built from the level-j coefficients:  unweighted mode uses
 |t_Q| |Q|^{-1/2} on Q, averaging mode |A_Q t_Q| |Q|^{-1/2}, and matrix
 mode |W^{1/p}(x) t_j(x)| at quadrature nodes.  All fields are piecewise
-constant on the finest-grid (optionally quadrature-refined) cells, so
+constant on the cells of the finest grid that any of them is given on
+(the quadrature nodes in matrix mode, the finest cubes otherwise), so
 the unweighted and averaging integrals are exact.  Sequences store one
 array per level, and a stack of sequences on one window is evaluated
 together: every field is one batched expression per level with a
@@ -168,26 +169,31 @@ def _expand(f, R):
     return cells.reshape((S,) + (R,) * n)
 
 
-def la_norms(fields, params: SpaceParams, t: Truncation, subdiv=1):
+def la_norms(fields, params: SpaceParams, t: Truncation):
     """la_norm of each member of a stack of S field sets, as an array.
 
     ``fields`` maps level j to an (S,) + (r,)*n array that is constant on
-    each of the r^n equal cells of the window, where r divides the
-    ``subdiv``-fold refined finest grid's R; absent levels are zero.
-    Matrix-mode fields come at r = R and cube-resolution fields at
-    r = 2^(j - j_min) * root_extent; each level is spread over the finest
-    grid only while the sweep reads it.  The sums run in the order of a
+    each of the r^n equal cells of the window; absent levels are zero.
+    The sweep runs on the grid of the finest field, R = max(r) cells per
+    axis (at least one per finest cube), and every r must divide R:
+    matrix-mode fields come at node resolution and cube-resolution fields
+    at r = 2^(j - j_min) * root_extent.  Each level is spread over the
+    R-grid only while the sweep reads it.  The sums run in the order of a
     one-member call, so member i equals ``la_norm`` of its own fields.
     """
     n = t.n
-    R = t.cells_per_axis() * subdiv
-    node_vol = (2.0 ** (-t.j_max) / subdiv) ** n
-    p, q = params.p, params.q
-    levels = range(t.j_min, t.j_max + 1)
     shapes = [np.shape(f) for f in fields.values()]
     if not shapes or not shapes[0]:
         raise SeqSpaceError("need a stack of level fields")
     S = shapes[0][0]  # every level's shape is checked when it is read
+    R = max([t.cells_per_axis()] + [s[1] for s in shapes if len(s) > 1])
+    subdiv, rest = divmod(R, t.cells_per_axis())  # per finest cube and axis
+    if rest:
+        raise SeqSpaceError(f"a field of {R} cells per axis does not refine "
+                            f"the {t.cells_per_axis()} finest cubes")
+    node_vol = (2.0 ** (-t.j_max) / subdiv) ** n
+    p, q = params.p, params.q
+    levels = range(t.j_min, t.j_max + 1)
     expo = p if params.family == "B" else q
 
     def level(j):
@@ -264,7 +270,7 @@ def _level_fields(tvs, params: SpaceParams, t: Truncation):
     """The unscaled level fields g_j of a stack of S sequences on ``t``:
     {j: (S,) + (r,)*n}, at node resolution (r = R) in matrix mode and at
     cube resolution otherwise (see ``la_norms``); a level that no member
-    has entries on is left out.  Returns (fields, subdiv)."""
+    has entries on is left out."""
     if not tvs:
         raise SeqSpaceError("need at least one sequence")
     for tv in tvs:
@@ -304,18 +310,18 @@ def _level_fields(tvs, params: SpaceParams, t: Truncation):
             if mode == "averaging":
                 z = (fam.levels[j] @ z[..., None])[..., 0]
             fields[j] = vector_norms(z) * scale
-    return fields, subdiv
+    return fields
 
 
 def seq_norms(tvs, params: SpaceParams, t: Truncation):
     """The quasi-norms ||{2^{js} g_j}||_{LA^v_{p,q}} of a stack of
     sequences that share the window ``t`` and m, as an array: W^{1/p},
     the reducing family and the growth are read once for the stack."""
-    fields, subdiv = _level_fields(tvs, params, t)
+    fields = _level_fields(tvs, params, t)
     for j, f in fields.items():
         f *= 2.0 ** (j * params.s)
     return la_norms(fields or {t.j_min: np.zeros((len(tvs),) + (1,) * t.n)},
-                    params, t, subdiv=subdiv)
+                    params, t)
 
 
 def seq_norm(tv: CoeffSeq, params: SpaceParams, t: Truncation):

@@ -1,6 +1,6 @@
-"""Function-level front ends on the periodic unit torus.
+"""Function-level front ends on the periodic unit interval.
 
-A GridFunction holds N = 2^J samples per axis.  The band-limited
+A GridFunction holds N = 2^J samples of a 1-d function.  The band-limited
 transform uses per-level frequency multipliers supported in single
 dyadic octaves, chosen so that level-j coefficients sampled on the 2^j
 cube lattice are alias-free and the analysis/synthesis round trip is
@@ -25,20 +25,20 @@ class TransformError(DwlabError):
 
 @dataclass
 class GridFunction:
-    """Samples of a (vector-valued) function on the periodic unit torus."""
+    """Samples of a (vector-valued) function on the periodic unit interval."""
 
     n: int
     N: int
-    values: np.ndarray  # shape (N,)*n for m=1, (N,)*n + (m,) otherwise
+    values: np.ndarray  # shape (N,) for m=1, (N, m) otherwise
     m: int = 1
 
     def __post_init__(self):
-        if self.n not in (1, 2):
-            raise TransformError("only n in {1, 2} is supported")
+        if self.n != 1:
+            raise TransformError(f"only n = 1 is supported, got n = {self.n}")
         if self.N & (self.N - 1):
             raise TransformError("N must be a power of two")
         self.values = np.asarray(self.values, dtype=complex)
-        want = (self.N,) * self.n if self.m == 1 else (self.N,) * self.n + (self.m,)
+        want = (self.N,) if self.m == 1 else (self.N, self.m)
         if self.values.shape != want:
             raise TransformError(f"values shape {self.values.shape} != {want}")
 
@@ -118,8 +118,6 @@ def build_lp_window(N):
 def phi_analyze(f: GridFunction, w: LPWindow):
     """Coefficients <f, phi_Q> = |Q|^{1/2} (tilde-phi_j * f)(x_Q) on the
     unit-interval window Truncation(1, 0, J - 1, 1); level 0 stays zero."""
-    if f.n != 1:
-        raise TransformError("the band-limited transform is 1-d only")
     tv = CoeffSeq(Truncation(1, 0, w.J - 1, 1), f.m)
     fhat = np.fft.fft(f.values, axis=0)
     for j in w.levels:
@@ -207,72 +205,57 @@ def _get_filters(k):
     return h, g
 
 
-def _dwt_step(a, h, g, axis=0):
-    """One periodic analysis step along an axis: returns (approx, detail)."""
-    a = np.moveaxis(a, axis, 0)
+def _dwt_step(a, h, g):
+    """One periodic analysis step: returns (approx, detail)."""
     lo = np.zeros_like(a[::2])
     hi = np.zeros_like(a[::2])
     for i in range(h.size):
-        rolled = np.roll(a, -i, axis=0)[::2]
+        rolled = np.roll(a, -i)[::2]
         lo += h[i] * rolled
         hi += g[i] * rolled
-    return np.moveaxis(lo, 0, axis), np.moveaxis(hi, 0, axis)
+    return lo, hi
 
 
-def _idwt_step(lo, hi, h, g, axis=0):
+def _idwt_step(lo, hi, h, g):
     """Adjoint of _dwt_step (exact inverse for orthonormal filters)."""
-    lo = np.moveaxis(lo, axis, 0)
-    hi = np.moveaxis(hi, axis, 0)
-    N = 2 * lo.shape[0]
-    out = np.zeros((N,) + lo.shape[1:], dtype=complex)
+    out = np.zeros(2 * lo.shape[0], dtype=complex)
     up_lo = np.zeros_like(out)
     up_hi = np.zeros_like(out)
     up_lo[::2] = lo
     up_hi[::2] = hi
     for i in range(h.size):
-        out += h[i] * np.roll(up_lo, i, axis=0)
-        out += g[i] * np.roll(up_hi, i, axis=0)
-    return np.moveaxis(out, 0, axis)
+        out += h[i] * np.roll(up_lo, i)
+        out += g[i] * np.roll(up_hi, i)
+    return out
 
 
 @dataclass
 class WaveletCoeffs:
     """Periodic DWT output: approx block plus per-level detail blocks.
 
-    Details are keyed by dyadic level j (the block has 2^j entries per
-    axis); in 2-d each level carries the three orientation blocks
-    ('h', 'v', 'd').  to_coeffseq() lays the details out as level arrays
-    on the unit-cube window Truncation(n, 0, J - 1, 1) with L^2
-    normalization (coefficients scaled by N^{-n/2} so that the sum of
-    squares matches the grid-measure integral of |f|^2); in 2-d the
-    three orientations are the components of an m = 3 sequence.
+    Details are keyed by dyadic level j (the block has 2^j entries).
+    to_coeffseq() lays the details out as level arrays on the unit
+    window Truncation(1, 0, J - 1, 1) with L^2 normalization
+    (coefficients scaled by N^{-1/2} so that the sum of squares matches
+    the grid-measure integral of |f|^2).
     """
 
-    n: int
     N: int
     filter_k: int
     approx: np.ndarray
     details: dict
 
     def to_coeffseq(self):
-        scale = self.N ** (-self.n / 2.0)
-        tv = CoeffSeq(Truncation(self.n, 0, max(self.details), 1),
-                      1 if self.n == 1 else 3)
+        scale = self.N ** -0.5
+        tv = CoeffSeq(Truncation(1, 0, max(self.details), 1), 1)
         for j, d in self.details.items():
-            if self.n == 1:
-                tv.levels[j][..., 0] = d * scale
-            else:
-                tv.levels[j][...] = np.stack([d["h"], d["v"], d["d"]],
-                                             axis=-1) * scale
+            tv.levels[j][..., 0] = d * scale
         return tv
 
     def energy(self):
         tot = float(np.sum(np.abs(self.approx) ** 2))
         for d in self.details.values():
-            if self.n == 1:
-                tot += float(np.sum(np.abs(d) ** 2))
-            else:
-                tot += sum(float(np.sum(np.abs(b) ** 2)) for b in d.values())
+            tot += float(np.sum(np.abs(d) ** 2))
         return tot
 
 
@@ -292,31 +275,16 @@ def dwt_analyze(f: GridFunction, k=4, levels=None):
     for step in range(1, levels + 1):
         if a.shape[0] < h.size or a.shape[0] < 2:
             break
-        j = J - step
-        if f.n == 1:
-            a, d = _dwt_step(a, h, g)
-            details[j] = d
-        else:
-            lo0, hi0 = _dwt_step(a, h, g, axis=0)
-            ll, lh = _dwt_step(lo0, h, g, axis=1)
-            hl, hh = _dwt_step(hi0, h, g, axis=1)
-            a = ll
-            details[j] = {"h": lh, "v": hl, "d": hh}
-    return WaveletCoeffs(n=f.n, N=f.N, filter_k=k, approx=a, details=details)
+        a, details[J - step] = _dwt_step(a, h, g)
+    return WaveletCoeffs(N=f.N, filter_k=k, approx=a, details=details)
 
 
 def dwt_synthesize(c: WaveletCoeffs):
     h, g = _get_filters(c.filter_k)
     a = c.approx
     for j in sorted(c.details):
-        if c.n == 1:
-            a = _idwt_step(a, c.details[j], h, g)
-        else:
-            blocks = c.details[j]
-            lo0 = _idwt_step(a, blocks["h"], h, g, axis=1)
-            hi0 = _idwt_step(blocks["v"], blocks["d"], h, g, axis=1)
-            a = _idwt_step(lo0, hi0, h, g, axis=0)
-    return GridFunction(c.n, c.N, a, m=1)
+        a = _idwt_step(a, c.details[j], h, g)
+    return GridFunction(1, c.N, a)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,10 @@ integrals read one node grid per window (``window_nodes``, regrouped per
 cube by ``cube_blocks``).  The module provides batched fractional matrix
 powers (LAPACK eigh), the exp-log double-average characteristic,
 and the lower/upper dimension estimates used by the weighted
-almost-diagonal thresholds.
+almost-diagonal thresholds.  Both statistics run on stacked node sets
+through one masked exp-log kernel: the characteristic on the per-level
+``cube_blocks`` of the window grid, the dimension estimates on the
+dilated boxes of all sampled cubes at once.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import (CubeId, DwlabError, Truncation, _radius,
-                     check_exponent, cube_geometry, enumerate_cubes, spread)
+from .dyadic import (PAIR_BLOCK, DwlabError, Truncation, _radius,
+                     check_exponent, spread)
 
 HERMITIAN_TOL = 1e-12
 SINGULAR_TOL = 1e-14  # distance at which a point hits the singular set
@@ -45,11 +48,6 @@ def _hermitian(M):
     if np.any(skew > HERMITIAN_TOL * scale):
         raise WeightError("matrix is not Hermitian within tolerance")
     return M
-
-
-def hermitian_eig(H):
-    """Ascending eigenvalues of Hermitian matrices, batched over leading axes."""
-    return np.linalg.eigvalsh(_hermitian(H))
 
 
 def matrix_power(M, alpha):
@@ -169,8 +167,7 @@ def identity_weight(m=1):
 
 
 def constant_weight(M):
-    M = np.asarray(M)
-    hermitian_eig(M)  # validates Hermitian-ness
+    M = _hermitian(M)
     return MatrixWeight.from_batched(M.shape[0], _constant(M),
                                      label="constant")
 
@@ -208,18 +205,15 @@ def diag_power_weight(alpha, beta, n=1):
 # Quadrature over cubes and boxes
 # ---------------------------------------------------------------------------
 
-def _window_hull(t: Truncation):
-    lo = t.k_origin * 2.0 ** (-t.j_min)
-    hi = (t.k_origin + t.root_extent) * 2.0 ** (-t.j_min)
-    return lo, hi
-
-
 def window_nodes(t: Truncation, G):
     """The window's midpoint nodes: each finest-level cell split G ways
     per axis.  Points [R^n, n] with R = G * t.cells_per_axis(), in C order;
     every weighted cube integral over the window uses this grid."""
     R = t.cells_per_axis() * G
-    axis = _window_hull(t)[0] + (np.arange(R) + 0.5) * (2.0 ** -t.j_max / G)
+    # a node's offset in spacings is exact, so only the spacing and one
+    # product round: within an ulp of the midpoint, also next to 0
+    first = t.k_origin * G << (t.j_max - t.j_min)
+    axis = (first + np.arange(R) + 0.5) * (2.0 ** -t.j_max / G)
     grid = np.meshgrid(*[axis] * t.n, indexing="ij")
     return np.stack(grid, axis=-1).reshape(-1, t.n)
 
@@ -247,54 +241,52 @@ def box_nodes(lo, hi, g):
     return pts, np.prod((hi - lo) / g, axis=-1)
 
 
-def _filter_singular(W, pts):
-    keep = ~W.is_singular_at(pts)
-    if not keep.any():
-        raise WeightError("all quadrature nodes hit the singular set")
-    return pts[keep]
-
-
 # ---------------------------------------------------------------------------
 # Weight statistics
 # ---------------------------------------------------------------------------
 
-def _exp_log_avg(stack_x, stack_y_inv, p):
-    """exp( avg_y log( avg_x ||W^{1/p}(x) W^{-1/p}(y)||^p ) ) from the
-    stacks of W^{1/p} over the x nodes and W^{-1/p} over the y nodes."""
-    prods = np.einsum("xab,ybc->yxac", stack_x, stack_y_inv)
-    inner = np.mean(np.linalg.matrix_norm(prods, ord=2) ** p, axis=1)
-    return float(np.exp(np.mean(np.log(inner))))
+def _exp_log_avg(wx, keep_x, wy_inv, keep_y, p):
+    """exp( avg_y log( avg_x ||W^{1/p}(x) W^{-1/p}(y)||^p ) ), batched over
+    the broadcast leading axes of W^{1/p} on the x nodes [..., X, m, m]
+    and W^{-1/p} on the y nodes [..., Y, m, m].  Only the nodes that
+    keep_x [..., X] and keep_y [..., Y] mark enter the two averages, so a
+    singular node is left out of both; a box with none left is an error.
+    The powers are zero where a mask is False (``MatrixWeight.powers``),
+    so such an x node adds nothing to the sums."""
+    if not (np.all(np.any(keep_x, axis=-1)) and np.all(np.any(keep_y, axis=-1))):
+        raise WeightError("all quadrature nodes hit the singular set")
+    # C order keeps each x row contiguous, so its sum is pairwise
+    prods = np.einsum("...xab,...ybc->...yxac", wx, wy_inv, order="C")
+    norms = np.linalg.matrix_norm(prods, ord=2) ** p
+    inner = np.sum(norms, axis=-1) / np.sum(keep_x, axis=-1)[..., None]
+    keep_y = np.broadcast_to(keep_y, inner.shape)
+    logs = np.log(inner, out=np.zeros_like(inner), where=keep_y)
+    return np.exp(np.sum(logs, axis=-1) / np.sum(keep_y, axis=-1))
 
 
 def apinf_characteristic(W: MatrixWeight, p, t: Truncation, spec=None):
     """Window max of exp( avg_y log( avg_x ||W^{1/p}(x) W^{-1/p}(y)||^p ) ).
 
-    Each cube averages over at most APINF_NODE_CAP of its window_nodes,
-    spread over the cube; nodes on the singular set are dropped, since
-    the log average cannot take a zero.
+    Each cube averages over the same at most APINF_NODE_CAP of its
+    window_nodes, spread over the cube; nodes on the singular set are
+    left out, since the log average cannot take a zero.  One kernel call
+    per block of cubes with at most PAIR_BLOCK node pairs.
     """
     check_exponent(p, "p", WeightError)
     G = (spec or QuadratureSpec()).G
     pts = window_nodes(t, G)
     wp, wm = W.powers(pts, 1.0 / p), W.powers(pts, -1.0 / p)
-    ids = np.where(W.is_singular_at(pts), -1, np.arange(len(pts)))
+    keep = ~W.is_singular_at(pts)
     best = 0.0
     for j in range(t.j_min, t.j_max + 1):
-        for cube in cube_blocks(ids, t, G, j):
-            sel = cube[cube >= 0]
-            if len(sel) == 0:
-                raise WeightError("all quadrature nodes hit the singular set")
-            sel = sel[spread(len(sel), APINF_NODE_CAP)]
-            best = max(best, _exp_log_avg(wp[sel], wm[sel], p))
+        sel = spread((G << (t.j_max - j)) ** t.n, APINF_NODE_CAP)
+        x, y, k = (cube_blocks(a, t, G, j)[:, sel] for a in (wp, wm, keep))
+        step = max(1, PAIR_BLOCK // len(sel) ** 2)
+        for b in range(0, len(k), step):
+            cubes = slice(b, b + step)
+            vals = _exp_log_avg(x[cubes], k[cubes], y[cubes], k[cubes], p)
+            best = max(best, float(np.max(vals)))
     return best
-
-
-def _dilated_box(Q: CubeId, lam):
-    """The concentric dilate lam*Q as (lo, hi) corner arrays."""
-    x0, ell, _ = cube_geometry(Q)
-    c = x0 + 0.5 * ell
-    half = 0.5 * lam * ell
-    return c - half, c + half
 
 
 def sphere_directions(m, count):
@@ -315,39 +307,42 @@ def sphere_directions(m, count):
     return z / np.linalg.norm(z, axis=-1, keepdims=True)
 
 
-def _fits_window(t, lo, hi):
-    wlo, whi = _window_hull(t)
-    return np.all(lo >= wlo - 1e-12) and np.all(hi <= whi + 1e-12)
-
-
 def estimate_dimensions(W: MatrixWeight, p, t: Truncation):
     """(d_lower, d_upper) by log-log slope fit of the dilation averages.
 
-    The sampled cubes are at most DIMENSION_CUBE_CAP of those that admit
-    every dilation, spread over the window.  For each sampled cube Q and
-    dilation factor lam in DILATIONS the two exp-log quantities (inner
-    x-average over Q and outer y-average over lam*Q, and the reverse)
-    are evaluated on midpoint grids; d is the largest fitted slope of
-    log(value) against log(lam), floored at 0.  W^{1/p} and W^{-1/p}
-    are evaluated once per box.
+    The sampled cubes are at most DIMENSION_CUBE_CAP of the window cubes
+    (in (j, k) order) whose concentric dilate by max(DILATIONS) fits in
+    the window, spread over them.  For each sampled cube Q and dilation
+    factor lam the two exp-log quantities (inner x-average over Q and
+    outer y-average over lam*Q, and the reverse) are evaluated on
+    midpoint grids of every box at once; d is the largest fitted slope
+    of log(value) against log(lam), floored at 0.
     """
     check_exponent(p, "p", WeightError)
-    lams, g = DILATIONS, 40 if t.n == 1 else 8
-    cubes = [Q for Q in enumerate_cubes(t)
-             if _fits_window(t, *_dilated_box(Q, max(lams)))]
-    if not cubes:
+    lams, g = np.asarray(DILATIONS), 40 if t.n == 1 else 8
+    # every window cube's center and edge, in (j, k) order
+    js = range(t.j_min, t.j_max + 1)
+    ks = [t.level_k(j).reshape(-1, t.n) for j in js]
+    ell = np.concatenate([np.full(len(k), 2.0 ** (-j)) for j, k in zip(js, ks)])
+    mid = np.concatenate(ks) * ell[:, None] + 0.5 * ell[:, None]
+    lo, hi = t.k_origin, t.k_origin + t.root_extent  # the window, in 2^-j_min
+    half = (0.5 * lams.max() * ell)[:, None]
+    fits = np.flatnonzero(
+        np.all(mid - half >= lo * 2.0 ** (-t.j_min) - 1e-12, axis=-1)
+        & np.all(mid + half <= hi * 2.0 ** (-t.j_min) + 1e-12, axis=-1))
+    if not len(fits):
         raise WeightError("no window cube admits the requested dilations")
-    loglam = np.log(np.asarray(lams))
-    d_low, d_up = 0.0, 0.0
-    for i in spread(len(cubes), DIMENSION_CUBE_CAP):
-        Q = cubes[i]
-        stacks = {}  # lam -> (W^{1/p}, W^{-1/p}) on the lam*Q box nodes
-        for lam in {1.0, *lams}:
-            pts = _filter_singular(W, box_nodes(*_dilated_box(Q, lam), g)[0])
-            stacks[lam] = W.powers(pts, 1.0 / p), W.powers(pts, -1.0 / p)
-        wq, wq_inv = stacks[1.0]
-        low = [_exp_log_avg(wq, stacks[lam][1], p) for lam in lams]
-        up = [_exp_log_avg(stacks[lam][0], wq_inv, p) for lam in lams]
-        d_low = max(d_low, float(np.polyfit(loglam, np.log(low), 1)[0]))
-        d_up = max(d_up, float(np.polyfit(loglam, np.log(up), 1)[0]))
-    return max(d_low, 0.0), max(d_up, 0.0)
+    cubes = fits[spread(len(fits), DIMENSION_CUBE_CAP)]
+    # box 0 is Q itself, box 1 + l its dilate by lams[l]: [C, 1 + L, n]
+    half = (0.5 * np.append(1.0, lams) * ell[cubes, None])[..., None]
+    pts = box_nodes(mid[cubes, None] - half, mid[cubes, None] + half, g)[0]
+    flat = pts.reshape(-1, t.n)
+    wp, wm = (W.powers(flat, a).reshape(pts.shape[:-1] + (W.m, W.m))
+              for a in (1.0 / p, -1.0 / p))
+    keep = ~W.is_singular_at(pts)
+    low = _exp_log_avg(wp[:, :1], keep[:, :1], wm[:, 1:], keep[:, 1:], p)
+    up = _exp_log_avg(wp[:, 1:], keep[:, 1:], wm[:, :1], keep[:, :1], p)
+    slopes = np.polyfit(np.log(lams), np.log(np.concatenate([low, up])).T,
+                        1)[0]
+    d_low, d_up = np.max(slopes.reshape(2, -1), axis=1)
+    return max(0.0, float(d_low)), max(0.0, float(d_up))

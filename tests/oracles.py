@@ -2,9 +2,10 @@
 
 import numpy as np
 
-from dwlab.dyadic import Truncation, cube_geometry, enumerate_cubes
+from dwlab import weights
+from dwlab.dyadic import Truncation, cube_geometry, enumerate_cubes, spread
 from dwlab.reducing import ReducingFamily
-from dwlab.weights import window_nodes
+from dwlab.weights import WeightError, box_nodes, cube_blocks, window_nodes
 
 
 def level_cubes(t: Truncation, j):
@@ -95,3 +96,78 @@ def seq_norm_one_by_one(tv, params, t):
         best = max(best, float(np.max(vals / params.v.on_level(
             jP, t.level_k(jP)))))
     return best
+
+
+# ---------------------------------------------------------------------------
+# Weight statistics, one cube at a time
+# ---------------------------------------------------------------------------
+
+def _exp_log_avg(stack_x, stack_y_inv, p):
+    """exp( avg_y log( avg_x ||W^{1/p}(x) W^{-1/p}(y)||^p ) ) from the
+    stacks of W^{1/p} over the x nodes and W^{-1/p} over the y nodes."""
+    prods = np.einsum("xab,ybc->yxac", stack_x, stack_y_inv)
+    inner = np.mean(np.linalg.matrix_norm(prods, ord=2) ** p, axis=1)
+    return float(np.exp(np.mean(np.log(inner))))
+
+
+def _kept_nodes(W, pts):
+    keep = ~W.is_singular_at(pts)
+    if not keep.any():
+        raise WeightError("all quadrature nodes hit the singular set")
+    return pts[keep]
+
+
+def apinf_per_cube(W, p, t: Truncation, spec=None):
+    """apinf_characteristic one cube at a time: each cube's kept window
+    nodes, spread to at most APINF_NODE_CAP, then one exp-log average."""
+    G = (spec or weights.QuadratureSpec()).G
+    pts = window_nodes(t, G)
+    wp, wm = W.powers(pts, 1.0 / p), W.powers(pts, -1.0 / p)
+    ids = np.where(W.is_singular_at(pts), -1, np.arange(len(pts)))
+    best = 0.0
+    for j in range(t.j_min, t.j_max + 1):
+        for cube in cube_blocks(ids, t, G, j):
+            sel = cube[cube >= 0]
+            if len(sel) == 0:
+                raise WeightError("all quadrature nodes hit the singular set")
+            sel = sel[spread(len(sel), weights.APINF_NODE_CAP)]
+            best = max(best, _exp_log_avg(wp[sel], wm[sel], p))
+    return best
+
+
+def _dilated_box(Q, lam):
+    """The concentric dilate lam*Q as (lo, hi) corner arrays."""
+    x0, ell, _ = cube_geometry(Q)
+    c = x0 + 0.5 * ell
+    half = 0.5 * lam * ell
+    return c - half, c + half
+
+
+def dimensions_per_cube(W, p, t: Truncation):
+    """estimate_dimensions one cube and one box at a time: W^{+-1/p} on
+    the kept nodes of each dilated box, one polyfit per cube."""
+    lams, g = weights.DILATIONS, 40 if t.n == 1 else 8
+    wlo = t.k_origin * 2.0 ** (-t.j_min)
+    whi = (t.k_origin + t.root_extent) * 2.0 ** (-t.j_min)
+
+    def fits(lo, hi):
+        return np.all(lo >= wlo - 1e-12) and np.all(hi <= whi + 1e-12)
+
+    cubes = [Q for Q in enumerate_cubes(t)
+             if fits(*_dilated_box(Q, max(lams)))]
+    if not cubes:
+        raise WeightError("no window cube admits the requested dilations")
+    loglam = np.log(np.asarray(lams))
+    d_low, d_up = 0.0, 0.0
+    for i in spread(len(cubes), weights.DIMENSION_CUBE_CAP):
+        Q = cubes[i]
+        stacks = {}
+        for lam in {1.0, *lams}:
+            pts = _kept_nodes(W, box_nodes(*_dilated_box(Q, lam), g)[0])
+            stacks[lam] = W.powers(pts, 1.0 / p), W.powers(pts, -1.0 / p)
+        wq, wq_inv = stacks[1.0]
+        low = [_exp_log_avg(wq, stacks[lam][1], p) for lam in lams]
+        up = [_exp_log_avg(stacks[lam][0], wq_inv, p) for lam in lams]
+        d_low = max(d_low, float(np.polyfit(loglam, np.log(low), 1)[0]))
+        d_up = max(d_up, float(np.polyfit(loglam, np.log(up), 1)[0]))
+    return max(d_low, 0.0), max(d_up, 0.0)

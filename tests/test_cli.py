@@ -195,6 +195,15 @@ def test_transform_levels_faults_give_one_error_line(argv):
     assert len(lines) == 1 and lines[0].startswith("dwlab: error: "), err
 
 
+@pytest.mark.parametrize("kind", ["dwt", "phi"])
+def test_transform_of_a_2d_grid_gives_one_error_line(kind):
+    grid = json.dumps({"n": 2, "N": 8, "values": [0.0] * 64})
+    status, out, err = _run_main(["transform", kind, "--in", grid])
+    assert status == 2 and out == "", (status, out, err)
+    assert err.strip() == ("dwlab: error: only n = 1 is supported, "
+                           "got n = 2"), err
+
+
 def test_transform_levels_in_range():
     status, out, _ = _run_main(["transform", "dwt", "--in", GRID16,
                                 "--levels", "1"])

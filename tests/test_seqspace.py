@@ -146,7 +146,7 @@ def test_single_point_oracle_evaluates_growth_once_per_level():
     ref = make_growth("weight_power", field=lambda x: 1.0 + x[:, 0] ** 2,
                       tau=1.0)
     for Q, g in zip(cubes, got):
-        sup = max(1.0 / ref(ancestor(Q, lvl))
+        sup = max(1.0 / ref.on_level(lvl, np.array([ancestor(Q, lvl).k]))[0]
                   for lvl in range(t.j_min, Q.j + 1))
         assert g == sup * 2.0 ** (Q.j * 0.5) * (2.0 ** -Q.j) ** 0.5
     with pytest.raises(SeqSpaceError):
@@ -358,7 +358,7 @@ def test_level_fields_equal_the_per_cube_reference(t, W):
         _params("F", p=1.5, q=2.0, mode="matrix", weight=W, quad=quad),
     ):
         # a stack of the sequence and the zero sequence
-        got, _ = _level_fields([tv, CoeffSeq(t, W.m)], params, t)
+        got = _level_fields([tv, CoeffSeq(t, W.m)], params, t)
         want = _fields_by_cube(tv, params, t)
         assert sorted(got) == sorted(want)
         for j in want:
@@ -456,3 +456,18 @@ def test_seq_norms_reject_a_mixed_or_empty_stack():
         la_norms({0: np.ones((2, 3))}, _params(), t)  # 3 does not divide 8
     with pytest.raises(SeqSpaceError):
         la_norms({0: np.ones((2, 8)), 1: np.ones((3, 8))}, _params(), t)
+
+
+def test_la_norms_read_their_grid_from_the_fields():
+    t = Truncation(1, 0, 3, 1)
+    rng = np.random.default_rng(4)
+    coarse = {j: rng.random((2, 1 << j)) for j in range(4)}
+    for family, q in (("B", 2.0), ("F", 1.0), ("F", np.inf)):
+        params = _params(family, p=2.0, q=q)
+        want = la_norms(coarse, params, t)
+        # the same piecewise-constant fields on a 3-fold refined grid
+        fine = {**coarse, 3: np.repeat(coarse[3], 3, axis=1)}
+        got = la_norms(fine, params, t)
+        assert np.allclose(got, want, rtol=1e-14, atol=0.0), family
+    with pytest.raises(SeqSpaceError):  # 12 cells do not refine 8 cubes
+        la_norms({3: np.ones((2, 12))}, _params(), t)

@@ -121,3 +121,46 @@ def test_every_keyword_parameter_is_set():
                     continue
                 unset.append(f"{rel}:{callee}({arg})")
     assert unset == []
+
+
+def _top_level_references(tree):
+    """(top-level statement index, name) for every name the statement
+    reads: loaded names, attribute names and imported names."""
+    for i, stmt in enumerate(tree.body):
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                yield i, node.id
+            elif isinstance(node, ast.Attribute):
+                yield i, node.attr
+            elif isinstance(node, ast.alias):
+                yield i, node.name
+
+
+def _private_definitions(tree):
+    """(top-level statement index, name) for every module-level private
+    name (one leading underscore) that a def, class or assignment binds."""
+    for i, stmt in enumerate(tree.body):
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(stmt, "targets", [getattr(stmt, "target", None)])
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield i, name
+
+
+def test_every_private_name_is_referenced():
+    trees = {path.relative_to(SRC).as_posix(): ast.parse(path.read_text())
+             for path in sorted(SRC.rglob("*.py"))}
+    sites = defaultdict(set)  # name -> {(module, statement index)}
+    for rel, tree in trees.items():
+        for i, name in _top_level_references(tree):
+            sites[name].add((rel, i))
+    orphans = [f"{rel}:{name}" for rel, tree in trees.items()
+               for i, name in _private_definitions(tree)
+               if not sites[name] - {(rel, i)}]
+    assert orphans == []

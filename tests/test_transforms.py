@@ -91,21 +91,18 @@ def test_phi_coefficients_live_on_the_unit_window():
         phi_synthesize(bad, w)
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_wavelet_coefficients_as_level_arrays(n):
+def test_wavelet_coefficients_as_level_arrays():
     N = 32
-    rng = np.random.default_rng(n)
-    c = dwt_analyze(GridFunction(n, N, rng.standard_normal((N,) * n)), k=2)
+    rng = np.random.default_rng(1)
+    c = dwt_analyze(GridFunction(1, N, rng.standard_normal(N)), k=2)
     tv = c.to_coeffseq()
-    assert tv.t == Truncation(n, 0, max(c.details), 1)
-    assert tv.m == (1 if n == 1 else 3)
-    scale = N ** (-n / 2.0)
+    assert tv.t == Truncation(1, 0, max(c.details), 1)
+    assert tv.m == 1
+    scale = N ** (-1 / 2.0)
     for j in range(min(c.details)):
         assert not tv.levels[j].any()
     for j, d in c.details.items():
-        blocks = [d] if n == 1 else [d["h"], d["v"], d["d"]]
-        for i, b in enumerate(blocks):
-            assert np.array_equal(tv.levels[j][..., i], b * scale)
+        assert np.array_equal(tv.levels[j][..., 0], d * scale)
 
 
 def test_dwt_constant_has_zero_details():
@@ -146,7 +143,7 @@ def wavelet_basis_function(template, j, k):
     of unit L^2 norm with respect to the grid measure."""
     details = {jj: np.zeros_like(d) for jj, d in template.details.items()}
     details[j][k] = 1.0
-    c = WaveletCoeffs(n=1, N=template.N, filter_k=template.filter_k,
+    c = WaveletCoeffs(N=template.N, filter_k=template.filter_k,
                       approx=np.zeros_like(template.approx), details=details)
     return dwt_synthesize(c).values * template.N ** 0.5
 
@@ -286,6 +283,10 @@ def test_square_functions_reject_matrix_weight_off_r2():
 def test_grid_function_validation():
     with pytest.raises(TransformError):
         GridFunction(3, 8, np.zeros((8, 8, 8)))
+    # the transforms are 1-d: a 2-d grid is refused whatever its shape
+    for vals in (np.zeros((8, 8)), np.zeros(64), np.zeros(8)):
+        with pytest.raises(TransformError, match="only n = 1"):
+            GridFunction(2, 8, vals)
     with pytest.raises(TransformError):
         GridFunction(1, 12, np.zeros(12))
     with pytest.raises(TransformError):
