@@ -184,8 +184,6 @@ def ad_apply(U: ADParams, tv: CoeffSeq, t: Truncation):
     if not isinstance(U, ADParams):
         raise ADError(f"need ADParams (D, E, F), got {type(U).__name__}")
     _on_window(tv, t)
-    if not len(tv):
-        return CoeffSeq(t, tv.m)
     return _envelope_apply(U, tv, t)
 
 
@@ -193,15 +191,14 @@ def ad_thresholds(s, p, q, family, delta1, delta2, omega, n=1,
                   weighted: Optional[tuple] = None):
     """Admissibility thresholds for (D, E, F)-almost-diagonal boundedness.
 
-    Unweighted:  J by regime dispatch, then
-        D > J + min(omega, n(delta2 - 1/p)_+),
-        E > n/2 + s + n(delta2 - 1/p)_+,
-        F > J - n/2 - s - n(delta1 - 1/p)_+.
-    Weighted (with dimensions (d_lower, d_upper)):
+    J by regime dispatch, then, with the weight's dimensions
+    (d_lower, d_upper) = ``weighted``:
         Delta = [delta2 - 1/p + d_lower/(np)]_+,
         D > J + min(n Delta, omega + d_lower/p) + d_upper/p,
         E > n/2 + s + n Delta,
         F > J - n/2 - s - n(delta1 - 1/p)_+ + d_upper/p.
+    Unweighted is the weighted case at (d_lower, d_upper) = (0, 0):
+    Delta = (delta2 - 1/p)_+ and D > J + min(omega, n(delta2 - 1/p)_+).
     """
     if family not in ("B", "F", "b", "f"):
         raise ADError("family must be B or F")
@@ -229,19 +226,15 @@ def ad_thresholds(s, p, q, family, delta1, delta2, omega, n=1,
     else:
         regime, J = "subcritical", n / min(1.0, gamma)
     pos = lambda x: max(x, 0.0)
-    if weighted is None:
-        D_min = J + min(omega, n * pos(delta2 - inv_p))
-        E_min = n / 2.0 + s + n * pos(delta2 - inv_p)
-        F_min = J - n / 2.0 - s - n * pos(delta1 - inv_p)
-        return Thresholds(J, D_min, E_min, F_min, regime, weighted=False)
-    d_lower, d_upper = weighted
+    d_lower, d_upper = weighted or (0.0, 0.0)
     if not (0 <= d_lower < n and 0 <= d_upper < np.inf):
         raise ADError("need d_lower in [0, n) and d_upper >= 0")
     Delta = pos(delta2 - inv_p + d_lower / (n * p))
     D_min = J + min(n * Delta, omega + d_lower / p) + d_upper / p
     E_min = n / 2.0 + s + n * Delta
     F_min = J - n / 2.0 - s - n * pos(delta1 - inv_p) + d_upper / p
-    return Thresholds(J, D_min, E_min, F_min, regime, weighted=True)
+    return Thresholds(J, D_min, E_min, F_min, regime,
+                      weighted=weighted is not None)
 
 
 def majorant(tv: CoeffSeq, r, lam, t: Truncation):

@@ -136,7 +136,7 @@ def exp_single(seed=DEFAULT_SEED):
         measured = seq_norms([build_single_point(Q, z, t)
                               for Q, z in zip(cubes, zs)], params, t)
         for Q, z, got in zip(cubes, zs, measured):
-            oracle = single_point_oracle(Q, z, params, t, oracle_nodes=96)
+            oracle = single_point_oracle(Q, z, params, t)
             worst = max(worst, abs(got - oracle) / oracle)
         checked += len(cubes)
     passed = worst < 1e-3 and checked >= 50
@@ -324,10 +324,7 @@ def exp_inv_f(seed=DEFAULT_SEED):
     quad = QuadratureSpec(3)
     # sufficiency: W = w I_2 with a scalar A_infinity weight
     wfield = lambda x: _libm_pow(_radius(x), -0.5)
-    Wsuf = MatrixWeight.from_batched(
-        2, lambda x: _libm_pow(_radius(x), -0.5)[:, None, None] * np.eye(2),
-        singular_set=[np.zeros(1)], label="|x|^-1/2 I2",
-    )
+    Wsuf = diag_power_weight(-0.5, -0.5)
     p, q = 1.0, 2.0
     rungs = []
     for t in _windows():

@@ -33,23 +33,19 @@ def ratio_stats(values_a, values_b):
     """
     if len(values_a) != len(values_b):
         raise ReportError("ratio_stats needs equal-length lists")
-    ratios = []
-    divergent = 0
-    for a, b in zip(values_a, values_b):
-        if b == 0:
-            if a == 0:
-                continue
-            divergent += 1
-            continue
-        ratios.append(a / b)
-    if not ratios:
+    a = np.asarray(values_a, dtype=float)
+    b = np.asarray(values_b, dtype=float)
+    zero = b == 0
+    divergent = int(np.count_nonzero(zero & (a != 0)))
+    ratios = a[~zero] / b[~zero]
+    if not ratios.size:
         return {"min": None, "max": None, "median": None, "count": 0,
                 "divergent": divergent}
     return {
         "min": float(np.min(ratios)),
         "max": float(np.max(ratios)),
         "median": float(np.median(ratios)),
-        "count": len(ratios),
+        "count": int(ratios.size),
         "divergent": divergent,
     }
 

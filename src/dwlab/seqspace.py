@@ -37,6 +37,8 @@ from .reducing import ReducingFamily
 from .weights import MatrixWeight, QuadratureSpec, window_nodes
 
 UNDERFLOW_CLAMP = 1e-300
+# single_point_oracle's midpoint nodes per axis, in 1-d and in n >= 2
+ORACLE_NODES_1D, ORACLE_NODES_ND = 96, 12
 
 
 class SeqSpaceError(DwlabError):
@@ -172,8 +174,9 @@ def _expand(f, R):
 def la_norms(fields, params: SpaceParams, t: Truncation):
     """la_norm of each member of a stack of S field sets, as an array.
 
-    ``fields`` maps level j to an (S,) + (r,)*n array that is constant on
-    each of the r^n equal cells of the window; absent levels are zero.
+    ``fields`` maps level j in [j_min, j_max] to an (S,) + (r,)*n array
+    that is constant on each of the r^n equal cells of the window; absent
+    levels are zero, and a level outside the window is a SeqSpaceError.
     The sweep runs on the grid of the finest field, R = max(r) cells per
     axis (at least one per finest cube), and every r must divide R:
     matrix-mode fields come at node resolution and cube-resolution fields
@@ -185,6 +188,10 @@ def la_norms(fields, params: SpaceParams, t: Truncation):
     shapes = [np.shape(f) for f in fields.values()]
     if not shapes or not shapes[0]:
         raise SeqSpaceError("need a stack of level fields")
+    stray = [j for j in fields if j not in range(t.j_min, t.j_max + 1)]
+    if stray:
+        raise SeqSpaceError(f"field levels {stray} lie outside the window's "
+                            f"[{t.j_min}, {t.j_max}]")
     S = shapes[0][0]  # every level's shape is checked when it is read
     R = max([t.cells_per_axis()] + [s[1] for s in shapes if len(s) > 1])
     subdiv, rest = divmod(R, t.cells_per_axis())  # per finest cube and axis
@@ -329,8 +336,7 @@ def seq_norm(tv: CoeffSeq, params: SpaceParams, t: Truncation):
     return float(seq_norms([tv], params, t)[0])
 
 
-def single_point_oracle(Q: CubeId, z, params: SpaceParams, t: Truncation,
-                        oracle_nodes=64):
+def single_point_oracle(Q: CubeId, z, params: SpaceParams, t: Truncation):
     """Closed-form norm of a one-entry sequence, independent of q and family.
 
     [max over window P >= Q of 1/v(P)] * 2^{j_Q(s + n/2)}
@@ -352,7 +358,8 @@ def single_point_oracle(Q: CubeId, z, params: SpaceParams, t: Truncation,
     )
     if params.mode == "matrix":
         W = params.weight
-        pts, wt = box_nodes(x0, x0 + ell, oracle_nodes if n == 1 else 12)
+        pts, wt = box_nodes(x0, x0 + ell,
+                            ORACLE_NODES_1D if n == 1 else ORACLE_NODES_ND)
         pts = pts[~W.is_singular_at(pts)]
         wp = W.powers(pts, 1.0 / params.p).astype(complex)
         vals = np.linalg.norm(wp @ z, axis=-1) ** params.p

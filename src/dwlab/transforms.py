@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .dyadic import DwlabError, Truncation
+from .dyadic import DwlabError, Truncation, check_exponent
 from .seqspace import CoeffSeq
 
 
@@ -119,12 +119,10 @@ def phi_analyze(f: GridFunction, w: LPWindow):
     """Coefficients <f, phi_Q> = |Q|^{1/2} (tilde-phi_j * f)(x_Q) on the
     unit-interval window Truncation(1, 0, J - 1, 1); level 0 stays zero."""
     tv = CoeffSeq(Truncation(1, 0, w.J - 1, 1), f.m)
-    fhat = np.fft.fft(f.values, axis=0)
+    fhat = np.fft.fft(f.values.reshape(f.N, f.m), axis=0)
     for j in w.levels:
-        conv = np.fft.ifft(np.conj(w.phi_hat[j])[:, None] * fhat
-                           if f.m > 1 else np.conj(w.phi_hat[j]) * fhat,
-                           axis=0)
-        samples = conv[::f.N >> j].reshape(1 << j, f.m)
+        conv = np.fft.ifft(np.conj(w.phi_hat[j])[:, None] * fhat, axis=0)
+        samples = conv[::f.N >> j]
         tv.levels[j][...] = samples * 2.0 ** (-j / 2.0)
     return tv
 
@@ -297,34 +295,31 @@ def _torus_dist(N):
     return np.minimum(off, N - off) / N
 
 
-def _grid_levels(fj):
-    """(j, values [Ng, m], midpoints [Ng]) for each level of a field map."""
-    for j, vals in fj.items():
-        vals = np.asarray(vals, dtype=complex).reshape(len(vals), -1)
-        yield j, vals, (np.arange(len(vals)) + 0.5) / len(vals)
-
-
-def _grid_powers(W, p):
-    """W^{a/p} at the midpoints of an Ng-point grid, evaluated once per
-    (Ng, a) within one call: every level of a field map shares its grid."""
-    memo = {}
-
-    def at(pts, a=1.0):
-        if (len(pts), a) not in memo:
-            memo[len(pts), a] = W.powers(pts[:, None], a / p)
-        return memo[len(pts), a]
-
-    return at
-
-
-def _level_matrices(fj, mode, W=None, p=None):
-    """(j, values [Ng, m], M(x) [Ng, m, m]) for each level of a field map:
-    M = W^{1/p}, or None without a weight.  "matrix" is the only mode."""
+def _level_grids(fj, W, p, a=1.0, mode="matrix"):
+    """(j, values [Ng, m], W^{a/p} at the Ng grid midpoints [Ng, m, m])
+    for each level of a field map; the power is None without a weight.
+    W^{a/p} is evaluated once per grid size within one call, since every
+    level of a field map shares its grid.  A weight needs p in (0, inf]
+    and m equal to every field's component count.  "matrix" is the only
+    mode."""
     if mode != "matrix":
         raise TransformError(f"unknown mode {mode!r}; only 'matrix' exists")
-    wp = _grid_powers(W, p) if W is not None else None
-    for j, vals, pts in _grid_levels(fj):
-        yield j, vals, None if wp is None else wp(pts)
+    if W is not None:
+        check_exponent(p, "p", TransformError)
+    memo = {}
+    for j, vals in fj.items():
+        vals = np.asarray(vals, dtype=complex).reshape(len(vals), -1)
+        Ng, m = vals.shape
+        if W is None:
+            yield j, vals, None
+            continue
+        if W.m != m:
+            raise TransformError(f"weight is {W.m}x{W.m}, level {j} field "
+                                 f"has m={m}")
+        if Ng not in memo:
+            pts = (np.arange(Ng) + 0.5) / Ng
+            memo[Ng] = W.powers(pts[:, None], a / p)
+        yield j, vals, memo[Ng]
 
 
 def peetre_maximal(fj, eta, mode="matrix", W=None, p=None):
@@ -339,7 +334,7 @@ def peetre_maximal(fj, eta, mode="matrix", W=None, p=None):
     if eta <= 0:
         raise TransformError("eta must be positive")
     out = {}
-    for j, vals, M in _level_matrices(fj, mode, W=W, p=p):
+    for j, vals, M in _level_grids(fj, W, p, mode=mode):
         # pen^eta once per torus offset, gathered at x - y (mod N)
         idx = np.arange(len(vals))
         pen = ((1.0 + 2.0**j * _torus_dist(len(vals))) ** eta)[
@@ -357,7 +352,7 @@ def direct_weighted_field(fj, mode="matrix", W=None, p=None):
     """|M(x) f_j(x)| pointwise (the y = x term of the Peetre sup); M as in
     peetre_maximal."""
     out = {}
-    for j, vals, M in _level_matrices(fj, mode, W=W, p=p):
+    for j, vals, M in _level_grids(fj, W, p, mode=mode):
         if M is not None:
             vals = np.einsum("xab,xb->xa", M, vals)
         out[j] = np.linalg.norm(vals, axis=-1)
@@ -380,24 +375,23 @@ def square_functions(fj, kind="gstar", r=2.0, lam=2.0, alpha=1.0,
         raise TransformError(f"unknown square function kind: {kind}")
     if alpha < 0:
         raise TransformError("alpha must be nonnegative")
-    wp = _grid_powers(W, p) if W is not None else None
+    a = 2.0 if W is not None and W.m > 1 else 1.0
+    if a == 2.0 and r != 2:
+        raise TransformError("an m > 1 weight needs r = 2")
     out = {}
-    for j, vals, pts in _grid_levels(fj):
-        (Ng, m), dist = vals.shape, _torus_dist(len(vals))
+    for j, vals, M in _level_grids(fj, W, p, a):
+        Ng, dist = len(vals), _torus_dist(len(vals))
         if kind == "lusin":
             K = 1.0 * (dist <= alpha * 2.0**-j + 1e-15)
             K /= np.sum(K)
         else:
             K = 2.0**j / (1.0 + 2.0**j * dist) ** (lam * r) / Ng
-        if W is None or m == 1:
-            g = np.linalg.norm(vals, axis=-1)[:, None] ** r
-            M = np.ones((Ng, 1)) if W is None else np.abs(
-                wp(pts)).reshape(Ng, 1) ** r
-        elif r == 2:
-            M = wp(pts, 2.0).reshape(Ng, m * m)
+        if a == 2.0:
+            M = M.reshape(Ng, -1)
             g = (np.conj(vals)[:, :, None] * vals[:, None, :]).reshape(Ng, -1)
         else:
-            raise TransformError("an m > 1 weight needs r = 2")
+            g = np.linalg.norm(vals, axis=-1)[:, None] ** r
+            M = np.ones((Ng, 1)) if M is None else np.abs(M[:, 0]) ** r
         conv = np.fft.ifft(np.fft.fft(K)[:, None] * np.fft.fft(g, axis=0),
                            axis=0)
         out[j] = np.maximum(np.sum(M * conv, axis=1).real, 0.0) ** (1.0 / r)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -171,10 +173,31 @@ def test_thresholds_shift_in_s():
 
 
 def test_thresholds_weighted_zero_dimensions_match_unweighted():
-    for s, p, q in ((0.0, 2.0, 2.0), (0.5, 1.0, 3.0)):
-        a = ad_thresholds(s, p, q, "F", 0.0, 0.25, 0.1)
-        b = ad_thresholds(s, p, q, "F", 0.0, 0.25, 0.1, weighted=(0.0, 0.0))
-        assert (a.J, a.D_min, a.E_min, a.F_min) == (b.J, b.D_min, b.E_min, b.F_min)
+    """Unweighted thresholds are the weighted ones at (0, 0): both equal,
+    bit for bit, the unweighted formulas D > J + min(omega, n(delta2 -
+    1/p)_+), E > n/2 + s + n(delta2 - 1/p)_+, F > J - n/2 - s - n(delta1
+    - 1/p)_+, over deltas at, within 1e-12 of, and away from 1/p."""
+    pos = lambda x: max(x, 0.0)
+    hexes = lambda xs: [float(x).hex() for x in xs]
+    cases = 0
+    for p, q, family, n in itertools.product(
+            (0.5, 1.0, 2.0, 3.0, np.inf), (0.5, 2.0, np.inf), "BF", (1, 2)):
+        inv_p = 0.0 if np.isinf(p) else 1.0 / p
+        deltas = [inv_p + o for o in (-0.25, -1e-13, 0.0, 1e-13, 0.25, 0.75)]
+        for d1, d2 in itertools.combinations_with_replacement(deltas, 2):
+            for omega in (0.0, n * (d2 - d1) / 2, n * (d2 - d1)):
+                args = (0.3, p, q, family, d1, d2, omega, n)
+                a = ad_thresholds(*args)
+                b = ad_thresholds(*args, weighted=(0.0, 0.0))
+                want = hexes((a.J + min(omega, n * pos(d2 - inv_p)),
+                              n / 2.0 + 0.3 + n * pos(d2 - inv_p),
+                              a.J - n / 2.0 - 0.3 - n * pos(d1 - inv_p)))
+                for th in (a, b):
+                    assert hexes((th.D_min, th.E_min, th.F_min)) == want, args
+                assert ((a.J, a.regime, a.weighted, b.weighted)
+                        == (b.J, b.regime, False, True))
+                cases += 1
+    assert cases == 3780
 
 
 def test_thresholds_weighted_upper_dimension_shifts_f():

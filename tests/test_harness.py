@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dwlab
@@ -32,8 +33,20 @@ def test_ratio_stats_zero_handling():
     assert st["min"] == st["max"] == 2.0
     st = ratio_stats([0.0], [0.0])
     assert st["count"] == 0 and st["min"] is None
-    with pytest.raises(ReportError):
-        ratio_stats([1.0], [1.0, 2.0])
+    none = {"min": None, "max": None, "median": None, "count": 0}
+    assert ratio_stats([0.0, 0.0], [0.0, -0.0]) == {**none, "divergent": 0}
+    assert ratio_stats([], []) == {**none, "divergent": 0}
+    # every pair divergent, a NaN numerator included
+    assert (ratio_stats([1.0, -2.0, np.nan], [0.0, -0.0, 0.0])
+            == {**none, "divergent": 3})
+    assert ratio_stats([-0.0, 3.0, 1.0, 6.0, 0.0],
+                       [0.0, -0.0, 4.0, 2.0, 5.0]) == {
+        "min": 0.0, "max": 3.0, "median": 0.25, "count": 3, "divergent": 1}
+    assert ratio_stats(np.array([1, 2, 7]), np.array([2, 4, 0])) == {
+        "min": 0.5, "max": 0.5, "median": 0.5, "count": 2, "divergent": 1}
+    for a, b in (([1.0], [1.0, 2.0]), ([], [1.0]), ([1.0, 2.0], np.ones(3))):
+        with pytest.raises(ReportError):
+            ratio_stats(a, b)
 
 
 def test_interval_drift():

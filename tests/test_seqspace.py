@@ -458,6 +458,16 @@ def test_seq_norms_reject_a_mixed_or_empty_stack():
         la_norms({0: np.ones((2, 8)), 1: np.ones((3, 8))}, _params(), t)
 
 
+def test_la_norms_reject_levels_outside_the_window():
+    t = Truncation(1, 0, 3, 1)
+    for fields in ({7: np.ones(8)}, {1: np.ones(2), 9: np.ones(8)},
+                   {-1: np.ones(8), 0: np.ones(1)}):
+        with pytest.raises(SeqSpaceError, match="outside the window"):
+            la_norm(fields, _params(), t)
+        with pytest.raises(SeqSpaceError, match="outside the window"):
+            la_norms({j: f[None] for j, f in fields.items()}, _params(), t)
+
+
 def test_la_norms_read_their_grid_from_the_fields():
     t = Truncation(1, 0, 3, 1)
     rng = np.random.default_rng(4)

@@ -107,6 +107,9 @@ def _settings(trees):
 
 
 def test_every_keyword_parameter_is_set():
+    # the benchmark's calls set keyword parameters too; without them the
+    # unset list below would be wrong rather than empty
+    assert PERFBENCH.is_dir(), f"no benchmark folder at {PERFBENCH}"
     callers = [*SRC.rglob("*.py"), *PERFBENCH.glob("*.py")]
     npos, names = _settings(ast.parse(p.read_text()) for p in callers)
     unset = []

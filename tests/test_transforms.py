@@ -17,7 +17,8 @@ from dwlab.transforms import (
     phi_synthesize,
     square_functions,
 )
-from dwlab.weights import MatrixWeight, diag_power_weight, identity_weight
+from dwlab.weights import (MatrixWeight, diag_power_weight, identity_weight,
+                           power_weight)
 
 
 def _random_grid(N, seed=0):
@@ -385,6 +386,44 @@ def test_peetre_and_direct_field_reject_modes_other_than_matrix():
                      lambda: direct_weighted_field({}, mode=mode, W=W, p=2.0)):
             with pytest.raises(TransformError):
                 call()
+
+
+def _front_ends(fj, W, p):
+    """Every band-limited front end on one field map and weight."""
+    return (lambda: direct_weighted_field(fj, mode="matrix", W=W, p=p),
+            lambda: peetre_maximal(fj, 1.25, mode="matrix", W=W, p=p),
+            lambda: square_functions(fj, kind="gstar", W=W, p=p),
+            lambda: square_functions(fj, kind="lusin", W=W, p=p))
+
+
+@pytest.mark.parametrize("fj,W", [
+    ({2: np.ones((16, 2))}, power_weight(-0.5)),  # scalar weight, m = 2
+    ({2: np.ones(16)}, diag_power_weight(-0.5, -0.25)),  # 2x2, m = 1
+    ({2: np.ones(16), 3: np.ones((16, 2))}, identity_weight(2)),
+])
+def test_front_ends_reject_a_weight_of_another_size(fj, W):
+    for call in _front_ends(fj, W, 2.0):
+        with pytest.raises(TransformError, match="weight is"):
+            call()
+
+
+@pytest.mark.parametrize("p", [None, 0.0, -1.0, np.nan, "2"])
+def test_front_ends_need_an_exponent_with_a_weight(p):
+    for call in _front_ends({2: np.ones(16)}, identity_weight(1), p):
+        with pytest.raises(TransformError, match="p must lie"):
+            call()
+
+
+def test_phi_analyze_runs_each_component_on_its_own():
+    N = 128
+    w = build_lp_window(N)
+    rng = np.random.default_rng(16)
+    v = rng.standard_normal((N, 2)) + 1j * rng.standard_normal((N, 2))
+    tv = phi_analyze(GridFunction(1, N, v, m=2), w)
+    for i in range(2):
+        part = phi_analyze(GridFunction(1, N, v[:, i]), w)
+        for j, a in part.levels.items():
+            assert np.array_equal(tv.levels[j][:, i], a[:, 0])
 
 
 def test_lusin_rejects_negative_aperture():
