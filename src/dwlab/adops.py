@@ -48,13 +48,14 @@ class ADParams:
 
 @dataclass(frozen=True)
 class Thresholds:
-    """Strict lower bounds for admissible (D, E, F) plus the J constant."""
+    """Strict lower bounds for admissible (D, E, F) in dimension n, plus J."""
 
     J: float
     D_min: float
     E_min: float
     F_min: float
     regime: str
+    n: int
     weighted: bool = False
 
 
@@ -73,11 +74,6 @@ def ad_entry(Q: CubeId, R: CubeId, p: ADParams):
 # Per-level window arrays and convolution kernels
 # ---------------------------------------------------------------------------
 
-def _on_window(tv: CoeffSeq, t: Truncation):
-    if tv.t != t:
-        raise ADError(f"sequence lives on {tv.t}, not on {t}")
-
-
 def _finite(out: CoeffSeq):
     """``out`` after one finiteness check a level."""
     if not all(np.isfinite(a).all() for a in out.levels.values()):
@@ -91,30 +87,24 @@ def _fft_len(c):
     return 1 << (2 * c - 2).bit_length()
 
 
-def _kernel(L, n, scale, D):
-    """(1 + |o|/scale)^{-D} over integer offset vectors o, laid out
-    circularly on an L^n grid (offset o at index o mod L)."""
-    o = np.fft.fftfreq(L, 1.0 / L)
-    grids = np.meshgrid(*([o] * n), indexing="ij", sparse=True)
-    dist = np.sqrt(sum(g * g for g in grids))
-    return (1.0 + dist / scale) ** (-D)
-
-
 @functools.lru_cache(maxsize=512)
 def _kernel_hat(L, n, d, D, origin=True):
-    """rfftn of the level-gap-d kernel (1 + |o|/2^d)^{-D} on the L^n
-    grid, its o = 0 entry zeroed unless ``origin``.  Cached (at most 512
-    spectra, about 2 MB for every level pair of a 1-d j_max 12 window)
-    and read-only, since every caller shares the array."""
-    K = _kernel(L, n, 2.0 ** d, D)
+    """rfftn of the level-gap-d kernel (1 + |o|/2^d)^{-D} on the L^n grid
+    (offset o at index o mod L), its o = 0 entry zeroed unless ``origin``.
+    Cached (at most 512 spectra, about 2 MB for every level pair of a 1-d
+    j_max 12 window) and read-only, since every caller shares it."""
+    o = np.fft.fftfreq(L, 1.0 / L)
+    grids = np.meshgrid(*([o] * n), indexing="ij", sparse=True)
+    K = (1.0 + np.sqrt(sum(g * g for g in grids)) / 2.0 ** d) ** (-D)
     K.flat[0] *= origin
     h = np.fft.rfftn(K)
     h.flags.writeable = False
     return h
 
 
-def _envelope_apply(p: ADParams, tv: CoeffSeq, t: Truncation):
-    """ad_apply for the (D, E, F) envelope by level-pair convolutions.
+def ad_apply(U: ADParams, tv: CoeffSeq, t: Truncation):
+    """(Ut)_Q = sum_R u_{Q,R} t_R over the window ``t``, on which ``tv``
+    must live (ADError otherwise), for the (D, E, F) envelope ``U``.
 
     For levels b <= a with d = a - b, the offset k_Q - 2^d k_R (target
     on level a) or 2^d k_Q - k_R (target on level b) equals the same
@@ -124,8 +114,15 @@ def _envelope_apply(p: ADParams, tv: CoeffSeq, t: Truncation):
         grid and convolve with 2^{-dE} B;
       - target b: convolve the level-a array with 2^{-dF} B and keep
         every 2^d-th output.
-    Complex entries run as a real and an imaginary pass.
+    Complex entries run as a real and an imaginary pass.  The FFT error
+    is absolute, about 1e-16 of the largest contributions at a target,
+    so an entry many orders below its neighbourhood (far from a lone
+    source under a large D) is only accurate to that absolute level.
     """
+    if not isinstance(U, ADParams):
+        raise ADError(f"need ADParams (D, E, F), got {type(U).__name__}")
+    if tv.t != t:
+        raise ADError(f"sequence lives on {tv.t}, not on {t}")
     n = t.n
     arrays = {j: np.moveaxis(a, -1, 0) for j, a in tv.levels.items()
               if a.any()}
@@ -147,7 +144,7 @@ def _envelope_apply(p: ADParams, tv: CoeffSeq, t: Truncation):
             d = a - b
             if b not in src and src_hat is None:
                 continue
-            B_hat = _kernel_hat(L, n, d, p.D)
+            B_hat = _kernel_hat(L, n, d, U.D)
             if b in src:
                 if d == 0:
                     up_hat = src_hat
@@ -155,10 +152,10 @@ def _envelope_apply(p: ADParams, tv: CoeffSeq, t: Truncation):
                     up = np.zeros((batch,) + (c,) * n)
                     up[(slice(None),) + (slice(None, None, 1 << d),) * n] = src[b]
                     up_hat = np.fft.rfftn(up, s=shape, axes=axes)
-                term = (2.0 ** (-d)) ** p.E * B_hat * up_hat
+                term = (2.0 ** (-d)) ** U.E * B_hat * up_hat
                 acc = term if acc is None else acc + term
             if d > 0 and src_hat is not None:
-                conv = np.fft.irfftn((2.0 ** (-d)) ** p.F * B_hat * src_hat,
+                conv = np.fft.irfftn((2.0 ** (-d)) ** U.F * B_hat * src_hat,
                                      s=shape, axes=axes)
                 out[b] += conv[(slice(None),) + (slice(0, c, 1 << d),) * n]
         if acc is not None:
@@ -169,22 +166,6 @@ def _envelope_apply(p: ADParams, tv: CoeffSeq, t: Truncation):
         res.levels[j][...] = np.moveaxis(v[:tv.m] + 1j * v[tv.m:] if cplx
                                          else v, 0, -1)
     return _finite(res)
-
-
-def ad_apply(U: ADParams, tv: CoeffSeq, t: Truncation):
-    """(Ut)_Q = sum_R u_{Q,R} t_R over the window ``t``, on which ``tv``
-    must live (ADError otherwise), for the (D, E, F) envelope ``U``.
-
-    The envelope is applied as one strided FFT convolution per pair of
-    levels (see the module docstring).  The FFT error is absolute, about
-    1e-16 of the largest contributions at a target, so an entry many
-    orders below its neighbourhood (far from a lone source under a
-    large D) is only accurate to that absolute level.
-    """
-    if not isinstance(U, ADParams):
-        raise ADError(f"need ADParams (D, E, F), got {type(U).__name__}")
-    _on_window(tv, t)
-    return _envelope_apply(U, tv, t)
 
 
 def ad_thresholds(s, p, q, family, delta1, delta2, omega, n=1,
@@ -233,7 +214,7 @@ def ad_thresholds(s, p, q, family, delta1, delta2, omega, n=1,
     D_min = J + min(n * Delta, omega + d_lower / p) + d_upper / p
     E_min = n / 2.0 + s + n * Delta
     F_min = J - n / 2.0 - s - n * pos(delta1 - inv_p) + d_upper / p
-    return Thresholds(J, D_min, E_min, F_min, regime,
+    return Thresholds(J, D_min, E_min, F_min, regime, n,
                       weighted=weighted is not None)
 
 
@@ -242,44 +223,33 @@ def majorant(tv: CoeffSeq, r, lam, t: Truncation):
 
         t*_Q = [ sum_{l(R)=l(Q)} |t_R|^r / (1 + l(R)^{-1}|x_Q - x_R|)^{lam r} ]^{1/r}
 
-    (sup modification for r = infinity), on every window cube of each
-    level where ``tv`` has entries.
+    for finite r > 0 and lam > 0 (ADError otherwise), on every window
+    cube of each level where ``tv`` has entries.
 
-    In window-local indices l(R)^{-1}|x_Q - x_R| = |k_Q - k_R|, so at
-    finite r each level is one FFT convolution of |t|^r with
-    (1 + |o|)^{-lam r}: O(L N log N) time, O(N) memory.  The o = 0 term
-    is added exactly, so t*_Q >= |t_Q| holds without rounding slack.
-    The r = infinity sup is not a convolution and stays a dense
-    per-level (cubes x support) maximum.  The sequence must live on the
-    window ``t`` (ADError otherwise).
+    In window-local indices l(R)^{-1}|x_Q - x_R| = |k_Q - k_R|, so each
+    level is one FFT convolution of |t|^r with (1 + |o|)^{-lam r}:
+    O(L N log N) time, O(N) memory.  The o = 0 term is added exactly, so
+    t*_Q >= |t_Q| holds without rounding slack.  The sequence must live
+    on the window ``t`` (ADError otherwise).
     """
-    if not (r > 0 or np.isinf(r)):
-        raise ADError("need r > 0")
-    _on_window(tv, t)
+    for name, x in (("r", r), ("lam", lam)):
+        check_exponent(x, name, ADError)
+        check_finite(x, name, ADError)
+    if tv.t != t:
+        raise ADError(f"sequence lives on {tv.t}, not on {t}")
     n = t.n
     out = CoeffSeq(t, 1)
     for j, a in tv.magnitudes().levels.items():
         if not a.any():
             continue
         mag = a[..., 0].real
-        if np.isinf(r):
-            idx = np.indices(mag.shape).reshape(n, -1).T
-            src = np.flatnonzero(mag)
-            pen = 1.0 + np.linalg.norm(idx[:, None, :] - idx[None, src, :],
-                                       axis=-1)
-            vals = np.max(mag.ravel()[src][None, :] / pen**lam, axis=1,
-                          initial=0.0)
-        else:
-            shape = (_fft_len(mag.shape[0]),) * n
-            axes = tuple(range(n))
-            w = mag**r
-            conv = np.fft.irfftn(
-                _kernel_hat(shape[0], n, 0, lam * r, False)
-                * np.fft.rfftn(w, s=shape, axes=axes),
-                s=shape, axes=axes)
-            conv = conv[(slice(0, mag.shape[0]),) * n]
-            vals = (w + np.maximum(conv, 0.0)) ** (1.0 / r)
-        out.levels[j][..., 0] = vals.reshape(mag.shape)
+        shape = (_fft_len(mag.shape[0]),) * n
+        axes = tuple(range(n))
+        w = mag**r
+        conv = np.fft.irfftn(_kernel_hat(shape[0], n, 0, lam * r, False)
+                             * np.fft.rfftn(w, s=shape, axes=axes),
+                             s=shape, axes=axes)[(slice(0, mag.shape[0]),) * n]
+        out.levels[j][..., 0] = (w + np.maximum(conv, 0.0)) ** (1.0 / r)
     return _finite(out)
 
 
@@ -293,15 +263,15 @@ class MoleculeThresholds:
     k_min: int
 
 
-def molecule_thresholds(th: Thresholds, n=1):
+def molecule_thresholds(th: Thresholds):
     """Molecule parameter bounds induced by admissibility thresholds.
 
     Analysis molecules need K > D v (E + n/2), L >= E - n/2, M > D,
     N > F - n/2; synthesis molecules swap the roles of E and F; the
     wavelet smoothness k_min is the least integer exceeding
-    max(E - n/2, F - n/2).
+    max(E - n/2, F - n/2); n is the ``th.n`` of ``ad_thresholds``.
     """
-    D, E, F = th.D_min, th.E_min, th.F_min
+    D, E, F, n = th.D_min, th.E_min, th.F_min, th.n
     analysis = (max(D, E + n / 2.0), E - n / 2.0, D, F - n / 2.0)
     synthesis = (max(D, F + n / 2.0), F - n / 2.0, D, E - n / 2.0)
     k_min = int(np.floor(max(E - n / 2.0, F - n / 2.0))) + 1

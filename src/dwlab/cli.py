@@ -117,11 +117,19 @@ def _parse_space(doc, t=None):
                        weight=weight if mode == "matrix" else None)
 
 
+def _complex(c):
+    """One complex entry: a JSON number or an [re, im] pair of numbers."""
+    parts = c if isinstance(c, list) else [c, 0.0]
+    if not (len(parts) == 2 and all(type(x) in (int, float) for x in parts)):
+        raise DwlabError("a complex entry is a number or an [re, im] "
+                         f"pair, got {json.dumps(c)}")
+    return complex(*parts)
+
+
 def _parse_sequence(doc, t):
     tv = CoeffSeq(t, int(doc.get("m", 1)))
     for ent in doc["entries"]:
-        z = np.array([complex(c[0], c[1]) if isinstance(c, list) else complex(c)
-                      for c in ent["value"]])
+        z = np.array([_complex(c) for c in ent["value"]])
         tv[CubeId(int(ent["j"]), tuple(int(k) for k in ent["k"]))] = z
     return tv
 
@@ -171,15 +179,15 @@ def cmd_reduce(args):
 def cmd_thresholds(args):
     doc = _load_json(args.space)
     try:
-        n = int(doc.get("n", 1))
         th = ad_thresholds(
             float(doc.get("s", 0.0)), _parse_q(doc["p"]), _parse_q(doc["q"]),
             doc["family"], *(float(doc.get(key, 0.0))
                              for key in ("delta1", "delta2", "omega")),
-            n=n, weighted=tuple(doc["weighted"]) if "weighted" in doc else None)
+            n=int(doc.get("n", 1)),
+            weighted=tuple(doc["weighted"]) if "weighted" in doc else None)
     except (TypeError, AttributeError) as exc:  # a value of the wrong type
         raise DwlabError(f"malformed space: {exc}") from exc
-    mol = molecule_thresholds(th, n=n)
+    mol = molecule_thresholds(th)
     print(f"regime   {th.regime}" + ("  (weighted)" if th.weighted else ""))
     for label, val in (("J", th.J), ("D_min", th.D_min),
                        ("E_min", th.E_min), ("F_min", th.F_min)):
@@ -214,8 +222,7 @@ def cmd_verify(args):
 
 def cmd_transform(args):
     doc = _load_json(args.infile)
-    vals = np.array([complex(c[0], c[1]) if isinstance(c, list) else complex(c)
-                     for c in doc["values"]])
+    vals = np.array([_complex(c) for c in doc["values"]])
     f = GridFunction(int(doc.get("n", 1)), int(doc["N"]), vals)
     if args.kind == "dwt":
         c = dwt_analyze(f, k=args.filter_k or 4, levels=args.levels)

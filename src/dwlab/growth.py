@@ -41,7 +41,6 @@ class GrowthFn:
     """
 
     eval: Callable[[int, np.ndarray], object]
-    label: str = "custom"
 
     def on_level(self, j, k):
         """v at the cubes (j, k[..., n]) as an array, checked positive."""
@@ -88,8 +87,7 @@ def make_growth(kind, **params):
         tau = float(params["tau"])
         if tau < 0:
             raise GrowthError("power growth needs tau >= 0")
-        return GrowthFn(lambda j, k, t=tau: (2.0 ** (-j * k.shape[-1])) ** t,
-                        label=f"power({tau})")
+        return GrowthFn(lambda j, k, t=tau: (2.0 ** (-j * k.shape[-1])) ** t)
     if kind == "weight_power":
         field = params["field"]
         tau = float(params["tau"])
@@ -103,7 +101,7 @@ def make_growth(kind, **params):
                 cache[key] = _libm_pow(_cell_average(field, j, k), tau)
             return cache[key]
 
-        return GrowthFn(eval=ev, label=f"weight_power(tau={tau})")
+        return GrowthFn(ev)
     alpha = float(params["alpha"])
     beta = float(params["beta"])
     if alpha > beta:
@@ -112,7 +110,7 @@ def make_growth(kind, **params):
     def ev(j, k, a=alpha, b=beta):
         return (2.0 ** (-j * k.shape[-1])) ** (b if j <= 0 else a)
 
-    return GrowthFn(eval=ev, label=f"piecewise_power({alpha},{beta})")
+    return GrowthFn(ev)
 
 
 def class_constant(v: GrowthFn, delta1, delta2, omega, t: Truncation):

@@ -112,7 +112,6 @@ class ReducingFamily:
     truncation.level_shape(j) + (m, m)."""
 
     p: float
-    backend: str
     truncation: Truncation
     levels: dict = field(default_factory=dict)
     # MVEE solver report over all cubes (zeros for exact families)
@@ -194,7 +193,7 @@ def build_family(W: MatrixWeight, p, t: Truncation, spec=None,
             iters, gap = int(np.max(steps)), float(np.max(gaps))
             A = matrix_power(0.5 * (E + np.swapaxes(E, -1, -2)), 0.5)
     ends = np.cumsum([np.prod(t.level_shape(j)) for j in js])[:-1]
-    return ReducingFamily(p=p, backend=backend, truncation=t, levels={
+    return ReducingFamily(p=p, truncation=t, levels={
         j: a.reshape(t.level_shape(j) + (m, m))
         for j, a in zip(js, np.split(A, ends))}, mvee_gap=gap,
         mvee_iters=iters, mvee_capped=iters >= MVEE_MAX_ITERS,

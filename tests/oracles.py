@@ -17,7 +17,7 @@ def identity_family(t: Truncation, m=1, p=2):
     """The reducing family A_Q = I_m on every cube of the window ``t``."""
     levels = {j: np.tile(np.eye(m), t.level_shape(j) + (1, 1))
               for j in range(t.j_min, t.j_max + 1)}
-    return ReducingFamily(p=p, backend="exact_p2", truncation=t, levels=levels)
+    return ReducingFamily(p=p, truncation=t, levels=levels)
 
 
 def _entry_matrix(rows, cols, p):

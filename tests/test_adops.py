@@ -98,7 +98,6 @@ def test_ad_apply_and_majorant_need_the_sequence_window():
         for call in (lambda: ad_apply(F22, tv, t),
                      lambda: ad_apply({}, tv, t),
                      lambda: majorant(tv, 2.0, 1.0, t),
-                     lambda: majorant(tv, np.inf, 1.0, t),
                      lambda: ad_apply(F22, CoeffSeq(other, 1), t)):
             with pytest.raises(ADError):
                 call()
@@ -150,12 +149,14 @@ def test_kernel_spectra_are_shared_read_only():
 
 
 def test_majorant_spectrum_is_the_zeroed_kernel_and_is_shared():
-    from dwlab.adops import _kernel, _kernel_hat
+    from dwlab.adops import _kernel_hat
 
     # majorant adds the o = 0 term exactly, so its cached spectrum is that
-    # of the kernel with the origin zeroed, bit for bit
+    # of the kernel (1 + |o|)^{-lam r} with the origin zeroed, bit for bit
     for L, n, lam_r in ((16, 1, 2.5), (8, 2, 3.0)):
-        K = _kernel(L, n, 1.0, lam_r)
+        o = np.fft.fftfreq(L, 1.0 / L)
+        grids = np.meshgrid(*([o] * n), indexing="ij", sparse=True)
+        K = (1.0 + np.sqrt(sum(g * g for g in grids))) ** (-lam_r)
         full = np.fft.rfftn(K)
         K.flat[0] = 0.0
         h = _kernel_hat(L, n, 0, lam_r, False)
@@ -226,11 +227,20 @@ def test_majorant_hand_values():
     out = majorant(tv, 1.0, 2.0, t)
     # neighbor one cell away: (1 + 1)^{-2} = 0.25
     assert abs(out[CubeId(1, (1,))][0] - 0.25) < 1e-15
-    # r = infinity with a single term reproduces the entry
-    out_inf = majorant(tv, np.inf, 2.0, t)
-    assert abs(out_inf[CubeId(1, (0,))][0] - 1.0) < 1e-15
     with pytest.raises(ADError):
         majorant(tv, 0.0, 2.0, t)
+
+
+@pytest.mark.parametrize("r, lam", [
+    (np.inf, 2.0), (np.nan, 2.0), (-1.0, 2.0),
+    (2.0, np.nan), (2.0, np.inf), (2.0, 0.0), (2.0, -1.0),
+])
+def test_majorant_needs_finite_positive_exponents(r, lam):
+    # the majorant is defined for 0 < r < inf (Frazier-Jawerth 1990)
+    t = Truncation(1, 0, 3, 1)
+    tv = build_random(t, seed=2, density=0.5)
+    with pytest.raises(ADError):
+        majorant(tv, r, lam, t)
 
 
 def test_majorant_dominates_sequence():
@@ -251,8 +261,7 @@ def _majorant_brute(tv, r, lam, t):
                 / (1.0 + np.linalg.norm(xq - cube_geometry(R)[0]) / ell) ** lam
                 for R, z in tv.entries.items() if R.j == j
             ]
-            want[Q] = (max(terms) if np.isinf(r)
-                       else sum(x**r for x in terms) ** (1.0 / r))
+            want[Q] = sum(x**r for x in terms) ** (1.0 / r)
     return want
 
 
@@ -261,7 +270,7 @@ def _majorant_brute(tv, r, lam, t):
     (Truncation(1, 2, 6, 3), 2),
     (Truncation(2, 1, 4, 3), 1),
 ])
-@pytest.mark.parametrize("r", [0.5, 1.0, 2.0, np.inf])
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
 def test_majorant_matches_brute_force(t, m, r):
     tv = build_random(t, m=m, seed=9, density=0.3, sigma=-0.5)
     lam = 1.0 / min(r, 1.0) + 0.25
@@ -297,3 +306,16 @@ def test_molecule_thresholds_f22():
     assert (K, L, M, N) == (1.0, 0.0, 1.0, 0.0)
     assert mol.synthesis == (1.0, 0.0, 1.0, 0.0)
     assert mol.k_min == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_molecule_thresholds_read_the_dimension_of_the_thresholds(n):
+    th = ad_thresholds(0.5, 1.0, 2.0, "B", 0.0, 0.0, 0.0, n=n)
+    assert th.n == n
+    D, E, F = th.D_min, th.E_min, th.F_min
+    mol = molecule_thresholds(th)
+    assert mol.analysis == (max(D, E + n / 2), E - n / 2, D, F - n / 2)
+    assert mol.synthesis == (max(D, F + n / 2), F - n / 2, D, E - n / 2)
+    assert mol.k_min == int(np.floor(max(E, F) - n / 2)) + 1
+    if n == 3:  # the documented example: (3.5, 0.5, 3, -0.5), k_min 1
+        assert (mol.analysis, mol.k_min) == ((3.5, 0.5, 3.0, -0.5), 1)

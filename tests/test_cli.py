@@ -204,6 +204,58 @@ def test_transform_of_a_2d_grid_gives_one_error_line(kind):
                            "got n = 2"), err
 
 
+BAD_ENTRIES = [[1.0, 0.0, 5.0], [1.0], [], ["1", "2"], "1+2j", True, None,
+               [[1.0, 0.0]]]
+
+
+@pytest.mark.parametrize("entry", BAD_ENTRIES, ids=[
+    "triple", "single", "empty", "strings", "string", "bool", "null", "nested"])
+@pytest.mark.parametrize("command", ["norm", "dwt"])
+def test_complex_entry_faults_give_one_error_line(command, entry):
+    # [re, im, 5] once dropped the 5 and printed a number, [re] ended in
+    # an IndexError traceback
+    if command == "norm":
+        cfg = {"window": {"n": 1, "j_min": 0, "j_max": 2},
+               "space": {"family": "B", "p": 2, "q": 2},
+               "sequence": {"entries": [{"j": 1, "k": [1],
+                                         "value": [entry]}]}}
+        argv = ["norm", "--config", json.dumps(cfg)]
+    else:
+        grid = {"n": 1, "N": 16, "values": [entry] + [0.0] * 15}
+        argv = ["transform", "dwt", "--in", json.dumps(grid)]
+    status, out, err = _run_main(argv)
+    lines = err.strip().splitlines()
+    assert status == 2 and out == "", (status, out, err)
+    assert lines == [f"dwlab: error: a complex entry is a number or an "
+                     f"[re, im] pair, got {json.dumps(entry)}"], err
+
+
+def test_complex_entries_take_numbers_and_pairs():
+    cfg = {"window": {"n": 1, "j_min": 0, "j_max": 2},
+           "space": {"family": "B", "p": 2, "q": 2},
+           "sequence": {"entries": [{"j": 1, "k": [1], "value": [3]}]}}
+    norms = []
+    for value in ([3], [3.0], [[3, 0]], [[0.0, -3.0]]):
+        cfg["sequence"]["entries"][0]["value"] = value
+        status, out, _ = _run_main(["norm", "--config", json.dumps(cfg)])
+        assert status == 0
+        norms.append(out)
+    assert len(set(norms)) == 1, norms
+    grid = json.loads(GRID16)
+    plain = dict(grid, values=[v[0] for v in grid["values"]])
+    got = [_run_main(["transform", "dwt", "--in", json.dumps(g)])
+           for g in (grid, plain)]
+    assert got[0] == got[1] and got[0][0] == 0
+
+
+def test_thresholds_molecule_table_uses_the_space_dimension():
+    space = json.dumps({"family": "B", "p": 1, "q": 2, "s": 0.5, "n": 3})
+    status, out, _ = _run_main(["thresholds", "--space", space])
+    assert status == 0
+    assert "analysis molecule (K, L, M, N) > 3.5, 0.5, 3, -0.5" in out, out
+    assert "wavelet smoothness k_min = 1" in out, out
+
+
 def test_transform_levels_in_range():
     status, out, _ = _run_main(["transform", "dwt", "--in", GRID16,
                                 "--levels", "1"])

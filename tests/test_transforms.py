@@ -5,6 +5,7 @@ from dwlab.adops import ADParams, ad_entry
 from dwlab.dyadic import CubeId, Truncation
 from dwlab.seqspace import CoeffSeq
 from dwlab.transforms import (
+    DB_FILTERS,
     GridFunction,
     TransformError,
     WaveletCoeffs,
@@ -429,3 +430,33 @@ def test_phi_analyze_runs_each_component_on_its_own():
 def test_lusin_rejects_negative_aperture():
     with pytest.raises(TransformError):
         square_functions({1: np.ones(16)}, kind="lusin", alpha=-0.5)
+
+
+@pytest.mark.parametrize("kind, name, value", [
+    ("gstar", "r", 0.0), ("gstar", "r", -1.0), ("gstar", "r", np.inf),
+    ("gstar", "r", np.nan), ("gstar", "lam", np.nan), ("gstar", "lam", -1.0),
+    ("gstar", "lam", np.inf), ("lusin", "r", 0.0), ("lusin", "alpha", np.nan),
+    ("lusin", "alpha", np.inf), ("peetre", "eta", np.nan),
+    ("peetre", "eta", np.inf),
+])
+def test_front_ends_need_finite_exponents(kind, name, value):
+    # r, lam and eta in (0, inf), alpha in [0, inf); once a traceback,
+    # a NaN or a number
+    fj = {2: np.ones(16)}
+    with pytest.raises(TransformError, match=name):
+        if kind == "peetre":
+            peetre_maximal(fj, value)
+        else:
+            square_functions(fj, kind=kind, **{name: value})
+
+
+def test_db_filters_are_orthonormal():
+    # <h, shift_2m h> = delta_m and sum h = sqrt 2 for every DB-k filter
+    assert sorted(DB_FILTERS) == [2, 3, 4, 6, 8]
+    for k, taps in DB_FILTERS.items():
+        h = np.array(taps)
+        assert h.size == 2 * k
+        for shift in range(0, h.size, 2):
+            dot = float(np.dot(h[: h.size - shift], h[shift:]))
+            assert abs(dot - (1.0 if shift == 0 else 0.0)) <= 1e-14, (k, shift)
+        assert abs(np.sum(h) - np.sqrt(2.0)) <= 1e-13, k
