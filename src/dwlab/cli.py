@@ -85,8 +85,8 @@ def _parse_weight(spec):
 
 
 def _parse_window(doc):
-    return Truncation(int(doc.get("n", 1)), int(doc["j_min"]),
-                      int(doc["j_max"]), int(doc.get("root_extent", 1)))
+    return Truncation(doc.get("n", 1), doc["j_min"], doc["j_max"],
+                      doc.get("root_extent", 1))
 
 
 def _parse_growth(doc):

@@ -72,6 +72,10 @@ class Truncation:
     root_extent: int = 1
 
     def __post_init__(self):
+        for name in ("n", "j_min", "j_max", "root_extent"):
+            x = getattr(self, name)
+            if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+                raise DyadicError(f"{name} must be an integer, got {x!r}")
         if self.n < 1:
             raise DyadicError("spatial dimension must be >= 1")
         if self.j_min > self.j_max:
@@ -160,7 +164,10 @@ def _spread_at(i, total, cap):
     if total <= cap or cap < 2:  # a cap of one keeps index 0
         return i
     q, r = divmod(total - 1, cap - 1)  # i (total - 1) without overflow
-    return i * q + i * r // (cap - 1)
+    f = i * r
+    f //= cap - 1  # in place: a block's int64 temporaries dominate its cost
+    f += i * q
+    return f
 
 
 def spread(total, cap):
@@ -178,18 +185,34 @@ def pair_blocks(count, cap):
     total = count * count
     for s in range(0, min(total, cap), PAIR_BLOCK):
         i = np.arange(s, min(s + PAIR_BLOCK, total, cap))
-        yield np.divmod(_spread_at(i, total, cap), count)
+        f = _spread_at(i, total, cap)
+        I = f // count  # a scalar floor division, far faster than np.divmod
+        f -= I * count
+        yield I, f
 
 
-def window_pairs(t: Truncation, cap):
-    """The cube pairs (Q_I, Q_J) of pair_blocks(cube count, cap), with the
-    cubes in enumerate_cubes order, block by block: the index arrays I, J,
-    the level differences j_I - j_J and separation(Q_I, Q_J)."""
+def _window_cubes(t: Truncation):
+    """Levels, edge lengths and lower corners [N, n] of the window cubes,
+    in enumerate_cubes order."""
     js = range(t.j_min, t.j_max + 1)
     ks = [t.level_k(j).reshape(-1, t.n) for j in js]
     lev = np.concatenate([np.full(len(k), j) for j, k in zip(js, ks)])
     ell = np.ldexp(1.0, -lev)
-    x = np.concatenate(ks) * ell[:, None]
+    return lev, ell, np.concatenate(ks) * ell[:, None]
+
+
+def window_pairs(t: Truncation, cap):
+    """The cube pairs (Q_I, Q_J) of pair_blocks(cube count, cap), with the
+    cubes in enumerate_cubes order, block by block: the index arrays I, J
+    and the level differences j_I - j_J."""
+    lev = _window_cubes(t)[0]
     for I, J in pair_blocks(len(lev), cap):
-        sep = 1.0 + _radius(x[I] - x[J]) / np.maximum(ell[I], ell[J])
-        yield I, J, lev[I] - lev[J], sep
+        yield I, J, lev[I] - lev[J]
+
+
+def pair_separations(t: Truncation):
+    """The function (I, J) -> separation(Q_I, Q_J) on index arrays of
+    window_pairs(t, ...), built on the window geometry once."""
+    _, ell, x = _window_cubes(t)
+    return lambda I, J: (1.0 + _radius(x[I] - x[J])
+                         / np.maximum(ell[I], ell[J]))

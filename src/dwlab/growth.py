@@ -22,7 +22,8 @@ from typing import Callable
 
 import numpy as np
 
-from .dyadic import DwlabError, Truncation, window_pairs
+from .dyadic import (DwlabError, Truncation, check_finite, pair_separations,
+                     window_pairs)
 from .weights import _libm_pow, box_nodes
 
 PAIR_CAP = 2_000_000  # class_constant's cube pairs; spread picks above it
@@ -85,12 +86,14 @@ def make_growth(kind, **params):
         raise GrowthError(f"{kind} growth takes no {', '.join(extra)}")
     if kind == "power":
         tau = float(params["tau"])
+        check_finite(tau, "tau", GrowthError)
         if tau < 0:
             raise GrowthError("power growth needs tau >= 0")
         return GrowthFn(lambda j, k, t=tau: (2.0 ** (-j * k.shape[-1])) ** t)
     if kind == "weight_power":
         field = params["field"]
         tau = float(params["tau"])
+        check_finite(tau, "tau", GrowthError)
         if not callable(field):
             raise GrowthError("weight_power growth needs a callable field")
         cache = {}
@@ -104,6 +107,8 @@ def make_growth(kind, **params):
         return GrowthFn(ev)
     alpha = float(params["alpha"])
     beta = float(params["beta"])
+    check_finite(alpha, "alpha", GrowthError)
+    check_finite(beta, "beta", GrowthError)
     if alpha > beta:
         raise GrowthError("piecewise_power needs alpha <= beta")
 
@@ -118,16 +123,26 @@ def class_constant(v: GrowthFn, delta1, delta2, omega, t: Truncation):
 
     Finite by construction on a finite window; growth of this constant
     across nested windows signals non-membership.  The pairs run in
-    window_pairs blocks, so the memory stays bounded at any depth.
+    window_pairs blocks, so the memory stays bounded at any depth; the
+    volume factor comes from a table over the level gaps, and the
+    separations are read only when omega > 0.
     """
+    for x, name in ((delta1, "delta1"), (delta2, "delta2"), (omega, "omega")):
+        check_finite(x, name, GrowthError)
     if delta2 < delta1 or omega < 0:
         raise GrowthError("need delta2 >= delta1 and omega >= 0")
     vals = np.concatenate([v.on_level(j, t.level_k(j).reshape(-1, t.n))
                            for j in range(t.j_min, t.j_max + 1)])
+    # (|Q_I| / |Q_J|)^(delta1 if ell(Q_I) <= ell(Q_J) else delta2) by the
+    # level gap dj = j_I - j_J, looked up at dj + span
+    span = t.j_max - t.j_min
+    gaps = np.arange(-span, span + 1)
+    tab = (2.0 ** (-gaps * float(t.n))) ** np.where(gaps >= 0, delta1, delta2)
+    sep = pair_separations(t) if omega else None  # sep^0 is 1.0 exactly
     worst = []
-    for I, J, dj, sep in window_pairs(t, PAIR_CAP):
-        vol_ratio = 2.0 ** (-dj * float(t.n))  # |Q_I| / |Q_J|
-        expo = np.where(dj >= 0, delta1, delta2)  # ell(Q_I) <= ell(Q_J)
-        bound = sep**omega * vol_ratio**expo
+    for I, J, dj in window_pairs(t, PAIR_CAP):
+        bound = tab[dj + span]
+        if omega:
+            bound = sep(I, J) ** omega * bound
         worst.append(np.max(vals[I] / vals[J] / bound))
     return float(np.max(worst))

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import (CubeId, DwlabError, Truncation, check_exponent, spread,
-                     window_pairs)
+from .dyadic import (CubeId, DwlabError, Truncation, check_exponent,
+                     pair_separations, spread, window_pairs)
 from .weights import (
     MatrixWeight,
     QuadratureSpec,
@@ -226,8 +226,9 @@ def doubling_orders(F: ReducingFamily, t: Truncation):
         raise ReducingError("doubling orders need two window cubes or more")
     Ainv = np.linalg.inv(A)
     # ordered pairs Q != R, row-major, and ||A_Q A_R^{-1}|| on them
-    pairs = [[a[I != J] for a in (I, J, dj, sep)]
-             for I, J, dj, sep in window_pairs(t, DOUBLING_PAIR_CAP)]
+    sep = pair_separations(t)
+    pairs = [[a[I != J] for a in (I, J, dj, sep(I, J))]
+             for I, J, dj in window_pairs(t, DOUBLING_PAIR_CAP)]
     v = np.log(np.maximum(np.concatenate(
         [np.linalg.matrix_norm(A[I] @ Ainv[J], ord=2) for I, J, *_ in pairs]),
         1e-300))

@@ -257,7 +257,10 @@ def _exp_log_avg(wx, keep_x, wy_inv, keep_y, p):
         raise WeightError("all quadrature nodes hit the singular set")
     # C order keeps each x row contiguous, so its sum is pairwise
     prods = np.einsum("...xab,...ybc->...yxac", wx, wy_inv, order="C")
-    norms = np.linalg.matrix_norm(prods, ord=2) ** p
+    if prods.shape[-1] == 1:  # the spectral norm of a 1x1 matrix is |a|
+        norms = np.abs(prods[..., 0, 0]) ** p
+    else:
+        norms = np.linalg.matrix_norm(prods, ord=2) ** p
     inner = np.sum(norms, axis=-1) / np.sum(keep_x, axis=-1)[..., None]
     keep_y = np.broadcast_to(keep_y, inner.shape)
     logs = np.log(inner, out=np.zeros_like(inner), where=keep_y)

@@ -141,6 +141,20 @@ def test_norm_huge_integers_give_one_error_line(space):
     assert "digits is beyond the float range" in lines[0], err
 
 
+@pytest.mark.parametrize("key,value", [("j_max", 2.5), ("root_extent", 1.5),
+                                       ("n", True), ("j_min", "0")])
+def test_non_integer_window_fields_give_one_error_line(key, value):
+    # int() once made these a silent window: exit 0, printing 0.5
+    cfg = {"window": {"n": 1, "j_min": 0, "j_max": 2, key: value},
+           "space": {"family": "B", "p": 2, "q": 2},
+           "sequence": {"entries": [{"j": 1, "k": [1], "value": [0.5]}]}}
+    status, out, err = _run_main(["norm", "--config", json.dumps(cfg)])
+    lines = err.strip().splitlines()
+    assert status == 2 and out == "", (status, out, err)
+    assert len(lines) == 1 and lines[0].startswith("dwlab: error: "), err
+    assert f"{key} must be an integer" in lines[0], err
+
+
 def test_closed_stdout_ends_quietly():
     # ~380 kB of JSON: more than a pipe holds, so the write must meet the
     # closed end

@@ -178,3 +178,17 @@ def test_pair_blocks_pick_cap_spread_pairs_above_it(monkeypatch, count, cap):
     assert flat[0] == 0 and flat[-1] == count * count - 1
     gaps = np.diff(flat)
     assert gaps.max() - gaps.min() <= 1
+
+
+@pytest.mark.parametrize("args", [(1, 0, 2.5, 1), (1, 0, 2, 1.5),
+                                  (True, 0, 2, 1), (1, "0", 2, 1),
+                                  (1, 0, np.float64(2.0), 1)])
+def test_truncation_fields_must_be_integers(args):
+    # 2.5 once ended in a raw TypeError from <<, True passed as n = 1
+    with pytest.raises(DyadicError, match="must be an integer"):
+        Truncation(*args)
+
+
+def test_truncation_takes_numpy_integers():
+    t = Truncation(np.int64(1), np.int32(-1), np.int64(3), np.uint8(2))
+    assert t == Truncation(1, -1, 3, 2) and t.cells_per_axis() == 32

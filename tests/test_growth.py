@@ -243,3 +243,89 @@ def test_class_constant_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert c == 1.0 and peak < 32e6
+
+
+def _class_constant_per_pair(v, delta1, delta2, omega, t, cap):
+    """class_constant by the per-pair formula it had before its gap table:
+    separation, volume ratio and exponent of every spread pair, computed
+    for each pair, in blocks of 2^16 pairs."""
+    js = range(t.j_min, t.j_max + 1)
+    ks = [t.level_k(j).reshape(-1, t.n) for j in js]
+    lev = np.concatenate([np.full(len(k), j) for j, k in zip(js, ks)])
+    ell = np.ldexp(1.0, -lev)
+    x = np.concatenate(ks) * ell[:, None]
+    vals = np.concatenate([v.on_level(j, k) for j, k in zip(js, ks)])
+    flat = spread(len(lev) ** 2, cap)
+    worst = []
+    for s in range(0, len(flat), 1 << 16):
+        I, J = np.divmod(flat[s:s + (1 << 16)], len(lev))
+        dj = lev[I] - lev[J]
+        sep = 1.0 + _radius(x[I] - x[J]) / np.maximum(ell[I], ell[J])
+        vol_ratio = 2.0 ** (-dj * float(t.n))
+        expo = np.where(dj >= 0, delta1, delta2)
+        bound = sep**omega * vol_ratio**expo
+        worst.append(np.max(vals[I] / vals[J] / bound))
+    return float(np.max(worst))
+
+
+_FIELD = make_growth("weight_power", field=_shifted_field, tau=1.5)
+_POWER = make_growth("power", tau=0.5)
+
+
+# (window, growth, delta1, delta2, omega, pair cap; None keeps PAIR_CAP)
+@pytest.mark.parametrize("t,v,d1,d2,omega,cap", [
+    (Truncation(1, 0, 6, 1), _POWER, 0.5, 0.5, 0.0, None),
+    (Truncation(1, -2, 3, 3), _FIELD, 0.0, 0.2, 0.4, 50),
+    (Truncation(1, -1, 4, 2), _FIELD, 0.1, 0.3, 0.0, 1000),
+    (Truncation(2, -1, 2, 2), _FIELD, 0.1, 0.5, 0.0, 1000),
+    (Truncation(2, 0, 3, 1), _FIELD, -0.2, 0.3, 0.7, None),
+    (Truncation(2, -1, 1, 3), _POWER, 0.25, 0.75, 0.3, 50),
+    (Truncation(1, 0, 10, 1), _POWER, 0.5, 0.5, 0.0, None),
+    (Truncation(1, -1, 9, 1), _FIELD, 0.1, 0.6, 0.25, None),
+], ids=["1d", "1d-cap50", "1d-cap1000", "2d-cap1000", "2d", "2d-extent3",
+        "1d-above-cap", "1d-above-cap-omega"])
+def test_class_constant_matches_the_per_pair_formula_bit_for_bit(
+        t, v, d1, d2, omega, cap, monkeypatch):
+    if cap is not None:
+        monkeypatch.setattr(growth, "PAIR_CAP", cap)
+    want = _class_constant_per_pair(v, d1, d2, omega, t, growth.PAIR_CAP)
+    assert class_constant(v, d1, d2, omega, t).hex() == want.hex()
+
+
+def test_class_constant_reads_separations_only_at_positive_omega(
+        monkeypatch):
+    def unreachable(t):
+        raise AssertionError("separations read")
+
+    monkeypatch.setattr(growth, "pair_separations", unreachable)
+    t = Truncation(2, 0, 3, 1)
+    assert class_constant(_POWER, 0.5, 0.5, 0.0, t) == 1.0
+    with pytest.raises(AssertionError, match="separations read"):
+        class_constant(_POWER, 0.5, 0.5, 0.3, t)
+
+
+@pytest.mark.parametrize("kind,params,named", [
+    ("power", {"tau": np.nan}, "tau"),
+    ("power", {"tau": np.inf}, "tau"),
+    ("weight_power", {"field": _shifted_field, "tau": np.nan}, "tau"),
+    ("piecewise_power", {"alpha": 0.0, "beta": np.nan}, "beta"),
+    ("piecewise_power", {"alpha": -np.inf, "beta": 0.0}, "alpha"),
+])
+def test_non_finite_growth_exponents_are_errors(kind, params, named):
+    # NaN and infinite exponents once built, to fail later as a
+    # "nonpositive" growth or to give class constants of 4.0
+    with pytest.raises(GrowthError, match=f"{named} must be finite"):
+        make_growth(kind, **params)
+
+
+@pytest.mark.parametrize("d1,d2,omega,named", [
+    (np.nan, np.nan, 0.0, "delta1"),
+    (0.0, np.inf, 0.0, "delta2"),
+    (0.0, 0.0, np.nan, "omega"),
+    (0.0, 0.0, np.inf, "omega"),
+])
+def test_non_finite_class_exponents_are_errors(d1, d2, omega, named):
+    # these once gave nan, or 1.0 through the omega = 0 shortcut
+    with pytest.raises(GrowthError, match=f"{named} must be finite"):
+        class_constant(make_growth("power", tau=0.0), d1, d2, omega,
+                       Truncation(1, 0, 4, 1))

@@ -460,3 +460,29 @@ def test_apinf_masks_a_singular_window_node():
         got = apinf_characteristic(W, p, t, quad)
         want = apinf_per_cube(W, p, t, quad)
         assert abs(got - want) <= 1e-12 * want, (p, got, want)
+
+
+def _exp_log_avg_by_svd(wx, keep_x, wy_inv, keep_y, p):
+    """_exp_log_avg with every product's norm from np.linalg.matrix_norm."""
+    prods = np.einsum("...xab,...ybc->...yxac", wx, wy_inv, order="C")
+    norms = np.linalg.matrix_norm(prods, ord=2) ** p
+    inner = np.sum(norms, axis=-1) / np.sum(keep_x, axis=-1)[..., None]
+    keep_y = np.broadcast_to(keep_y, inner.shape)
+    logs = np.log(inner, out=np.zeros_like(inner), where=keep_y)
+    return np.exp(np.sum(logs, axis=-1) / np.sum(keep_y, axis=-1))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_exp_log_avg_1x1_norms_are_the_svd_norms(seed):
+    # |a| in place of an SVD per node pair: signed entries over 16
+    # decades, with masked nodes zero as MatrixWeight.powers leaves them
+    rng = np.random.default_rng(seed)
+    keep_x, keep_y = rng.random((6, 40)) > 0.25, rng.random((6, 30)) > 0.25
+    keep_x[:, 0] = keep_y[:, 0] = True
+    wx, wy = (10.0 ** rng.uniform(-8, 8, k.shape) * rng.choice([-1, 1], k.shape)
+              * k for k in (keep_x, keep_y))
+    wx, wy = wx[..., None, None], wy[..., None, None]
+    for p in (0.5, 1.0, 2.0, 3.0):
+        got = weights._exp_log_avg(wx, keep_x, wy, keep_y, p)
+        want = _exp_log_avg_by_svd(wx, keep_x, wy, keep_y, p)
+        assert [g.hex() for g in got] == [w.hex() for w in want], p
