@@ -49,6 +49,13 @@ def _json_int(text):
                      "beyond the float range")
 
 
+def _integer(x, name):
+    """x if it is a JSON integer (not true or false), else a DwlabError."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise DwlabError(f"{name} must be an integer, got {x!r}")
+    return x
+
+
 def _load_json(arg):
     """Accept inline JSON or a path to a JSON file."""
     s = arg.strip()
@@ -71,14 +78,17 @@ def _parse_weight(spec):
         spec = dict(zip(("preset",) + names, [kind] + args))
         if "diag" in spec:
             spec["diag"] = spec["diag"].split(",")
+        if "m" in spec:
+            spec["m"] = int(spec["m"])
     kind = spec["preset"]
     if kind == "identity":
-        return identity_weight(int(spec.get("m", 1)))
+        return identity_weight(_integer(spec.get("m", 1), "m"))
     if kind == "power":
-        return power_weight(float(spec["alpha"]), int(spec.get("n", 1)))
+        return power_weight(float(spec["alpha"]),
+                            _integer(spec.get("n", 1), "n"))
     if kind == "diag_power":
         return diag_power_weight(float(spec["alpha"]), float(spec["beta"]),
-                                 int(spec.get("n", 1)))
+                                 _integer(spec.get("n", 1), "n"))
     if kind == "constant":
         return constant_weight(np.diag([float(d) for d in spec["diag"]]))
     raise WeightError(f"unknown weight preset: {kind}")
@@ -104,7 +114,8 @@ def _parse_q(val):
 def _parse_space(doc, t=None):
     mode = doc.get("mode", "unweighted")
     weight = _parse_weight(doc["weight"]) if "weight" in doc else None
-    quad = QuadratureSpec(int(doc.get("nodes_per_cell", 3)))
+    quad = QuadratureSpec(_integer(doc.get("nodes_per_cell", 3),
+                                   "nodes_per_cell"))
     reducing = None
     if mode == "averaging":
         if weight is None or t is None:
@@ -127,10 +138,11 @@ def _complex(c):
 
 
 def _parse_sequence(doc, t):
-    tv = CoeffSeq(t, int(doc.get("m", 1)))
+    tv = CoeffSeq(t, _integer(doc.get("m", 1), "m"))
     for ent in doc["entries"]:
         z = np.array([_complex(c) for c in ent["value"]])
-        tv[CubeId(int(ent["j"]), tuple(int(k) for k in ent["k"]))] = z
+        tv[CubeId(_integer(ent["j"], "j"),
+                  tuple(_integer(k, "k") for k in ent["k"]))] = z
     return tv
 
 
@@ -183,7 +195,7 @@ def cmd_thresholds(args):
             float(doc.get("s", 0.0)), _parse_q(doc["p"]), _parse_q(doc["q"]),
             doc["family"], *(float(doc.get(key, 0.0))
                              for key in ("delta1", "delta2", "omega")),
-            n=int(doc.get("n", 1)),
+            n=_integer(doc.get("n", 1), "n"),
             weighted=tuple(doc["weighted"]) if "weighted" in doc else None)
     except (TypeError, AttributeError) as exc:  # a value of the wrong type
         raise DwlabError(f"malformed space: {exc}") from exc
@@ -223,7 +235,8 @@ def cmd_verify(args):
 def cmd_transform(args):
     doc = _load_json(args.infile)
     vals = np.array([_complex(c) for c in doc["values"]])
-    f = GridFunction(int(doc.get("n", 1)), int(doc["N"]), vals)
+    f = GridFunction(_integer(doc.get("n", 1), "n"), _integer(doc["N"], "N"),
+                     vals)
     if args.kind == "dwt":
         c = dwt_analyze(f, k=args.filter_k or 4, levels=args.levels)
         out = {

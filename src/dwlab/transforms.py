@@ -15,7 +15,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .dyadic import DwlabError, Truncation, check_exponent, check_finite
+from .dyadic import (PAIR_BLOCK, DwlabError, Truncation, check_exponent,
+                     check_finite)
 from .seqspace import CoeffSeq
 
 
@@ -314,23 +315,35 @@ def peetre_maximal(fj, eta, mode="matrix", W=None, p=None):
     ``fj`` maps level j to grid values (N,) or (N, m); returns the same
     structure with scalar fields.  M is W^{1/p}(x), the identity when W
     is None.  For scalar M the sup is |M(x)| sup_y |f_j(y)| / pen(x - y);
-    an m > 1 matrix needs the [N, N, m] products M(x) f_j(y).  1-d only
-    (brute-force sup).  eta must be finite and > 0 (TransformError).
+    an m > 1 matrix needs the products M(x) f_j(y).  1-d only.  The sup
+    is brute force in time (N^2 quotients per level) but is taken over
+    blocks of max(1, PAIR_BLOCK // N) rows x, so memory per block is
+    bounded by PAIR_BLOCK quotients and no N x N array is built.  eta
+    must be finite and > 0 (TransformError).
     """
     check_exponent(eta, "eta", TransformError)
     check_finite(eta, "eta", TransformError)
     out = {}
     for j, vals, M in _level_grids(fj, W, p, mode=mode):
-        # pen^eta once per torus offset, gathered at x - y (mod N)
-        idx = np.arange(len(vals))
-        pen = ((1.0 + 2.0**j * _torus_dist(len(vals))) ** eta)[
-            idx[:, None] - idx]
-        if M is None or M.shape[-1] == 1:
-            sup = np.max(np.linalg.norm(vals, axis=-1) / pen, axis=1)
-            out[j] = sup if M is None else np.abs(M[:, 0, 0]) * sup
-        else:
-            mags = np.linalg.norm(np.einsum("xab,yb->xya", M, vals), axis=-1)
-            out[j] = np.max(mags / pen, axis=1)
+        # pen^eta once per torus offset; with y read backwards, row x of
+        # pen[(x - y) mod N] is window x + 1 of the doubled penalty (a view)
+        N = len(vals)
+        pen = (1.0 + 2.0**j * _torus_dist(N)) ** eta
+        rows = np.lib.stride_tricks.sliding_window_view(
+            np.concatenate([pen, pen])[1:], N)
+        scalar = M is None or M.shape[-1] == 1
+        if scalar:
+            mags = np.linalg.norm(vals, axis=-1)[::-1]
+        sup = np.empty(N)
+        step = max(1, PAIR_BLOCK // N)
+        for s in range(0, N, step):
+            if not scalar:
+                mags = np.linalg.norm(np.einsum(
+                    "xab,yb->xya", M[s:s + step], vals), axis=-1)[:, ::-1]
+            sup[s:s + step] = np.max(mags / rows[s:s + step], axis=1)
+        if M is not None and scalar:
+            sup *= np.abs(M[:, 0, 0])
+        out[j] = sup
     return out
 
 

@@ -155,6 +155,52 @@ def test_non_integer_window_fields_give_one_error_line(key, value):
     assert f"{key} must be an integer" in lines[0], err
 
 
+def _norm_config(space=None, sequence=None, entry=None):
+    return {"window": {"n": 1, "j_min": 0, "j_max": 2},
+            "space": {"family": "B", "p": 2, "q": 2, **(space or {})},
+            "sequence": {"entries": [{"j": 1, "k": [1], "value": [0.5],
+                                      **(entry or {})}],
+                         **(sequence or {})}}
+
+
+INTEGER_FIELDS = [
+    (["norm", "--config", _norm_config(sequence={"m": 1.5})], "m"),
+    (["norm", "--config", _norm_config(entry={"j": 1.9})], "j"),
+    (["norm", "--config", _norm_config(entry={"k": [1.7]})], "k"),
+    (["norm", "--config", _norm_config(space={"nodes_per_cell": 2.7})],
+     "nodes_per_cell"),
+    (["norm", "--config", _norm_config(space={
+        "mode": "matrix", "weight": {"preset": "identity", "m": 1.0}})], "m"),
+    (["norm", "--config", _norm_config(space={
+        "mode": "matrix", "weight": {"preset": "power", "alpha": -0.5,
+                                     "n": True}})], "n"),
+    (["transform", "dwt", "--in", {"N": 8.9, "values": [1.0] * 8}], "N"),
+    (["transform", "phi", "--in", {"n": 1.0, "N": 8, "values": [1.0] * 8}],
+     "n"),
+    (["thresholds", "--space", {"family": "F", "p": 2, "q": 2, "n": 1.5}],
+     "n"),
+]
+
+
+@pytest.mark.parametrize("argv,key", INTEGER_FIELDS, ids=[
+    "sequence.m", "entry.j", "entry.k", "space.nodes_per_cell", "weight.m",
+    "weight.n", "grid.N", "grid.n", "thresholds.n"])
+def test_non_integer_config_fields_give_one_error_line(argv, key):
+    # int() once truncated each of these and printed a result with exit 0
+    status, out, err = _run_main(argv[:-1] + [json.dumps(argv[-1])])
+    lines = err.strip().splitlines()
+    assert status == 2 and out == "", (status, out, err)
+    assert len(lines) == 1, err
+    assert lines[0].startswith(f"dwlab: error: {key} must be an integer"), err
+
+
+def test_colon_weight_presets_keep_their_digits():
+    cfg = _norm_config(space={"mode": "matrix", "weight": "identity:2"},
+                       sequence={"m": 2}, entry={"value": [0.5, 0.0]})
+    status, out, err = _run_main(["norm", "--config", json.dumps(cfg)])
+    assert (status, err) == (0, "") and float(out) == 0.5, (status, out, err)
+
+
 def test_closed_stdout_ends_quietly():
     # ~380 kB of JSON: more than a pipe holds, so the write must meet the
     # closed end

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+
+from dwlab import transforms
 
 from dwlab.adops import ADParams, ad_entry
 from dwlab.dyadic import CubeId, Truncation
@@ -364,6 +368,61 @@ def test_peetre_matrix_weight_matches_product_oracle():
     want = _peetre_product_oracle(fj, 1.25, W, 2.0)
     for j in want:
         assert np.array_equal(got[j], want[j])
+
+
+def _peetre_nxn_gather(fj, eta, W, p):
+    """Peetre sup through the full N x N penalty: the offset table
+    pen[o] = (1 + 2^j min(o, N - o) / N)^eta gathered at x - y (mod N)."""
+    out = {}
+    for j, v in fj.items():
+        vals = np.asarray(v, dtype=complex).reshape(len(v), -1)
+        N = len(vals)
+        off = np.arange(N)
+        pen = ((1.0 + 2.0**j * (np.minimum(off, N - off) / N)) ** eta)[
+            off[:, None] - off]
+        M = None if W is None else W.powers(
+            ((np.arange(N) + 0.5) / N)[:, None], 1.0 / p)
+        if M is None or M.shape[-1] == 1:
+            sup = np.max(np.linalg.norm(vals, axis=-1) / pen, axis=1)
+            out[j] = sup if M is None else np.abs(M[:, 0, 0]) * sup
+        else:
+            mags = np.linalg.norm(np.einsum("xab,yb->xya", M, vals), axis=-1)
+            out[j] = np.max(mags / pen, axis=1)
+    return out
+
+
+@pytest.mark.parametrize("block", [None, 100])
+@pytest.mark.parametrize("W,m", [(None, 1), (power_weight(-0.4), 1),
+                                 (diag_power_weight(-0.5, -0.25), 2)])
+def test_peetre_row_blocks_match_the_nxn_gather_bit_for_bit(
+        monkeypatch, block, W, m):
+    # block 100: one-row blocks for N > 100 and a short last block
+    if block is not None:
+        monkeypatch.setattr(transforms, "PAIR_BLOCK", block)
+    rng = np.random.default_rng(16)
+    for N in (1, 2, 3, 7, 100, 513, 1024):
+        off = np.arange(N)
+        dist = transforms._torus_dist(N)
+        assert np.array_equal(dist, dist[(N - off) % N])  # d(x, y) = d(y, x)
+        v = rng.standard_normal((N, m)) + 1j * rng.standard_normal((N, m))
+        fj = {0: v, 9: v.real}
+        for eta in (0.3, 1.25, 4):
+            got = peetre_maximal(fj, eta, W=W, p=1.5)
+            want = _peetre_nxn_gather(fj, eta, W, 1.5)
+            for j in fj:
+                assert np.array_equal(got[j], want[j]), (N, eta, j)
+
+
+def test_peetre_memory_stays_below_the_nxn_penalty():
+    # the N x N penalty at N = 4096 alone is 134 MB
+    f = np.random.default_rng(17).standard_normal(4096)
+    tracemalloc.start()
+    try:
+        peetre_maximal({6: f}, 1.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
 
 
 def test_peetre_and_direct_field_without_weight():
