@@ -82,6 +82,9 @@ class Truncation:
             raise DyadicError("need j_min <= j_max")
         if self.root_extent < 1:
             raise DyadicError("root_extent must be >= 1")
+        # level_k's arrays, built on first read; not a field, so equality,
+        # hashing and repr see only the four numbers
+        object.__setattr__(self, "_corners", {})
 
     @property
     def k_origin(self):
@@ -102,10 +105,17 @@ class Truncation:
         return (hi - lo,) * self.n
 
     def level_k(self, j):
-        """Level-j cube corners k, shape level_shape(j) + (n,)."""
-        lo, hi = self.k_range(j)
-        axis = np.arange(lo, hi)
-        return np.stack(np.meshgrid(*[axis] * self.n, indexing="ij"), axis=-1)
+        """Level-j cube corners k, shape level_shape(j) + (n,): one
+        read-only array per level, built once and kept on the window."""
+        k = self._corners.get(j)
+        if k is None:
+            lo, hi = self.k_range(j)
+            axis = np.arange(lo, hi)
+            k = np.stack(np.meshgrid(*[axis] * self.n, indexing="ij"),
+                         axis=-1)
+            k.flags.writeable = False
+            self._corners[j] = k
+        return k
 
     def locate(self, c: CubeId):
         """(level, window-local index tuple) of a window cube; None outside."""

@@ -453,7 +453,7 @@ def exp_fs_gamma(seed=DEFAULT_SEED):
     for t in _windows((4, 6)):
         fam = build_family(W, p, t, quad, backend="exact_p2")
         R = t.cells_per_axis() * quad.G
-        wp = W.powers(window_nodes(t, quad.G), 1.0 / p)
+        wp = W.power_at(window_nodes(t, quad.G), 1.0 / p)
         # ||W^{1/p}(x) A_Q^{-1}|| at the nodes x of each cube Q, per level
         gam = {j: np.linalg.matrix_norm(cube_blocks(wp, t, quad.G, j)
                                         @ np.linalg.inv(A)[:, None], ord=2)

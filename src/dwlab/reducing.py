@@ -140,7 +140,7 @@ class ReducingFamily:
             return (1.0, 1.0)
         W, G = self.source
         t, p, m = self.truncation, self.p, self.m
-        wp = W.powers(window_nodes(t, G), 1.0 / p)
+        wp = W.power_at(window_nodes(t, G), 1.0 / p)
         blocks = {j: cube_blocks(wp, t, G, j) for j in self.levels}
         rng = np.random.default_rng(VALIDATION_SEED)
         sample = [(j, i) for j, blk in blocks.items() for i in range(len(blk))]
@@ -182,7 +182,7 @@ def build_family(W: MatrixWeight, p, t: Truncation, spec=None,
         A = np.concatenate([matrix_power(
             np.mean(cube_blocks(w, t, G, j), axis=1), 0.5) for j in js])
     else:
-        wp = W.powers(pts, 1.0 / p)
+        wp = W.power_at(pts, 1.0 / p)
         dirs = sphere_directions(m, max(40, 20 * m * m))
         rho = np.concatenate([_rho_values(cube_blocks(wp, t, G, j), dirs, p)
                               for j in js])

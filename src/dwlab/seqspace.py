@@ -151,10 +151,10 @@ class SpaceParams:
 # The L A-norm engine (suffix sums over the finest grid), on stacks
 # ---------------------------------------------------------------------------
 
-def _box_reduce(arr, w, op):
-    """Reduce a stack (S,) + (R,)*n over disjoint boxes of width w per
-    spatial axis."""
-    for ax in range(1, arr.ndim):
+def _box_reduce(arr, w, op, n):
+    """Reduce the last n (spatial) axes of an array over disjoint boxes of
+    width w per axis."""
+    for ax in range(arr.ndim - n, arr.ndim):
         shape = arr.shape[:ax] + (arr.shape[ax] // w, w) + arr.shape[ax + 1:]
         arr = op(arr.reshape(shape), axis=ax + 1)
     return arr
@@ -180,9 +180,12 @@ def la_norms(fields, params: SpaceParams, t: Truncation):
     The sweep runs on the grid of the finest field, R = max(r) cells per
     axis (at least one per finest cube), and every r must divide R:
     matrix-mode fields come at node resolution and cube-resolution fields
-    at r = 2^(j - j_min) * root_extent.  Each level is spread over the
-    R-grid only while the sweep reads it.  The sums run in the order of a
-    one-member call, so member i equals ``la_norm`` of its own fields.
+    at r = 2^(j - j_min) * root_extent.  The F family spreads each level
+    over the R-grid only while the sweep reads it; the B family spreads
+    every level once, into one (S, L) + (R,)*n stack, and reduces all
+    levels j >= j_P over the level-j_P boxes in one call.  The sums run
+    in the order of a one-member call, so member i equals ``la_norm`` of
+    its own fields.
     """
     n = t.n
     shapes = [np.shape(f) for f in fields.values()]
@@ -217,7 +220,8 @@ def la_norms(fields, params: SpaceParams, t: Truncation):
 
     best = np.zeros(S)
     if params.family == "B":
-        G = {j: level(j) for j in levels}
+        op = np.max if np.isinf(p) else np.sum
+        fine = np.stack([_expand(level(j), R) for j in levels], axis=1)
     else:
         # suffix accumulation of |f_j|^q (running max for q = inf), fine
         # to coarse, one level at a time
@@ -225,14 +229,12 @@ def la_norms(fields, params: SpaceParams, t: Truncation):
     for jP in reversed(levels):
         w = subdiv * (1 << (t.j_max - jP))
         if params.family == "B":
-            op = np.max if np.isinf(p) else np.sum
-            per_level = [_box_reduce(_expand(G[j], R), w, op)
-                         for j in levels if j >= jP]
+            # the reduced levels j >= jP lie on axis 1 in memory order, so
+            # each member sums its levels as a one-member stack does
+            # (pairwise at a single cube)
+            stack = _box_reduce(fine[:, jP - t.j_min:], w, op, n)
             if not np.isinf(p):
-                per_level = [(b * node_vol) ** (1.0 / p) for b in per_level]
-            # levels on axis 1: each member sums its levels as a
-            # one-member stack does (pairwise at a single cube)
-            stack = np.stack(per_level, axis=1)
+                stack = (stack * node_vol) ** (1.0 / p)
             if np.isinf(q):
                 vals = np.max(stack, axis=1)
             else:
@@ -250,7 +252,7 @@ def la_norms(fields, params: SpaceParams, t: Truncation):
                 cells += g
                 Tp = acc ** (1.0 / q)
                 Tp **= p
-            vals = (_box_reduce(Tp, w, np.sum) * node_vol) ** (1.0 / p)
+            vals = (_box_reduce(Tp, w, np.sum, n) * node_vol) ** (1.0 / p)
         vP = params.v.on_level(jP, t.level_k(jP))
         best = np.fmax(best, np.max((vals / vP).reshape(S, -1), axis=1))
     return best
@@ -293,8 +295,8 @@ def _level_fields(tvs, params: SpaceParams, t: Truncation):
         W = params.weight
         if W.m != m:
             raise SeqSpaceError(f"weight is {W.m}x{W.m}, sequence has m={m}")
-        # W^{1/p} once per stack on the window's node grid [R^n, m, m]
-        wp = W.powers(window_nodes(t, subdiv), 1.0 / params.p)
+        # W^{1/p} on the window's node grid [R^n, m, m], kept on the weight
+        wp = W.power_at(window_nodes(t, subdiv), 1.0 / params.p)
     elif mode == "averaging":
         fam = params.reducing
         if fam.truncation != t or fam.m != m:

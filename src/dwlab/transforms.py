@@ -285,15 +285,14 @@ def _torus_dist(N):
 def _level_grids(fj, W, p, a=1.0, mode="matrix"):
     """(j, values [Ng, m], W^{a/p} at the Ng grid midpoints [Ng, m, m])
     for each level of a field map; the power is None without a weight.
-    W^{a/p} is evaluated once per grid size within one call, since every
-    level of a field map shares its grid.  A weight needs p in (0, inf]
-    and m equal to every field's component count.  "matrix" is the only
+    W^{a/p} comes from ``W.power_at``, so a grid's power is evaluated
+    once per weight and exponent.  A weight needs p in (0, inf] and m
+    equal to every field's component count.  "matrix" is the only
     mode."""
     if mode != "matrix":
         raise TransformError(f"unknown mode {mode!r}; only 'matrix' exists")
     if W is not None:
         check_exponent(p, "p", TransformError)
-    memo = {}
     for j, vals in fj.items():
         vals = np.asarray(vals, dtype=complex).reshape(len(vals), -1)
         Ng, m = vals.shape
@@ -303,10 +302,8 @@ def _level_grids(fj, W, p, a=1.0, mode="matrix"):
         if W.m != m:
             raise TransformError(f"weight is {W.m}x{W.m}, level {j} field "
                                  f"has m={m}")
-        if Ng not in memo:
-            pts = (np.arange(Ng) + 0.5) / Ng
-            memo[Ng] = W.powers(pts[:, None], a / p)
-        yield j, vals, memo[Ng]
+        pts = (np.arange(Ng) + 0.5) / Ng
+        yield j, vals, W.power_at(pts[:, None], a / p)
 
 
 def peetre_maximal(fj, eta, mode="matrix", W=None, p=None):

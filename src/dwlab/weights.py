@@ -7,7 +7,11 @@ integrals read one node grid per window (``window_nodes``, regrouped per
 cube by ``cube_blocks``).  The module provides batched fractional matrix
 powers (LAPACK eigh), the exp-log double-average characteristic,
 and the lower/upper dimension estimates used by the weighted
-almost-diagonal thresholds.  Both statistics run on stacked node sets
+almost-diagonal thresholds.  A weight keeps the powers it has evaluated
+(``MatrixWeight.power_at``): matrix-mode norms, the MVEE reducing family
+and its validation, the transforms and FS-GAMMA, which read W^alpha on
+the same node set many times, evaluate it once per weight.  Both
+statistics run on stacked node sets
 through one masked exp-log kernel: the characteristic on the per-level
 ``cube_blocks`` of the window grid, the dimension estimates on the
 dilated boxes of all sampled cubes at once.
@@ -106,6 +110,7 @@ class MatrixWeight:
 
     On the singular set ``eval`` and ``powers`` give the zero matrix and
     never call the weight function: a singular node adds nothing.
+    ``power_at`` is ``powers`` memoised on the weight.
     """
 
     def __init__(self, m, eval_fn, singular_set=(), label="custom"):
@@ -114,6 +119,8 @@ class MatrixWeight:
         self.singular_set = [np.atleast_1d(np.asarray(s, dtype=float))
                              for s in singular_set]
         self.label = label
+        # (point shape, point bytes, alpha) -> read-only W^alpha
+        self._power_cache = {}
 
     @classmethod
     def from_batched(cls, m, batch_fn, singular_set=(), label="custom"):
@@ -153,6 +160,19 @@ class MatrixWeight:
     def powers(self, pts, alpha):
         """W(x)^alpha stacked over points [M, n] -> [M, m, m]."""
         return self._masked(pts, lambda vals: matrix_power(vals, alpha))
+
+    def power_at(self, pts, alpha):
+        """``powers(pts, alpha)``, evaluated once per point set and
+        exponent for the life of the weight and returned read-only.  The
+        cache is unbounded: it holds one entry per distinct request."""
+        pts = np.asarray(pts, dtype=float)
+        key = (pts.shape, pts.tobytes(), alpha)
+        got = self._power_cache.get(key)
+        if got is None:
+            got = self.powers(pts, alpha)
+            got.flags.writeable = False
+            self._power_cache[key] = got
+        return got
 
 
 def _constant(M):
@@ -343,8 +363,12 @@ def estimate_dimensions(W: MatrixWeight, p, t: Truncation):
     wp, wm = (W.powers(flat, a).reshape(pts.shape[:-1] + (W.m, W.m))
               for a in (1.0 / p, -1.0 / p))
     keep = ~W.is_singular_at(pts)
-    low = _exp_log_avg(wp[:, :1], keep[:, :1], wm[:, 1:], keep[:, 1:], p)
-    up = _exp_log_avg(wp[:, 1:], keep[:, 1:], wm[:, :1], keep[:, :1], p)
+    # box 1 (DILATIONS[0] = 1) is box 0 bit for bit, so its Q x Q average is
+    # formed once and serves both estimates
+    same = _exp_log_avg(wp[:, :1], keep[:, :1], wm[:, :1], keep[:, :1], p)
+    low = _exp_log_avg(wp[:, :1], keep[:, :1], wm[:, 2:], keep[:, 2:], p)
+    up = _exp_log_avg(wp[:, 2:], keep[:, 2:], wm[:, :1], keep[:, :1], p)
+    low, up = (np.concatenate([same, v], axis=1) for v in (low, up))
     slopes = np.polyfit(np.log(lams), np.log(np.concatenate([low, up])).T,
                         1)[0]
     d_low, d_up = np.max(slopes.reshape(2, -1), axis=1)

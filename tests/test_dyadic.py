@@ -192,3 +192,32 @@ def test_truncation_fields_must_be_integers(args):
 def test_truncation_takes_numpy_integers():
     t = Truncation(np.int64(1), np.int32(-1), np.int64(3), np.uint8(2))
     assert t == Truncation(1, -1, 3, 2) and t.cells_per_axis() == 32
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("root_extent", [1, 2, 3])
+def test_level_k_is_one_read_only_array_per_level(n, root_extent):
+    # root extents 2 and 3 and j_min = -2 put the corners below zero
+    for j_min in (-2, 0):
+        t = Truncation(n, j_min, j_min + 2, root_extent)
+        for j in range(t.j_min, t.j_max + 1):
+            k = t.level_k(j)
+            assert t.level_k(j) is k and not k.flags.writeable
+            with pytest.raises(ValueError):
+                k[...] = 0
+            axis = np.arange(*t.k_range(j))
+            want = np.stack(np.meshgrid(*[axis] * n, indexing="ij"), axis=-1)
+            assert np.array_equal(k, want) and k.dtype == want.dtype
+        with pytest.raises(DyadicError):
+            t.level_k(t.j_max + 1)
+
+
+def test_level_k_arrays_leave_window_equality_alone():
+    a, b = Truncation(2, -1, 3, 3), Truncation(2, -1, 3, 3)
+    a.level_k(2)
+    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    assert repr(a) == repr(b) == ("Truncation(n=2, j_min=-1, j_max=3, "
+                                  "root_extent=3)")
+    assert a != Truncation(2, -1, 3, 1)
+    # each window builds its own arrays
+    assert b.level_k(2) is not a.level_k(2)

@@ -6,6 +6,7 @@ from dwlab.dyadic import CubeId, Truncation, ancestor, enumerate_cubes
 from dwlab.growth import make_growth
 from dwlab.reducing import build_family
 from dwlab.seqspace import (
+    UNDERFLOW_CLAMP,
     CoeffSeq,
     SeqSpaceError,
     SpaceParams,
@@ -481,3 +482,79 @@ def test_la_norms_read_their_grid_from_the_fields():
         assert np.allclose(got, want, rtol=1e-14, atol=0.0), family
     with pytest.raises(SeqSpaceError):  # 12 cells do not refine 8 cubes
         la_norms({3: np.ones((2, 12))}, _params(), t)
+
+
+def _b_norms_per_pair(fields, params, t):
+    """The B family of la_norms as one call per (box level, level) pair:
+    each level spread over the R-grid and box-reduced on its own, the
+    reduced levels stacked on axis 1 and summed there."""
+    n, p, q = t.n, params.p, params.q
+    S = next(iter(fields.values())).shape[0]
+    R = max([t.cells_per_axis()] + [f.shape[1] for f in fields.values()])
+    subdiv = R // t.cells_per_axis()
+    node_vol = (2.0 ** (-t.j_max) / subdiv) ** n
+    levels = range(t.j_min, t.j_max + 1)
+
+    def box_reduce(arr, w, op):
+        for ax in range(1, arr.ndim):
+            shape = arr.shape[:ax] + (arr.shape[ax] // w, w) + arr.shape[ax + 1:]
+            arr = op(arr.reshape(shape), axis=ax + 1)
+        return arr
+
+    def expand(f):
+        r = f.shape[1]
+        if r == R:
+            return f
+        cells = np.broadcast_to(f.reshape((S,) + (r, 1) * n),
+                                (S,) + (r, R // r) * n)
+        return cells.reshape((S,) + (R,) * n)
+
+    G = {}
+    for j in levels:
+        f = np.abs(fields.get(j, np.zeros((S,) + (1,) * n)))
+        f[f < UNDERFLOW_CLAMP] = 0.0
+        G[j] = f if np.isinf(p) else f**p
+    op = np.max if np.isinf(p) else np.sum
+    best = np.zeros(S)
+    for jP in reversed(levels):
+        w = subdiv * (1 << (t.j_max - jP))
+        per_level = [box_reduce(expand(G[j]), w, op) for j in levels if j >= jP]
+        if not np.isinf(p):
+            per_level = [(b * node_vol) ** (1.0 / p) for b in per_level]
+        stack = np.stack(per_level, axis=1)
+        vals = (np.max(stack, axis=1) if np.isinf(q)
+                else np.sum(stack**q, axis=1) ** (1.0 / q))
+        vP = params.v.on_level(jP, t.level_k(jP))
+        best = np.fmax(best, np.max((vals / vP).reshape(S, -1), axis=1))
+    return best
+
+
+@pytest.mark.parametrize("t,G", [(Truncation(1, 0, 10, 1), 1),
+                                 (Truncation(1, -1, 4, 3), 3),
+                                 (Truncation(2, 0, 3, 1), 2),
+                                 (Truncation(2, -1, 2, 3), 3)])
+def test_b_sweep_matches_the_per_pair_loop_bit_for_bit(t, G):
+    rng = np.random.default_rng(t.n * 100 + t.j_max)
+    v = make_growth("power", tau=0.5)
+    S, checked = 3, 0
+    for p in (0.5, 1.0, 2.0, np.inf):
+        for q in (0.5, 1.0, 2.0, np.inf):
+            fields = {}
+            for j in range(t.j_min, t.j_max + 1):
+                if j % 3 == 1:
+                    continue  # an absent level
+                # odd levels at cube resolution, the rest node-refined
+                r = t.root_extent << (j - t.j_min)
+                if j % 2 == 0:
+                    r = t.cells_per_axis() * G
+                size = (S,) + (r,) * t.n
+                f = rng.random(size) * 10.0 ** rng.uniform(-3, 3, size)
+                f[1] = 0.0  # a zero member
+                fields[j] = f
+            params = _params("B", p=p, q=q, v=v)
+            got = la_norms(fields, params, t)
+            assert np.array_equal(got, _b_norms_per_pair(fields, params, t)), \
+                (p, q)
+            assert got[1] == 0.0 and np.all(got[[0, 2]] > 0.0)
+            checked += 1
+    assert checked == 16

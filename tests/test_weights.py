@@ -6,7 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from dwlab import weights
 from dwlab.dyadic import Truncation, cube_geometry
+from dwlab.growth import make_growth
+from dwlab.seqspace import SpaceParams, build_random, seq_norm
 from dwlab.weights import (
+    DILATIONS,
     SINGULAR_TOL,
     MatrixWeight,
     NotPositiveDefinite,
@@ -447,6 +450,107 @@ def test_estimate_dimensions_evaluates_each_power_once():
     estimate_dimensions(W, 2.0, Truncation(1, 0, 4, 1))
     # 8 cubes, each with its own box and 4 dilates of 40 nodes
     assert calls == [(8 * 5 * 40, 0.5), (8 * 5 * 40, -0.5)]
+
+
+def test_estimate_dimensions_forms_seven_eighths_of_the_products(
+        monkeypatch):
+    products = []
+    kernel = weights._exp_log_avg
+
+    def counted(wx, keep_x, wy_inv, keep_y, p):
+        lead = np.broadcast_shapes(wx.shape[:-3], wy_inv.shape[:-3])
+        products.append(int(np.prod(lead)) * wx.shape[-3] * wy_inv.shape[-3])
+        return kernel(wx, keep_x, wy_inv, keep_y, p)
+
+    monkeypatch.setattr(weights, "_exp_log_avg", counted)
+    for n, g in ((1, 40), (2, 8)):
+        products.clear()
+        W = diag_power_weight(-0.5, -0.25, n=n)
+        estimate_dimensions(W, 2.0, Truncation(n, 0, 4, 1))
+        cubes = 8 if n == 1 else 12
+        # both estimates pair each cube with each of its dilates; the
+        # dilate by 1 is the cube itself, and that pair is formed once
+        each_way = cubes * len(DILATIONS) * g ** n * g ** n
+        assert sum(products) * 8 == 7 * (2 * each_way), n
+
+
+def _counting_weight(calls):
+    """A 2x2 weight of positive-definite array values that records the
+    size of each batch its function is called on."""
+    def batch(pts):
+        calls.append(len(pts))
+        r = np.abs(pts[:, 0])
+        out = np.zeros((len(pts), 2, 2))
+        out[:, 0, 0], out[:, 1, 1] = 1.0 + r, 2.0 + r * r
+        out[:, 0, 1] = out[:, 1, 0] = 0.5 * r
+        return out
+
+    return MatrixWeight.from_batched(2, batch)
+
+
+def test_power_at_runs_the_weight_once_per_exponent_over_seq_norm_calls():
+    calls = []
+    W = _counting_weight(calls)
+    t, quad = Truncation(1, 0, 4, 1), QuadratureSpec(3)
+    tvs = [build_random(t, m=2, seed=s, density=0.5) for s in range(4)]
+    norms = 0
+    for p in (2.0, 1.0):
+        for family, q in (("F", 2.0), ("F", 1.0), ("B", 1.0)):
+            params = SpaceParams(family, 0.0, p, q,
+                                 make_growth("power", tau=0.0),
+                                 mode="matrix", weight=W, quad=quad)
+            for tv in tvs:
+                assert seq_norm(tv, params, t) > 0.0
+                norms += 1
+    assert norms == 24
+    R = t.cells_per_axis() * quad.G
+    assert calls == [R, R] and len(W._power_cache) == 2
+
+
+def test_power_at_misses_on_new_points_or_exponents_only():
+    calls = []
+    W = _counting_weight(calls)
+    pts = window_nodes(Truncation(1, 0, 3, 1), 3)  # 24 nodes
+    requests = [(pts, 0.5), (pts, 0.5), (pts.tolist(), 0.5),
+                (pts[:-1], 0.5), (pts, -0.5), (pts[:-1].copy(), 0.5),
+                (pts.reshape(12, 2), 0.5), (pts, -0.5)]
+    grew = []
+    for x, a in requests:
+        before = len(W._power_cache)
+        W.power_at(x, a)
+        grew.append(len(W._power_cache) - before)
+    # the cache grows by one entry on a miss and never on a hit
+    assert grew == [1, 0, 0, 1, 1, 0, 1, 0]
+    assert calls == [24, 23, 24, 12]
+
+
+def test_power_at_results_are_read_only_and_per_weight():
+    calls, other_calls = [], []
+    W, V = _counting_weight(calls), _counting_weight(other_calls)
+    pts = window_nodes(Truncation(1, 0, 3, 1), 3)
+    P = W.power_at(pts, 0.5)
+    assert not P.flags.writeable
+    with pytest.raises(ValueError):
+        P[0] = 0.0
+    Q = V.power_at(pts, 0.5)
+    assert calls == other_calls == [24]
+    assert np.array_equal(P, Q) and not np.shares_memory(P, Q)
+    assert W._power_cache is not V._power_cache
+    assert W.power_at(pts, 0.5) is P and V.power_at(pts, 0.5) is Q
+
+
+@pytest.mark.parametrize("W", [diag_power_weight(-0.5, -0.25),
+                               power_weight(-0.5, n=2)])
+def test_power_at_equals_powers_bit_for_bit(W):
+    n = W.singular_set[0].size
+    rng = np.random.default_rng(n)
+    pts = np.concatenate([np.zeros((2, n)), rng.uniform(-1, 1, (30, n))])
+    hit = W.is_singular_at(pts)
+    assert hit.sum() == 2
+    for a in (0.5, -0.5, 1.0 / 3.0, 1.0):
+        got = W.power_at(pts, a)
+        assert np.array_equal(got, W.powers(pts, a))
+        assert not got[hit].any() and got[~hit].any(axis=(1, 2)).all()
 
 
 def test_apinf_masks_a_singular_window_node():
