@@ -11,8 +11,11 @@ clean ``git archive`` exports of two commits).  For each seed S, S + 1,
 parent first when i is even and the change first when i is odd.  It
 then prints, for each end-to-end metric, the median [q1, q3] of each
 side (quartiles by ``statistics.quantiles``, inclusive method), the
-relative change of the medians, the parent's quartile distance and the
-number of pairs in which the change reads lower, and then every pair as
+relative change of the medians, the parent's quartile distance, the
+number of pairs in which the change reads lower and whether the claim
+rule holds (the change lower in at least nine tenths of the pairs, ties
+counting for neither, and the parent's median above the change's by more
+than the parent's quartile distance), and then every pair as
 
     <seed><p|c>: parent/change <metric 1>, parent/change <metric 2>, ...
 
@@ -83,12 +86,14 @@ def main(argv=None):
         pq, cq = (statistics.quantiles(v, n=4, method="inclusive")
                   for v in (par, chg))
         lower = sum(c < p for p, c in zip(par, chg))
+        iqr = pq[2] - pq[0]
+        holds = 10 * lower >= 9 * len(pairs) and pq[1] - cq[1] > iqr
         print(f"  {name}: {_fmt(pq[1], unit)} [{_fmt(pq[0], unit)}, "
               f"{_fmt(pq[2], unit)}] -> {_fmt(cq[1], unit)} "
               f"[{_fmt(cq[0], unit)}, {_fmt(cq[2], unit)}] {unit} "
               f"({(cq[1] / pq[1] - 1.0) * 100:+.1f}%, parent IQR "
-              f"{_fmt(pq[2] - pq[0], unit)}, change lower in "
-              f"{lower}/{len(pairs)})")
+              f"{_fmt(iqr, unit)}, change lower in {lower}/{len(pairs)}, "
+              f"claim rule {'holds' if holds else 'fails'})")
     print("  pairs: " + "; ".join(
         f"{seed}{first}: " + ", ".join(
             f"{_fmt(p[n][0], p[n][1])}/{_fmt(c[n][0], c[n][1])}"

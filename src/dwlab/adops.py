@@ -13,13 +13,16 @@ For a target level j_Q and a source level j_R with d = |j_Q - j_R|,
 the entry depends only on d and on the integer offset k_Q - 2^d k_R
 (j_Q >= j_R) or 2^d k_Q - k_R (j_Q < j_R): the almost-diagonal matrix
 is Toeplitz within each pair of levels (Frazier-Jawerth, J. Funct.
-Anal. 93 (1990)).  ``ad_apply`` and ``majorant`` therefore run as
-strided FFT convolutions on per-level window arrays, O(L^2 N log N)
-time and O(N) memory per call for N window cubes on L levels.  The
-kernel spectra depend only on the grid, the level gap and D, so they
-are computed once and shared by every call (``_kernel_hat``).  The
-tests hold ``ad_apply`` to a dense entry table built from ``ad_entry``'s
-formula.
+Anal. 93 (1990)).  ``ad_apply`` and ``majorant`` therefore run as FFT
+convolutions on per-level window arrays.  ``ad_apply`` transforms each
+level once and inverts each level's summed output spectrum once; the
+level pairs meet in the spectra (tiled upward, folded downward):
+O(L N log N + L^2 N) time, 2L transforms and O(N) memory per call for
+N window cubes on L levels.  The kernel spectra depend only on the
+grid, the level gap and D, so they are computed once and shared by
+every call (``_kernel_spectrum``, and ``_kernel_hat`` for the
+majorant).  The tests hold ``ad_apply`` to a dense entry table built
+from ``ad_entry``'s formula.
 """
 
 from __future__ import annotations
@@ -87,19 +90,41 @@ def _fft_len(c):
     return 1 << (2 * c - 2).bit_length()
 
 
+def _kernel(M, n, d, D):
+    """The level-gap-d kernel (1 + |o|/2^d)^{-D} on the M^n grid, offset
+    o at index o mod M."""
+    o = np.fft.fftfreq(M, 1.0 / M)
+    grids = np.meshgrid(*([o] * n), indexing="ij", sparse=True)
+    return (1.0 + np.sqrt(sum(g * g for g in grids)) / 2.0 ** d) ** (-D)
+
+
 @functools.lru_cache(maxsize=512)
 def _kernel_hat(L, n, d, D, origin=True):
-    """rfftn of the level-gap-d kernel (1 + |o|/2^d)^{-D} on the L^n grid
-    (offset o at index o mod L), its o = 0 entry zeroed unless ``origin``.
-    Cached (at most 512 spectra, about 2 MB for every level pair of a 1-d
-    j_max 12 window) and read-only, since every caller shares it."""
-    o = np.fft.fftfreq(L, 1.0 / L)
-    grids = np.meshgrid(*([o] * n), indexing="ij", sparse=True)
-    K = (1.0 + np.sqrt(sum(g * g for g in grids)) / 2.0 ** d) ** (-D)
+    """rfftn of _kernel(L, n, d, D), its o = 0 entry zeroed unless
+    ``origin``: the majorant's spectra.  Cached and read-only, since
+    every caller shares it."""
+    K = _kernel(L, n, d, D)
     K.flat[0] *= origin
     h = np.fft.rfftn(K)
     h.flags.writeable = False
     return h
+
+
+@functools.lru_cache(maxsize=512)
+def _kernel_spectrum(M, n, d, D):
+    """fftn of _kernel(M, n, d, D).  The kernel is even, so its spectrum
+    is real and kept real, without the E or F factor.  Cached (at most
+    512 spectra, about 2 MB for every level pair of a 1-d j_max 12
+    window) and read-only, since every caller shares it."""
+    h = np.fft.fftn(_kernel(M, n, d, D)).real.copy()  # not a view of it
+    h.flags.writeable = False
+    return h
+
+
+def _split(x, n, r):
+    """x [..., M, ..., M] (n trailing axes) viewed as [..., r, M/r, ...,
+    r, M/r]: index u M/r + v of an axis becomes the pair (u, v)."""
+    return x.reshape(x.shape[:-n] + (r, x.shape[-1] // r) * n)
 
 
 def ad_apply(U: ADParams, tv: CoeffSeq, t: Truncation):
@@ -109,62 +134,60 @@ def ad_apply(U: ADParams, tv: CoeffSeq, t: Truncation):
     For levels b <= a with d = a - b, the offset k_Q - 2^d k_R (target
     on level a) or 2^d k_Q - k_R (target on level b) equals the same
     expression in window-local indices, and both directions share the
-    level-a kernel B(o) = (1 + |o|/2^d)^{-D}:
-      - target a: upsample the level-b array by 2^d onto the level-a
-        grid and convolve with 2^{-dE} B;
-      - target b: convolve the level-a array with 2^{-dF} B and keep
-        every 2^d-th output.
-    Complex entries run as a real and an imaginary pass.  The FFT error
-    is absolute, about 1e-16 of the largest contributions at a target,
-    so an entry many orders below its neighbourhood (far from a lone
-    source under a large D) is only accurate to that absolute level.
+    level-a kernel B(o) = (1 + |o|/2^d)^{-D}.  Level j is transformed on
+    M_j = M >> (j_max - j) points per axis, M the least power of two >=
+    2 c_{j_max} - 1, so M_a = 2^d M_b and every level sees its offsets
+    without wrap-around.  Each level with entries is transformed once,
+    and each level's output spectrum is summed and inverted once:
+      - target a: upsampling the level-b array by 2^d tiles its spectrum
+        2^d times per axis; multiply by 2^{-dE} B^;
+      - target b: keeping every 2^d-th output of the level-a convolution
+        with 2^{-dF} B folds its spectrum, summing the 2^{dn} aliases and
+        dividing by 2^{dn}.
+    So a call costs 2L transforms and O(L^2) spectrum products for L
+    levels.  The FFT error is absolute, about 1e-16 of the largest
+    contributions to a target level, so an entry many orders below its
+    neighbourhood (far from a lone source under a large D) is only
+    accurate to that absolute level.
     """
     if not isinstance(U, ADParams):
         raise ADError(f"need ADParams (D, E, F), got {type(U).__name__}")
     if tv.t != t:
         raise ADError(f"sequence lives on {tv.t}, not on {t}")
     n = t.n
+    levels = range(t.j_min, t.j_max + 1)
+    top = _fft_len(t.cells_per_axis())
+    size = {j: top >> (t.j_max - j) for j in levels}
+    axes = tuple(range(1, n + 1))
     arrays = {j: np.moveaxis(a, -1, 0) for j, a in tv.levels.items()
               if a.any()}
     cplx = any(np.any(a.imag) for a in arrays.values())
-    src = {j: np.concatenate([a.real, a.imag]) if cplx else a.real
-           for j, a in arrays.items()}
-    batch = 2 * tv.m if cplx else tv.m
-    axes = tuple(range(1, n + 1))
-    count = {j: t.root_extent << (j - t.j_min)
-             for j in range(t.j_min, t.j_max + 1)}
-    out = {j: np.zeros((batch,) + (c,) * n) for j, c in count.items()}
-    for a, c in count.items():
-        L = _fft_len(c)
-        shape = (L,) * n
-        src_hat = (np.fft.rfftn(src[a], s=shape, axes=axes)
-                   if a in src else None)
-        acc = None
+    spec = {j: np.fft.fftn(a if cplx else a.real, s=(size[j],) * n,
+                           axes=axes) for j, a in arrays.items()}
+    # each level's output spectrum; every level hears from every source
+    acc = {j: np.zeros((tv.m,) + (size[j],) * n, dtype=complex)
+           for j in levels} if spec else {}
+    for a in levels:
         for b in range(t.j_min, a + 1):
             d = a - b
-            if b not in src and src_hat is None:
+            up, down = b in spec, d > 0 and a in spec
+            if not (up or down):
                 continue
-            B_hat = _kernel_hat(L, n, d, U.D)
-            if b in src:
-                if d == 0:
-                    up_hat = src_hat
-                else:
-                    up = np.zeros((batch,) + (c,) * n)
-                    up[(slice(None),) + (slice(None, None, 1 << d),) * n] = src[b]
-                    up_hat = np.fft.rfftn(up, s=shape, axes=axes)
-                term = (2.0 ** (-d)) ** U.E * B_hat * up_hat
-                acc = term if acc is None else acc + term
-            if d > 0 and src_hat is not None:
-                conv = np.fft.irfftn((2.0 ** (-d)) ** U.F * B_hat * src_hat,
-                                     s=shape, axes=axes)
-                out[b] += conv[(slice(None),) + (slice(0, c, 1 << d),) * n]
-        if acc is not None:
-            conv = np.fft.irfftn(acc, s=shape, axes=axes)
-            out[a] += conv[(slice(None),) + (slice(0, c),) * n]
+            B = _kernel_spectrum(size[a], n, d, U.D)
+            if up:  # X_b broadcast over the 2^d tiles of each axis
+                tiles = _split(acc[a], n, 1 << d)
+                tiles += _split(B, n, 1 << d) * _split(
+                    (2.0 ** (-d)) ** U.E * spec[b], n, 1)
+            if down:
+                folded = _split(B * spec[a], n, 1 << d).sum(
+                    axis=tuple(range(1, 2 * n + 1, 2)))
+                folded *= (2.0 ** (-d)) ** U.F / 2.0 ** (d * n)
+                acc[b] += folded
     res = CoeffSeq(t, tv.m)
-    for j, v in out.items():
-        res.levels[j][...] = np.moveaxis(v[:tv.m] + 1j * v[tv.m:] if cplx
-                                         else v, 0, -1)
+    for j, S in acc.items():
+        c = t.level_shape(j)[0]
+        v = np.fft.ifftn(S, axes=axes)[(slice(None),) + (slice(0, c),) * n]
+        res.levels[j][...] = np.moveaxis(v if cplx else v.real, 0, -1)
     return _finite(res)
 
 

@@ -9,6 +9,7 @@ geometry is derived on demand.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -49,7 +50,7 @@ class CubeId:
     k: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "k", tuple(int(ki) for ki in self.k))
+        object.__setattr__(self, "k", tuple(map(int, self.k)))
 
     @property
     def n(self):
@@ -82,9 +83,10 @@ class Truncation:
             raise DyadicError("need j_min <= j_max")
         if self.root_extent < 1:
             raise DyadicError("root_extent must be >= 1")
-        # level_k's arrays, built on first read; not a field, so equality,
-        # hashing and repr see only the four numbers
-        object.__setattr__(self, "_corners", {})
+        # read-only arrays of the window (level_k's corners, the node grids
+        # of weights.window_nodes), built on first read; not a field, so
+        # equality, hashing and repr see only the four numbers
+        object.__setattr__(self, "_arrays", {})
 
     @property
     def k_origin(self):
@@ -104,18 +106,25 @@ class Truncation:
         lo, hi = self.k_range(j)
         return (hi - lo,) * self.n
 
+    def _kept(self, key, build):
+        """The array build(), made read-only and kept on the window under
+        ``key``: built on the first request only."""
+        a = self._arrays.get(key)
+        if a is None:
+            a = build()
+            a.flags.writeable = False
+            self._arrays[key] = a
+        return a
+
     def level_k(self, j):
         """Level-j cube corners k, shape level_shape(j) + (n,): one
         read-only array per level, built once and kept on the window."""
-        k = self._corners.get(j)
-        if k is None:
-            lo, hi = self.k_range(j)
-            axis = np.arange(lo, hi)
-            k = np.stack(np.meshgrid(*[axis] * self.n, indexing="ij"),
-                         axis=-1)
-            k.flags.writeable = False
-            self._corners[j] = k
-        return k
+        def build():
+            axis = np.arange(*self.k_range(j))
+            return np.stack(np.meshgrid(*[axis] * self.n, indexing="ij"),
+                            axis=-1)
+
+        return self._kept(("k", j), build)
 
     def locate(self, c: CubeId):
         """(level, window-local index tuple) of a window cube; None outside."""
@@ -158,9 +167,13 @@ def separation(Q: CubeId, R: CubeId):
     """1 + |x_Q - x_R| / max(ell(Q), ell(R)), Euclidean lower-corner distance."""
     if Q.n != R.n:
         raise DyadicError("cubes live in different dimensions")
-    xq, lq, _ = cube_geometry(Q)
-    xr, lr, _ = cube_geometry(R)
-    return 1.0 + float(np.linalg.norm(xq - xr)) / max(lq, lr)
+    # in Python floats: a numpy call per cube pair costs ten times more
+    lq, lr = 2.0 ** (-Q.j), 2.0 ** (-R.j)
+    dist2 = 0.0
+    for kq, kr in zip(Q.k, R.k):
+        d = kq * lq - kr * lr
+        dist2 += d * d
+    return 1.0 + math.sqrt(dist2) / max(lq, lr)
 
 
 def enumerate_cubes(t: Truncation):
@@ -199,6 +212,31 @@ def pair_blocks(count, cap):
         I = f // count  # a scalar floor division, far faster than np.divmod
         f -= I * count
         yield I, f
+
+
+def spread_phases(count, cap):
+    """Membership in pair_blocks(count, cap) as integer phases: (rows,
+    cols, K, M) such that the pair (i, j) is one of those pairs exactly
+    when (cols[j] - rows[i]) mod M < K.  So each row meets the columns
+    whose phase lies in one cyclic window of length K.
+
+    Above the cap, f = i count + j is a spread index exactly when
+    (-f (cap - 1)) mod (count^2 - 1) < cap - 1; the phases split that
+    test between i and j, in int64 without overflow for count < 2^30."""
+    total, idx = count * count, np.arange(count)
+    if total <= cap:
+        zero = np.zeros(count, dtype=np.int64)
+        return zero, zero, 1, 1
+    if cap < 2:  # spread keeps the pair (0, 0) alone, or none at cap 0
+        return np.where(idx == 0, 0, count), idx, cap, total
+    M, K = total - 1, cap - 1
+    # x K mod M, with K = a1 count + a0 and count^2 = 1 mod M
+    a1, a0 = divmod(K, count)
+    b1, b0 = np.divmod(idx * a1, count)
+    phase = (b1 + b0 * count + idx * a0) % M
+    # rows: i count K mod M; times count swaps phase's base-count digits
+    hi, lo = np.divmod(phase, count)
+    return lo * count + hi, (-phase) % M, K, M
 
 
 def _window_cubes(t: Truncation):

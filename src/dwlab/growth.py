@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .dyadic import (DwlabError, Truncation, check_finite, pair_separations,
-                     window_pairs)
+                     spread_phases, window_pairs)
 from .weights import _libm_pow, box_nodes
 
 PAIR_CAP = 2_000_000  # class_constant's cube pairs; spread picks above it
@@ -122,27 +122,67 @@ def class_constant(v: GrowthFn, delta1, delta2, omega, t: Truncation):
     """Worst ratio of v(Q)/v(R) to the class bound over window pairs.
 
     Finite by construction on a finite window; growth of this constant
-    across nested windows signals non-membership.  The pairs run in
-    window_pairs blocks, so the memory stays bounded at any depth; the
-    volume factor comes from a table over the level gaps, and the
-    separations are read only when omega > 0.
+    across nested windows signals non-membership.  The pairs are those of
+    dyadic.pair_blocks(cube count, PAIR_CAP); the volume factor comes from
+    a table over the level gaps.
+
+    At omega = 0 the bound depends on the pair only through the levels,
+    and correctly rounded division is monotone, so the worst ratio of a
+    row cube Q_I against the level-b cubes it is paired with is v_I over
+    their least v, bit for bit.  spread_phases puts a row's partners on a
+    level in one cyclic window of phases, so with the level's cubes sorted
+    by phase that least v is a range minimum: O(N log N) per level for N
+    cubes, and no pair is formed.  At omega > 0 the separations enter and
+    the pairs run in window_pairs blocks, so memory stays bounded at any
+    depth.
     """
     for x, name in ((delta1, "delta1"), (delta2, "delta2"), (omega, "omega")):
         check_finite(x, name, GrowthError)
     if delta2 < delta1 or omega < 0:
         raise GrowthError("need delta2 >= delta1 and omega >= 0")
-    vals = np.concatenate([v.on_level(j, t.level_k(j).reshape(-1, t.n))
-                           for j in range(t.j_min, t.j_max + 1)])
+    js = range(t.j_min, t.j_max + 1)
+    vals = [v.on_level(j, t.level_k(j).reshape(-1, t.n)) for j in js]
     # (|Q_I| / |Q_J|)^(delta1 if ell(Q_I) <= ell(Q_J) else delta2) by the
     # level gap dj = j_I - j_J, looked up at dj + span
     span = t.j_max - t.j_min
     gaps = np.arange(-span, span + 1)
     tab = (2.0 ** (-gaps * float(t.n))) ** np.where(gaps >= 0, delta1, delta2)
-    sep = pair_separations(t) if omega else None  # sep^0 is 1.0 exactly
+    sizes = [len(a) for a in vals]
+    vals = np.concatenate(vals)
     worst = []
-    for I, J, dj in window_pairs(t, PAIR_CAP):
-        bound = tab[dj + span]
-        if omega:
-            bound = sep(I, J) ** omega * bound
-        worst.append(np.max(vals[I] / vals[J] / bound))
+    if omega:
+        sep = pair_separations(t)
+        for I, J, dj in window_pairs(t, PAIR_CAP):
+            bound = sep(I, J) ** omega * tab[dj + span]
+            worst.append(np.max(vals[I] / vals[J] / bound))
+        return float(np.max(worst))
+    lev = np.repeat(np.array(js), sizes)
+    rows, cols, K, M = spread_phases(len(vals), PAIR_CAP)
+    start = 0
+    for b, size in zip(js, sizes):
+        level = slice(start, start + size)
+        start += size
+        order = np.argsort(cols[level], kind="stable")
+        phase = cols[level][order]
+        phase = np.concatenate([phase, phase + M])  # the cycle, unrolled
+        lo, hi = np.searchsorted(phase, rows), np.searchsorted(phase, rows + K)
+        paired = hi > lo
+        if paired.any():
+            least = _range_min(np.tile(vals[level][order], 2), lo[paired],
+                               hi[paired])
+            worst.append(np.max(vals[paired] / least
+                                / tab[lev[paired] - b + span]))
     return float(np.max(worst))
+
+
+def _range_min(a, lo, hi):
+    """min(a[lo[i]:hi[i]]) for each i, all ranges non-empty, from a sparse
+    table built one power-of-two width at a time."""
+    out = np.empty(len(lo))
+    width = np.frexp(hi - lo)[1] - 1  # floor(log2(hi - lo))
+    table = a  # table[x] = min(a[x : x + 2^k]) at step k
+    for k in range(int(width.max()) + 1):
+        sel = np.flatnonzero(width == k)
+        out[sel] = np.minimum(table[lo[sel]], table[hi[sel] - (1 << k)])
+        table = np.minimum(table[:-(1 << k)], table[1 << k:])
+    return out

@@ -99,7 +99,7 @@ class CoeffSeq:
         for j, a in self.levels.items():
             hit = np.any(a != 0, axis=-1)
             out.update((CubeId(j, k), z)
-                       for k, z in zip(self.t.level_k(j)[hit], a[hit]))
+                       for k, z in zip(self.t.level_k(j)[hit].tolist(), a[hit]))
         return MappingProxyType(out)
 
     def magnitudes(self):

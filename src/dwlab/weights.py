@@ -228,14 +228,18 @@ def diag_power_weight(alpha, beta, n=1):
 def window_nodes(t: Truncation, G):
     """The window's midpoint nodes: each finest-level cell split G ways
     per axis.  Points [R^n, n] with R = G * t.cells_per_axis(), in C order;
-    every weighted cube integral over the window uses this grid."""
-    R = t.cells_per_axis() * G
-    # a node's offset in spacings is exact, so only the spacing and one
-    # product round: within an ulp of the midpoint, also next to 0
-    first = t.k_origin * G << (t.j_max - t.j_min)
-    axis = (first + np.arange(R) + 0.5) * (2.0 ** -t.j_max / G)
-    grid = np.meshgrid(*[axis] * t.n, indexing="ij")
-    return np.stack(grid, axis=-1).reshape(-1, t.n)
+    every weighted cube integral over the window uses this grid.  One
+    read-only array per (window, G), built once and kept on the window."""
+    def build():
+        R = t.cells_per_axis() * G
+        # a node's offset in spacings is exact, so only the spacing and one
+        # product round: within an ulp of the midpoint, also next to 0
+        first = t.k_origin * G << (t.j_max - t.j_min)
+        axis = (first + np.arange(R) + 0.5) * (2.0 ** -t.j_max / G)
+        grid = np.meshgrid(*[axis] * t.n, indexing="ij")
+        return np.stack(grid, axis=-1).reshape(-1, t.n)
+
+    return t._kept(("nodes", G), build)
 
 
 def cube_blocks(a, t: Truncation, G, j):

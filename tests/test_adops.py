@@ -64,11 +64,46 @@ def _assert_matches_dense(U, tv, t):
     (Truncation(1, 1, 6, 3), 2, ADParams(6.0, 3.0, 2.0)),
     (Truncation(2, 0, 4, 1), 1, ADParams(6.0, 3.0, 2.0)),
     (Truncation(2, 1, 4, 3), 2, F22),
+    (Truncation(1, -2, 6, 3), 2, ADParams(6.0, 3.0, 2.0)),
+    (Truncation(1, 3, 3, 40), 1, F22),
+    (Truncation(2, 2, 2, 5), 2, ADParams(6.0, 3.0, 2.0)),
+    (Truncation(3, -1, 1, 2), 2, F22),
 ])
 def test_ad_apply_matches_dense_oracle(t, m, U):
     tv = build_random(t, m=m, seed=17, density=0.3, sigma=0.5)
     _assert_matches_dense(U, tv.magnitudes(), t)  # real, m = 1
     _assert_matches_dense(U, tv, t)  # complex m-vectors
+
+
+def test_ad_apply_folds_down_to_two_point_levels():
+    # level 0 of a 1-d j_max 11 window is transformed on 2 points, and
+    # every finer source folds onto it; at D = 6 the sparse sources leave
+    # entries below the FFT's absolute error, so D stays at most 3
+    t = Truncation(1, 0, 11, 1)
+    tv = build_random(t, m=1, seed=23, density=0.02, sigma=0.5)
+    for U in (F22, ADParams(3.0, 3.0, 2.0)):
+        _assert_matches_dense(U, tv.magnitudes(), t)
+        _assert_matches_dense(U, tv, t)
+
+
+@pytest.mark.parametrize("t", [Truncation(1, 0, 9, 1), Truncation(2, -1, 3, 3)])
+def test_ad_apply_transforms_each_level_at_most_twice(t, monkeypatch):
+    tv = build_random(t, seed=5, density=0.5).magnitudes()
+    ad_apply(F22, tv, t)  # kernel spectra cached
+    calls = []
+
+    def counting(name, fn):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn",
+                 "irfftn", "fft2", "ifft2", "rfft2", "irfft2"):
+        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+    ad_apply(F22, tv, t)
+    levels = t.j_max - t.j_min + 1
+    assert 0 < len(calls) <= 2 * levels, calls
 
 
 def test_ad_apply_single_point_and_empty():

@@ -13,6 +13,7 @@ from dwlab.dyadic import (
     pair_blocks,
     separation,
     spread,
+    spread_phases,
 )
 from oracles import level_cubes
 
@@ -125,6 +126,23 @@ def test_separation_symmetric_and_at_least_one(j1, k1, j2, k2):
     assert s == separation(R, Q)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_separation_matches_the_numpy_norm_of_the_corner_offset(n):
+    rng = np.random.default_rng(n)
+    for _ in range(300):
+        (jq, jr), kq, kr = (rng.integers(-4, 9, 2), rng.integers(-40, 40, n),
+                            rng.integers(-40, 40, n))
+        Q, R = CubeId(int(jq), kq), CubeId(int(jr), kr)
+        xq, lq, _ = cube_geometry(Q)
+        xr, lr, _ = cube_geometry(R)
+        want = 1.0 + float(np.linalg.norm(xq - xr)) / max(lq, lr)
+        got = separation(Q, R)
+        if n == 1:  # one product: the same bits
+            assert got == want
+        else:
+            assert abs(got - want) <= 2 * np.spacing(want)
+
+
 def _linspace_rule(total, cap):
     """The subsample that build_family, apinf_characteristic and
     estimate_dimensions took before spread."""
@@ -178,6 +196,37 @@ def test_pair_blocks_pick_cap_spread_pairs_above_it(monkeypatch, count, cap):
     assert flat[0] == 0 and flat[-1] == count * count - 1
     gaps = np.diff(flat)
     assert gaps.max() - gaps.min() <= 1
+
+
+def _phase_pairs(count, cap):
+    rows, cols, K, M = spread_phases(count, cap)
+    I, J = np.meshgrid(np.arange(count), np.arange(count), indexing="ij")
+    return set((I * count + J)[(cols[J] - rows[I]) % M < K].tolist())
+
+
+def test_spread_phases_select_the_spread_pairs():
+    # caps 0, 1 and 2, caps at and above count^2, and sparse caps, which
+    # leave a row without partners on some levels
+    for count in [*range(1, 30), 64, 101, 256]:
+        total = count * count
+        caps = {0, 1, 2, 3, 7, 50, count, 2 * count + 1, total // 3,
+                total - 1, total, total + 5}
+        for cap in caps:
+            assert _phase_pairs(count, cap) == set(spread(total, cap).tolist()), \
+                (count, cap)
+
+
+@pytest.mark.parametrize("cap", [2_000_000, 60_001 ** 2 - 5])
+def test_spread_phases_stay_exact_where_int64_products_overflow(cap):
+    # i count (cap - 1) reaches 1.3e19 at the larger cap
+    count = 60_001
+    rows, cols, K, M = spread_phases(count, cap)
+    rng = np.random.default_rng(cap)
+    flats = [int(x) for x in rng.integers(0, count * count, 500)]
+    flats += [s * M // K for s in (0, 1, 77, cap - 2, cap - 1)]
+    for f in flats:
+        i, j = divmod(f, count)
+        assert ((int(cols[j]) - int(rows[i])) % M < K) == ((-f * K) % M < K)
 
 
 @pytest.mark.parametrize("args", [(1, 0, 2.5, 1), (1, 0, 2, 1.5),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dwlab import growth
+from dwlab import dyadic, growth
 from dwlab.dyadic import (CubeId, Truncation, _radius, enumerate_cubes,
                           separation, spread)
 from dwlab.growth import (
@@ -270,6 +270,8 @@ def _class_constant_per_pair(v, delta1, delta2, omega, t, cap):
 
 _FIELD = make_growth("weight_power", field=_shifted_field, tau=1.5)
 _POWER = make_growth("power", tau=0.5)
+# one low cube inside level 4, so the worst ratio needs that level's least v
+_DIP = GrowthFn(lambda j, k: np.where((j == 4) & (k[..., 0] == 5), 0.5, 1.0))
 
 
 # (window, growth, delta1, delta2, omega, pair cap; None keeps PAIR_CAP)
@@ -282,8 +284,18 @@ _POWER = make_growth("power", tau=0.5)
     (Truncation(2, -1, 1, 3), _POWER, 0.25, 0.75, 0.3, 50),
     (Truncation(1, 0, 10, 1), _POWER, 0.5, 0.5, 0.0, None),
     (Truncation(1, -1, 9, 1), _FIELD, 0.1, 0.6, 0.25, None),
+    (Truncation(1, -1, 4, 2), _FIELD, 0.1, 0.3, 0.0, 1),
+    (Truncation(1, -1, 4, 2), _FIELD, 0.1, 0.3, 0.0, 2),
+    (Truncation(2, -1, 2, 2), _POWER, 0.5, 0.5, 0.0, 2),
+    (Truncation(2, 0, 4, 3), _POWER, 0.25, 0.75, 0.0, None),
+    (Truncation(2, 0, 4, 3), _FIELD, 0.0, 0.2, 0.0, None),
+    (Truncation(1, -1, 4, 2), _DIP, 0.1, 0.3, 0.0, None),
+    (Truncation(1, -1, 4, 2), _DIP, 0.1, 0.3, 0.0, 300),
+    (Truncation(2, 0, 4, 3), _DIP, 0.0, 0.0, 0.0, None),
 ], ids=["1d", "1d-cap50", "1d-cap1000", "2d-cap1000", "2d", "2d-extent3",
-        "1d-above-cap", "1d-above-cap-omega"])
+        "1d-above-cap", "1d-above-cap-omega", "1d-cap1", "1d-cap2",
+        "2d-cap2", "2d-above-cap", "2d-above-cap-field", "1d-dip",
+        "1d-dip-cap300", "2d-dip-above-cap"])
 def test_class_constant_matches_the_per_pair_formula_bit_for_bit(
         t, v, d1, d2, omega, cap, monkeypatch):
     if cap is not None:
@@ -301,6 +313,28 @@ def test_class_constant_reads_separations_only_at_positive_omega(
     t = Truncation(2, 0, 3, 1)
     assert class_constant(_POWER, 0.5, 0.5, 0.0, t) == 1.0
     with pytest.raises(AssertionError, match="separations read"):
+        class_constant(_POWER, 0.5, 0.5, 0.3, t)
+
+
+def test_range_min_is_the_slice_minimum():
+    rng = np.random.default_rng(5)
+    for size in (1, 2, 3, 7, 64, 100, 1000):
+        a = rng.standard_normal(size)
+        lo = rng.integers(0, size, 400)
+        hi = lo + 1 + (rng.integers(0, size, 400) % (size - lo))
+        want = [a[x:y].min() for x, y in zip(lo, hi)]
+        assert growth._range_min(a, lo, hi).tolist() == want
+
+
+def test_class_constant_forms_no_pairs_at_zero_omega(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("pairs formed")
+
+    monkeypatch.setattr(growth, "window_pairs", unreachable)
+    monkeypatch.setattr(dyadic, "pair_blocks", unreachable)
+    t = Truncation(2, 0, 3, 1)
+    assert class_constant(_POWER, 0.5, 0.5, 0.0, t) == 1.0
+    with pytest.raises(AssertionError, match="pairs formed"):
         class_constant(_POWER, 0.5, 0.5, 0.3, t)
 
 

@@ -394,6 +394,31 @@ def test_window_nodes_are_within_one_ulp_of_the_midpoints(t, G):
     assert np.array_equal(pts, grid.reshape(-1, t.n))
 
 
+def _window_nodes_fresh(t, G):
+    """window_nodes' formula, built anew on every call."""
+    first = t.k_origin * G << (t.j_max - t.j_min)
+    axis = ((first + np.arange(t.cells_per_axis() * G) + 0.5)
+            * (2.0 ** -t.j_max / G))
+    grid = np.meshgrid(*[axis] * t.n, indexing="ij")
+    return np.stack(grid, axis=-1).reshape(-1, t.n)
+
+
+@pytest.mark.parametrize("t", [Truncation(1, -2, 4, 2), Truncation(2, -1, 1, 3),
+                               Truncation(3, 0, 1, 1)])
+def test_window_nodes_are_one_read_only_array_per_grid(t):
+    for G in (1, 3):
+        pts = window_nodes(t, G)
+        assert window_nodes(t, G) is pts and not pts.flags.writeable
+        with pytest.raises(ValueError):
+            pts[0, 0] = 1.0
+        want = _window_nodes_fresh(t, G)
+        assert pts.dtype == want.dtype and np.array_equal(pts, want)
+    assert window_nodes(t, 1) is not window_nodes(t, 3)
+    # an equal window builds its own grid, and the window stays equal
+    twin = Truncation(t.n, t.j_min, t.j_max, t.root_extent)
+    assert window_nodes(twin, 3) is not window_nodes(t, 3) and twin == t
+
+
 def _statistic_cases():
     from dwlab.harness.experiments import _torus_weight
 
