@@ -25,6 +25,7 @@ from ..weights import (
     estimate_dimensions,
     identity_weight,
     power_weight,
+    spectral_norms,
     window_nodes,
 )
 from ..reducing import build_family
@@ -455,8 +456,8 @@ def exp_fs_gamma(seed=DEFAULT_SEED):
         R = t.cells_per_axis() * quad.G
         wp = W.power_at(window_nodes(t, quad.G), 1.0 / p)
         # ||W^{1/p}(x) A_Q^{-1}|| at the nodes x of each cube Q, per level
-        gam = {j: np.linalg.matrix_norm(cube_blocks(wp, t, quad.G, j)
-                                        @ np.linalg.inv(A)[:, None], ord=2)
+        gam = {j: spectral_norms(cube_blocks(wp, t, quad.G, j)
+                                 @ np.linalg.inv(A)[:, None])
                for j, A in fam.levels.items()}
         # the deviation fields do not depend on the family: build them once
         tvs = _sample_seqs(t, 2, 8, seed)

@@ -25,6 +25,7 @@ from .weights import (
     WeightError,
     cube_blocks,
     matrix_power,
+    spectral_norms,
     sphere_directions,
     window_nodes,
 )
@@ -214,7 +215,9 @@ def doubling_orders(F: ReducingFamily, t: Truncation):
     log||A_Q A_R^{-1}|| against log sep over equal-level pairs (each
     unordered pair contributes max(v, -v), since the ordered pairs come
     in reciprocal couples whose raw slopes cancel).  F must live on the
-    window t (ReducingError otherwise).
+    window t (ReducingError otherwise).  The norms are ``spectral_norms``
+    of the stacked products, read off the diagonals when every A_Q is
+    diagonal (a diagonal weight's exact_p2 family) and by SVD otherwise.
     """
     from scipy.optimize import linprog
 
@@ -230,7 +233,7 @@ def doubling_orders(F: ReducingFamily, t: Truncation):
     pairs = [[a[I != J] for a in (I, J, dj, sep(I, J))]
              for I, J, dj in window_pairs(t, DOUBLING_PAIR_CAP)]
     v = np.log(np.maximum(np.concatenate(
-        [np.linalg.matrix_norm(A[I] @ Ainv[J], ord=2) for I, J, *_ in pairs]),
+        [spectral_norms(A[I] @ Ainv[J]) for I, J, *_ in pairs]),
         1e-300))
     dj = np.concatenate([dj for _, _, dj, _ in pairs])
     ls = np.log(np.concatenate([sep for *_, sep in pairs]))

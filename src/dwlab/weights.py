@@ -14,11 +14,14 @@ the same node set many times, evaluate it once per weight.  Both
 statistics run on stacked node sets
 through one masked exp-log kernel: the characteristic on the per-level
 ``cube_blocks`` of the window grid, the dimension estimates on the
-dilated boxes of all sampled cubes at once.
+dilated boxes of all sampled cubes at once.  Their spectral norms come
+from ``spectral_norms``, which equals LAPACK's SVD norm bit for bit but
+reads a real diagonal matrix's norm off its diagonal.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +63,56 @@ def matrix_power(M, alpha):
     if np.any(lam <= 0):
         raise NotPositiveDefinite(f"eigenvalue {np.min(lam)} <= 0")
     return (V * lam[..., None, :] ** alpha) @ np.swapaxes(V.conj(), -1, -2)
+
+
+# dgesdd rescales a matrix whose largest |entry| is nonzero and outside
+# [sqrt(tiny)/eps, eps/sqrt(tiny)] = [2^-459, 2^459], about 6.7e-139 to
+# 1.5e138; inside, it computes the singular values of the matrix itself
+UNSCALED = (2.0 ** -459, 2.0 ** 459)
+
+
+def _real_diagonals(M):
+    """The diagonals [..., m] of M [..., m, m] if M is a real (float64)
+    stack of diagonal matrices (-0.0 counts as zero), else None."""
+    if (M.dtype != np.float64 or M.ndim < 2 or M.shape[-1] != M.shape[-2]
+            or M.shape[-1] == 0):
+        return None
+    d = np.diagonal(M, axis1=-2, axis2=-1)
+    return d if np.count_nonzero(M) == np.count_nonzero(d) else None
+
+
+def _diagonal_norms(a):
+    """Spectral norms of the real diagonal matrices whose diagonals have
+    the absolute values a [..., m], rounded as LAPACK's dgesdd rounds
+    them; None if dgesdd would rescale one (or one holds a NaN or an
+    infinity).
+
+    dgebrd leaves a diagonal matrix as it is (off-diagonal e = 0), and
+    dlasq1 then returns the sorted |d|, except at m = 2, where dlas2
+    rounds the larger of mn <= mx to mx / (2 / ((1 + mn/mx) + (mx - mn)/mx)),
+    or to mx when mn = 0.  max |d| itself differs in the last bit there.
+    """
+    cols = list(np.moveaxis(a, -1, 0))
+    mx = functools.reduce(np.maximum, cols)
+    if not np.all((mx == 0) | ((mx >= UNSCALED[0]) & (mx <= UNSCALED[1]))):
+        return None
+    if len(cols) != 2:
+        return mx
+    mn = np.minimum(*cols)
+    with np.errstate(invalid="ignore"):  # 0/0 where mx = 0, masked below
+        c = 2.0 / ((1.0 + mn / mx) + (mx - mn) / mx)
+    return np.where(mn == 0, mx, mx / c)
+
+
+def spectral_norms(M):
+    """``np.linalg.matrix_norm(M, ord=2)`` over a stack [..., m, m], bit
+    for bit.  A real diagonal stack inside dgesdd's unscaled range
+    (``UNSCALED``) reads its norms off the diagonals (``_diagonal_norms``);
+    every other stack goes to LAPACK."""
+    M = np.asarray(M)
+    d = _real_diagonals(M)
+    norms = None if d is None else _diagonal_norms(np.abs(d))
+    return np.linalg.matrix_norm(M, ord=2) if norms is None else norms
 
 
 # ---------------------------------------------------------------------------
@@ -131,12 +184,17 @@ class MatrixWeight:
 
     def _masked(self, pts, fn):
         """fn(W(x)) stacked over points [M, n]: the weight is evaluated off
-        the singular set only, and every singular point gets a zero matrix."""
+        the singular set only, and every singular point gets a zero matrix.
+        A NaN or infinite value of W is a WeightError."""
         pts = np.asarray(pts, dtype=float)
         if pts.ndim != 2:
             raise WeightError(f"need points [M, n], got shape {pts.shape}")
         hit = self.is_singular_at(pts)
-        vals = fn(self._batch(pts[~hit]))
+        raw = self._batch(pts[~hit])
+        if not np.all(np.isfinite(raw)):
+            raise WeightError(f"weight {self.label} has a non-finite value "
+                              "off its singular set")
+        vals = fn(raw)
         out = np.zeros((len(pts),) + vals.shape[1:], dtype=vals.dtype)
         out[~hit] = vals
         return out
@@ -276,15 +334,24 @@ def _exp_log_avg(wx, keep_x, wy_inv, keep_y, p):
     keep_x [..., X] and keep_y [..., Y] mark enter the two averages, so a
     singular node is left out of both; a box with none left is an error.
     The powers are zero where a mask is False (``MatrixWeight.powers``),
-    so such an x node adds nothing to the sums."""
+    so such an x node adds nothing to the sums.  The norms are
+    ``spectral_norms`` of the products; when both powers are real
+    diagonal stacks, only the products' diagonals are formed."""
     if not (np.all(np.any(keep_x, axis=-1)) and np.all(np.any(keep_y, axis=-1))):
         raise WeightError("all quadrature nodes hit the singular set")
     # C order keeps each x row contiguous, so its sum is pairwise
-    prods = np.einsum("...xab,...ybc->...yxac", wx, wy_inv, order="C")
-    if prods.shape[-1] == 1:  # the spectral norm of a 1x1 matrix is |a|
-        norms = np.abs(prods[..., 0, 0]) ** p
-    else:
-        norms = np.linalg.matrix_norm(prods, ord=2) ** p
+    dx, dy = _real_diagonals(wx), _real_diagonals(wy_inv)
+    norms = None
+    if dx is not None and dy is not None:
+        # |the products' diagonals|: each cross term of the einsum below
+        # is 0, and |x| |y| is |x y| to the bit
+        norms = _diagonal_norms(np.multiply(np.abs(dx)[..., None, :, :],
+                                            np.abs(dy)[..., :, None, :],
+                                            order="C"))
+    if norms is None:
+        norms = spectral_norms(np.einsum("...xab,...ybc->...yxac", wx,
+                                         wy_inv, order="C"))
+    norms = norms ** p
     inner = np.sum(norms, axis=-1) / np.sum(keep_x, axis=-1)[..., None]
     keep_y = np.broadcast_to(keep_y, inner.shape)
     logs = np.log(inner, out=np.zeros_like(inner), where=keep_y)

@@ -24,6 +24,7 @@ from dwlab.weights import (
     identity_weight,
     matrix_power,
     power_weight,
+    spectral_norms,
     sphere_directions,
     window_nodes,
 )
@@ -419,6 +420,14 @@ def test_window_nodes_are_one_read_only_array_per_grid(t):
     assert window_nodes(twin, 3) is not window_nodes(t, 3) and twin == t
 
 
+def _turning(x):
+    """R(3x) diag(1, 2) R(3x)^T: a smooth m = 2 weight with no singular set
+    whose eigenvectors turn across the window, so no power is diagonal."""
+    th = 3.0 * x[0]
+    R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    return R @ np.diag([1.0, 2.0]) @ R.T
+
+
 def _statistic_cases():
     from dwlab.harness.experiments import _torus_weight
 
@@ -429,11 +438,15 @@ def _statistic_cases():
         ("inv-sqrt", power_weight(-0.5), Truncation(1, -1, 5, 2)),
         ("diag-2d", diag_power_weight(-0.5, 0.5, n=2), Truncation(2, 0, 4, 1)),
         ("identity", identity_weight(2), Truncation(1, 0, 4, 1)),
+        # two weights whose products are not diagonal: the LAPACK branch
+        ("turning", MatrixWeight(2, _turning), Truncation(1, 0, 4, 1)),
+        ("hermitian", constant_weight(np.array([[2.0, 1j], [-1j, 3.0]])),
+         Truncation(1, 0, 4, 1)),
     ]
 
 
-@pytest.mark.parametrize("case", range(6), ids=[c[0] for c in
-                                                 _statistic_cases()])
+@pytest.mark.parametrize("case", range(len(_statistic_cases())),
+                         ids=[c[0] for c in _statistic_cases()])
 def test_weight_statistics_match_the_per_cube_oracles(case, monkeypatch):
     import oracles
 
@@ -615,3 +628,111 @@ def test_exp_log_avg_1x1_norms_are_the_svd_norms(seed):
         got = weights._exp_log_avg(wx, keep_x, wy, keep_y, p)
         want = _exp_log_avg_by_svd(wx, keep_x, wy, keep_y, p)
         assert [g.hex() for g in got] == [w.hex() for w in want], p
+
+
+def _diagonal_stack(d, off=0.0):
+    """Matrices [M, m, m] with diagonals d [M, m] and every other entry
+    equal to off."""
+    m = d.shape[-1]
+    M = np.full(d.shape + (m,), off)
+    M[:, range(m), range(m)] = d
+    return M
+
+
+def _no_lapack(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK was called")
+
+    monkeypatch.setattr(np.linalg, "matrix_norm", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("decades", [3, 130])
+def test_spectral_norms_of_diagonal_stacks_are_lapacks_bits(
+        m, decades, monkeypatch):
+    # signed entries over 2 * decades decades, with zeros, equal entries
+    # and -0.0 off the diagonal; at m = 2 max |d| differs from LAPACK in
+    # the last bit on about 1.6% of these matrices (0.16% at 130 decades)
+    rng = np.random.default_rng(m + decades)
+    d = (10.0 ** rng.uniform(-decades, decades, (20000, m))
+         * rng.choice([-1.0, 1.0], (20000, m)))
+    d[:500, 0] = 0.0
+    d[500:600] = 0.0
+    d[600:1100, -1] = -d[600:1100, 0]
+    d[1100:1600] = d[1100:1600, :1]
+    stacks = [_diagonal_stack(d), _diagonal_stack(d, off=-0.0)]
+    want = [np.linalg.matrix_norm(M, ord=2) for M in stacks]
+    _no_lapack(monkeypatch)
+    for M, w in zip(stacks, want):
+        assert np.array_equal(spectral_norms(M), w)
+        assert np.array_equal(spectral_norms(M.reshape(4, -1, m, m)),
+                              w.reshape(4, -1))
+
+
+def _lapack_stacks():
+    rng = np.random.default_rng(7)
+    d = 10.0 ** rng.uniform(-3, 3, (200, 2))
+    big, small, mixed = (_diagonal_stack(d) for _ in range(3))
+    big[17, 1, 1] = 1.6e138
+    small[17, 0, 0], small[17, 1, 1] = 6.6e-139, 5e-139
+    mixed[17, 0, 1] = 1e-300
+    cplx = _diagonal_stack(d).astype(complex)
+    cplx[:, 0, 0] *= np.exp(1j * rng.uniform(0, 2 * np.pi, 200))
+    return {"big": big, "small": small, "complex": cplx, "mixed": mixed}
+
+
+@pytest.mark.parametrize("name", list(_lapack_stacks()))
+def test_spectral_norms_send_other_stacks_to_lapack(name, monkeypatch):
+    M = _lapack_stacks()[name]
+    want = np.linalg.matrix_norm(M, ord=2)
+    calls = []
+    norm = np.linalg.matrix_norm
+
+    def counted(A, **kwargs):
+        calls.append(A.shape)
+        return norm(A, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "matrix_norm", counted)
+    assert np.array_equal(spectral_norms(M), want)
+    assert calls == [M.shape]
+
+
+def test_spectral_norms_outside_the_unscaled_range_differ_from_max_d():
+    # dgesdd rescales there, so the diagonal read-off would be wrong
+    rng = np.random.default_rng(3)
+    d = 10.0 ** rng.uniform(139, 141, (2000, 2))
+    M = _diagonal_stack(d)
+    want = np.linalg.matrix_norm(M, ord=2)
+    assert np.any(np.max(d, axis=1) != want)
+    assert np.array_equal(spectral_norms(M), want)
+
+
+def test_weight_statistics_of_a_diagonal_weight_call_no_lapack(monkeypatch):
+    from dwlab.harness import run_experiment
+    from dwlab.reducing import build_family, doubling_orders
+
+    _no_lapack(monkeypatch)
+    W = diag_power_weight(-0.5, -0.25)
+    t = Truncation(1, 0, 4, 1)
+    assert apinf_characteristic(W, 2.0, t) >= 1.0
+    assert min(estimate_dimensions(W, 1.0, t)) >= 0.0
+    assert min(doubling_orders(build_family(W, 2.0, t), t)) >= 0.0
+    assert run_experiment("FS-GAMMA").passed
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_weight_values_are_a_weight_error(bad):
+    from dwlab.reducing import build_family
+
+    W = MatrixWeight(2, lambda x: [[bad, 0.0], [0.0, 1.0]], label="broken")
+    t, quad = Truncation(1, 0, 4, 1), QuadratureSpec(3)
+    params = SpaceParams("F", 0.0, 2.0, 2.0, make_growth("power", tau=0.0),
+                         mode="matrix", weight=W, quad=quad)
+    calls = [lambda: apinf_characteristic(W, 2.0, t, quad),
+             lambda: estimate_dimensions(W, 2.0, t),
+             lambda: seq_norm(build_random(t, m=2, seed=1), params, t),
+             lambda: build_family(W, 2.0, t, quad)]
+    for call in calls:
+        with pytest.raises(WeightError, match="broken"):
+            call()
