@@ -99,12 +99,12 @@ def _kernel(M, n, d, D):
 
 
 @functools.lru_cache(maxsize=512)
-def _kernel_hat(L, n, d, D, origin=True):
-    """rfftn of _kernel(L, n, d, D), its o = 0 entry zeroed unless
-    ``origin``: the majorant's spectra.  Cached and read-only, since
-    every caller shares it."""
-    K = _kernel(L, n, d, D)
-    K.flat[0] *= origin
+def _kernel_hat(L, n, D):
+    """rfftn of _kernel(L, n, 0, D) with its o = 0 entry zeroed: the
+    majorant's spectra.  Cached and read-only, since every caller shares
+    it."""
+    K = _kernel(L, n, 0, D)
+    K.flat[0] = 0.0
     h = np.fft.rfftn(K)
     h.flags.writeable = False
     return h
@@ -269,7 +269,7 @@ def majorant(tv: CoeffSeq, r, lam, t: Truncation):
         shape = (_fft_len(mag.shape[0]),) * n
         axes = tuple(range(n))
         w = mag**r
-        conv = np.fft.irfftn(_kernel_hat(shape[0], n, 0, lam * r, False)
+        conv = np.fft.irfftn(_kernel_hat(shape[0], n, lam * r)
                              * np.fft.rfftn(w, s=shape, axes=axes),
                              s=shape, axes=axes)[(slice(0, mag.shape[0]),) * n]
         out.levels[j][..., 0] = (w + np.maximum(conv, 0.0)) ** (1.0 / r)

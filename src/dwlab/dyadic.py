@@ -214,31 +214,6 @@ def pair_blocks(count, cap):
         yield I, f
 
 
-def spread_phases(count, cap):
-    """Membership in pair_blocks(count, cap) as integer phases: (rows,
-    cols, K, M) such that the pair (i, j) is one of those pairs exactly
-    when (cols[j] - rows[i]) mod M < K.  So each row meets the columns
-    whose phase lies in one cyclic window of length K.
-
-    Above the cap, f = i count + j is a spread index exactly when
-    (-f (cap - 1)) mod (count^2 - 1) < cap - 1; the phases split that
-    test between i and j, in int64 without overflow for count < 2^30."""
-    total, idx = count * count, np.arange(count)
-    if total <= cap:
-        zero = np.zeros(count, dtype=np.int64)
-        return zero, zero, 1, 1
-    if cap < 2:  # spread keeps the pair (0, 0) alone, or none at cap 0
-        return np.where(idx == 0, 0, count), idx, cap, total
-    M, K = total - 1, cap - 1
-    # x K mod M, with K = a1 count + a0 and count^2 = 1 mod M
-    a1, a0 = divmod(K, count)
-    b1, b0 = np.divmod(idx * a1, count)
-    phase = (b1 + b0 * count + idx * a0) % M
-    # rows: i count K mod M; times count swaps phase's base-count digits
-    hi, lo = np.divmod(phase, count)
-    return lo * count + hi, (-phase) % M, K, M
-
-
 def _window_cubes(t: Truncation):
     """Levels, edge lengths and lower corners [N, n] of the window cubes,
     in enumerate_cubes order."""

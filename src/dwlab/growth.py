@@ -23,10 +23,10 @@ from typing import Callable
 import numpy as np
 
 from .dyadic import (DwlabError, Truncation, check_finite, pair_separations,
-                     spread_phases, window_pairs)
+                     window_pairs)
 from .weights import _libm_pow, box_nodes
 
-PAIR_CAP = 2_000_000  # class_constant's cube pairs; spread picks above it
+PAIR_CAP = 2_000_000  # class_constant's pairs at omega > 0, spread above it
 FIELD_NODES = 16  # midpoint nodes per axis of a weight_power cell integral
 
 
@@ -43,12 +43,23 @@ class GrowthFn:
 
     eval: Callable[[int, np.ndarray], object]
 
+    def __post_init__(self):
+        # on_level's checked arrays; not a field, so equality, hashing and
+        # repr see only eval
+        object.__setattr__(self, "_levels", {})
+
     def on_level(self, j, k):
-        """v at the cubes (j, k[..., n]) as an array, checked positive."""
-        v = np.broadcast_to(np.asarray(self.eval(j, k), dtype=float),
-                            k.shape[:-1])
-        if not np.all(v > 0):
-            raise GrowthError(f"growth function nonpositive on level {j}")
+        """v at the cubes (j, k[..., n]) as a read-only array, checked
+        positive; eval runs once per level and corner array for the life
+        of the growth function."""
+        key = (j, k.shape, k.dtype.str, k.tobytes())
+        v = self._levels.get(key)
+        if v is None:
+            v = np.broadcast_to(np.asarray(self.eval(j, k), dtype=float),
+                                k.shape[:-1])
+            if not np.all(v > 0):
+                raise GrowthError(f"growth function nonpositive on level {j}")
+            self._levels[key] = v
         return v
 
 
@@ -96,15 +107,8 @@ def make_growth(kind, **params):
         check_finite(tau, "tau", GrowthError)
         if not callable(field):
             raise GrowthError("weight_power growth needs a callable field")
-        cache = {}
-
-        def ev(j, k, field=field, tau=tau, cache=cache):
-            key = (j, k.shape, k.tobytes())
-            if key not in cache:
-                cache[key] = _libm_pow(_cell_average(field, j, k), tau)
-            return cache[key]
-
-        return GrowthFn(ev)
+        return GrowthFn(lambda j, k, f=field, tau=tau:
+                        _libm_pow(_cell_average(f, j, k), tau))
     alpha = float(params["alpha"])
     beta = float(params["beta"])
     check_finite(alpha, "alpha", GrowthError)
@@ -122,19 +126,17 @@ def class_constant(v: GrowthFn, delta1, delta2, omega, t: Truncation):
     """Worst ratio of v(Q)/v(R) to the class bound over window pairs.
 
     Finite by construction on a finite window; growth of this constant
-    across nested windows signals non-membership.  The pairs are those of
-    dyadic.pair_blocks(cube count, PAIR_CAP); the volume factor comes from
-    a table over the level gaps.
+    across nested windows signals non-membership.  The volume factor
+    comes from a table over the level gaps.
 
-    At omega = 0 the bound depends on the pair only through the levels,
-    and correctly rounded division is monotone, so the worst ratio of a
-    row cube Q_I against the level-b cubes it is paired with is v_I over
-    their least v, bit for bit.  spread_phases puts a row's partners on a
-    level in one cyclic window of phases, so with the level's cubes sorted
-    by phase that least v is a range minimum: O(N log N) per level for N
-    cubes, and no pair is formed.  At omega > 0 the separations enter and
-    the pairs run in window_pairs blocks, so memory stays bounded at any
-    depth.
+    At omega = 0 the bound depends on the pair only through the two
+    levels, and correctly rounded division is monotone, so the worst
+    ratio over all pairs of levels a and b is max v on a over min v on b,
+    over the table entry, bit for bit: the constant over every window
+    pair, from the L x L level pairs, with no pair formed and no cap.  At
+    omega > 0 the separations enter; the pairs are those of
+    dyadic.pair_blocks(cube count, PAIR_CAP), run in window_pairs blocks,
+    so memory stays bounded at any depth.
     """
     for x, name in ((delta1, "delta1"), (delta2, "delta2"), (omega, "omega")):
         check_finite(x, name, GrowthError)
@@ -147,42 +149,17 @@ def class_constant(v: GrowthFn, delta1, delta2, omega, t: Truncation):
     span = t.j_max - t.j_min
     gaps = np.arange(-span, span + 1)
     tab = (2.0 ** (-gaps * float(t.n))) ** np.where(gaps >= 0, delta1, delta2)
-    sizes = [len(a) for a in vals]
+    if not omega:
+        # levels a and b (indices into js) have the gap dj = a - b
+        hi = np.array([np.max(a) for a in vals])
+        lo = np.array([np.min(a) for a in vals])
+        idx = np.arange(len(vals))
+        return float(np.max(hi[:, None] / lo[None, :]
+                            / tab[idx[:, None] - idx[None, :] + span]))
     vals = np.concatenate(vals)
+    sep = pair_separations(t)
     worst = []
-    if omega:
-        sep = pair_separations(t)
-        for I, J, dj in window_pairs(t, PAIR_CAP):
-            bound = sep(I, J) ** omega * tab[dj + span]
-            worst.append(np.max(vals[I] / vals[J] / bound))
-        return float(np.max(worst))
-    lev = np.repeat(np.array(js), sizes)
-    rows, cols, K, M = spread_phases(len(vals), PAIR_CAP)
-    start = 0
-    for b, size in zip(js, sizes):
-        level = slice(start, start + size)
-        start += size
-        order = np.argsort(cols[level], kind="stable")
-        phase = cols[level][order]
-        phase = np.concatenate([phase, phase + M])  # the cycle, unrolled
-        lo, hi = np.searchsorted(phase, rows), np.searchsorted(phase, rows + K)
-        paired = hi > lo
-        if paired.any():
-            least = _range_min(np.tile(vals[level][order], 2), lo[paired],
-                               hi[paired])
-            worst.append(np.max(vals[paired] / least
-                                / tab[lev[paired] - b + span]))
+    for I, J, dj in window_pairs(t, PAIR_CAP):
+        bound = sep(I, J) ** omega * tab[dj + span]
+        worst.append(np.max(vals[I] / vals[J] / bound))
     return float(np.max(worst))
-
-
-def _range_min(a, lo, hi):
-    """min(a[lo[i]:hi[i]]) for each i, all ranges non-empty, from a sparse
-    table built one power-of-two width at a time."""
-    out = np.empty(len(lo))
-    width = np.frexp(hi - lo)[1] - 1  # floor(log2(hi - lo))
-    table = a  # table[x] = min(a[x : x + 2^k]) at step k
-    for k in range(int(width.max()) + 1):
-        sel = np.flatnonzero(width == k)
-        out[sel] = np.minimum(table[lo[sel]], table[hi[sel] - (1 << k)])
-        table = np.minimum(table[:-(1 << k)], table[1 << k:])
-    return out

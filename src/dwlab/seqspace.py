@@ -254,7 +254,9 @@ def la_norms(fields, params: SpaceParams, t: Truncation):
                 Tp **= p
             vals = (_box_reduce(Tp, w, np.sum, n) * node_vol) ** (1.0 / p)
         vP = params.v.on_level(jP, t.level_k(jP))
-        best = np.fmax(best, np.max((vals / vP).reshape(S, -1), axis=1))
+        best = np.maximum(best, np.max((vals / vP).reshape(S, -1), axis=1))
+    if np.isnan(best).any():
+        raise SeqSpaceError("a level field holds a NaN")
     return best
 
 

@@ -58,11 +58,17 @@ def _hermitian(M):
 
 
 def matrix_power(M, alpha):
-    """M^alpha for Hermitian positive-definite M; batched over leading axes."""
+    """M^alpha for Hermitian positive-definite M; batched over leading axes.
+    A power that overflows (an entry not finite) is a WeightError."""
     lam, V = np.linalg.eigh(_hermitian(M))
     if np.any(lam <= 0):
         raise NotPositiveDefinite(f"eigenvalue {np.min(lam)} <= 0")
-    return (V * lam[..., None, :] ** alpha) @ np.swapaxes(V.conj(), -1, -2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = (V * lam[..., None, :] ** alpha) @ np.swapaxes(V.conj(), -1, -2)
+    if not np.all(np.isfinite(P)):
+        raise WeightError(f"matrix power {alpha} overflows: eigenvalues "
+                          f"{np.min(lam)} to {np.max(lam)}")
+    return P
 
 
 # dgesdd rescales a matrix whose largest |entry| is nonzero and outside

@@ -169,16 +169,18 @@ def test_thresholds_regime_switch_at_delta1_equal_one_over_p():
 
 
 def test_kernel_spectra_are_shared_read_only():
-    from dwlab.adops import _kernel_hat
+    from dwlab.adops import _kernel_spectrum
 
-    t = Truncation(1, 0, 6, 1)
+    t = Truncation(1, 0, 6, 1)  # 64 finest cubes: level 6 on 128 points
     tv = build_random(t, seed=4, density=0.5)
     first = ad_apply(F22, tv, t)
-    h = _kernel_hat(8, 1, 2, F22.D)
-    assert h is _kernel_hat(8, 1, 2, F22.D) and not h.flags.writeable
+    misses = _kernel_spectrum.cache_info().misses
+    h = _kernel_spectrum(128, 1, 2, F22.D)
+    assert h is _kernel_spectrum(128, 1, 2, F22.D) and not h.flags.writeable
     with pytest.raises(ValueError):
         h[0] = 0.0
     again = ad_apply(F22, tv, t)
+    assert _kernel_spectrum.cache_info().misses == misses
     for j, a in first.levels.items():
         assert np.array_equal(again.levels[j], a)
 
@@ -192,12 +194,10 @@ def test_majorant_spectrum_is_the_zeroed_kernel_and_is_shared():
         o = np.fft.fftfreq(L, 1.0 / L)
         grids = np.meshgrid(*([o] * n), indexing="ij", sparse=True)
         K = (1.0 + np.sqrt(sum(g * g for g in grids))) ** (-lam_r)
-        full = np.fft.rfftn(K)
         K.flat[0] = 0.0
-        h = _kernel_hat(L, n, 0, lam_r, False)
+        h = _kernel_hat(L, n, lam_r)
         assert np.array_equal(h, np.fft.rfftn(K))
-        assert h is _kernel_hat(L, n, 0, lam_r, False) and not h.flags.writeable
-        assert np.array_equal(_kernel_hat(L, n, 0, lam_r), full)
+        assert h is _kernel_hat(L, n, lam_r) and not h.flags.writeable
 
 
 def test_thresholds_shift_in_s():

@@ -369,6 +369,19 @@ def test_reduce_faults_give_one_error_line(argv, named):
     assert named in lines[0], err
 
 
+def test_an_overflowing_weight_power_gives_one_error_line():
+    # W^{1/p} = W^2 overflows: this printed a norm of 0 and exited 0
+    cfg = {"window": {"n": 1, "j_min": 0, "j_max": 2},
+           "space": {"family": "B", "p": 0.5, "q": 2, "mode": "matrix",
+                     "weight": "constant:1e200,1"},
+           "sequence": {"m": 2, "entries": [{"j": 0, "k": [0],
+                                             "value": [1.0, 0.0]}]}}
+    status, out, err = _run_main(["norm", "--config", json.dumps(cfg)])
+    lines = err.strip().splitlines()
+    assert status == 2 and out == "", (status, out, err)
+    assert len(lines) == 1 and "overflows" in lines[0], err
+
+
 @pytest.mark.parametrize("p", [math.nan, 0, -1.0, "2"])
 def test_weight_statistics_reject_bad_exponents(p):
     # estimate_dimensions once raised LinAlgError at p = NaN, and

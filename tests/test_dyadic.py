@@ -13,7 +13,6 @@ from dwlab.dyadic import (
     pair_blocks,
     separation,
     spread,
-    spread_phases,
 )
 from oracles import level_cubes
 
@@ -196,37 +195,6 @@ def test_pair_blocks_pick_cap_spread_pairs_above_it(monkeypatch, count, cap):
     assert flat[0] == 0 and flat[-1] == count * count - 1
     gaps = np.diff(flat)
     assert gaps.max() - gaps.min() <= 1
-
-
-def _phase_pairs(count, cap):
-    rows, cols, K, M = spread_phases(count, cap)
-    I, J = np.meshgrid(np.arange(count), np.arange(count), indexing="ij")
-    return set((I * count + J)[(cols[J] - rows[I]) % M < K].tolist())
-
-
-def test_spread_phases_select_the_spread_pairs():
-    # caps 0, 1 and 2, caps at and above count^2, and sparse caps, which
-    # leave a row without partners on some levels
-    for count in [*range(1, 30), 64, 101, 256]:
-        total = count * count
-        caps = {0, 1, 2, 3, 7, 50, count, 2 * count + 1, total // 3,
-                total - 1, total, total + 5}
-        for cap in caps:
-            assert _phase_pairs(count, cap) == set(spread(total, cap).tolist()), \
-                (count, cap)
-
-
-@pytest.mark.parametrize("cap", [2_000_000, 60_001 ** 2 - 5])
-def test_spread_phases_stay_exact_where_int64_products_overflow(cap):
-    # i count (cap - 1) reaches 1.3e19 at the larger cap
-    count = 60_001
-    rows, cols, K, M = spread_phases(count, cap)
-    rng = np.random.default_rng(cap)
-    flats = [int(x) for x in rng.integers(0, count * count, 500)]
-    flats += [s * M // K for s in (0, 1, 77, cap - 2, cap - 1)]
-    for f in flats:
-        i, j = divmod(f, count)
-        assert ((int(cols[j]) - int(rows[i])) % M < K) == ((-f * K) % M < K)
 
 
 @pytest.mark.parametrize("args", [(1, 0, 2.5, 1), (1, 0, 2, 1.5),

@@ -287,21 +287,33 @@ _DIP = GrowthFn(lambda j, k: np.where((j == 4) & (k[..., 0] == 5), 0.5, 1.0))
     (Truncation(1, -1, 4, 2), _FIELD, 0.1, 0.3, 0.0, 1),
     (Truncation(1, -1, 4, 2), _FIELD, 0.1, 0.3, 0.0, 2),
     (Truncation(2, -1, 2, 2), _POWER, 0.5, 0.5, 0.0, 2),
-    (Truncation(2, 0, 4, 3), _POWER, 0.25, 0.75, 0.0, None),
-    (Truncation(2, 0, 4, 3), _FIELD, 0.0, 0.2, 0.0, None),
+    (Truncation(2, 0, 3, 3), _POWER, 0.25, 0.75, 0.0, 1000),
+    (Truncation(2, 0, 3, 3), _FIELD, 0.0, 0.2, 0.0, 1000),
     (Truncation(1, -1, 4, 2), _DIP, 0.1, 0.3, 0.0, None),
     (Truncation(1, -1, 4, 2), _DIP, 0.1, 0.3, 0.0, 300),
-    (Truncation(2, 0, 4, 3), _DIP, 0.0, 0.0, 0.0, None),
+    (Truncation(2, 0, 4, 1), _DIP, 0.0, 0.0, 0.0, 1000),
 ], ids=["1d", "1d-cap50", "1d-cap1000", "2d-cap1000", "2d", "2d-extent3",
         "1d-above-cap", "1d-above-cap-omega", "1d-cap1", "1d-cap2",
         "2d-cap2", "2d-above-cap", "2d-above-cap-field", "1d-dip",
         "1d-dip-cap300", "2d-dip-above-cap"])
 def test_class_constant_matches_the_per_pair_formula_bit_for_bit(
         t, v, d1, d2, omega, cap, monkeypatch):
+    # the cap subsamples the pairs at omega > 0 only; at omega = 0 the
+    # constant is the maximum over all window pairs, whatever the cap
     if cap is not None:
         monkeypatch.setattr(growth, "PAIR_CAP", cap)
-    want = _class_constant_per_pair(v, d1, d2, omega, t, growth.PAIR_CAP)
+    pairs = growth.PAIR_CAP if omega else len(enumerate_cubes(t)) ** 2
+    want = _class_constant_per_pair(v, d1, d2, omega, t, pairs)
     assert class_constant(v, d1, d2, omega, t).hex() == want.hex()
+
+
+def test_class_constant_at_zero_omega_ignores_the_pair_cap(monkeypatch):
+    # a cap of one pair once reported 1.0, the ratio of (Q_0, Q_0) alone
+    t = Truncation(1, -1, 4, 2)
+    full = class_constant(_FIELD, 0.1, 0.3, 0.0, t)
+    monkeypatch.setattr(growth, "PAIR_CAP", 1)
+    assert class_constant(_FIELD, 0.1, 0.3, 0.0, t) == full
+    assert full.hex() == "0x1.4fe21a27ebbd3p+8"  # 335.883...
 
 
 def test_class_constant_reads_separations_only_at_positive_omega(
@@ -314,16 +326,6 @@ def test_class_constant_reads_separations_only_at_positive_omega(
     assert class_constant(_POWER, 0.5, 0.5, 0.0, t) == 1.0
     with pytest.raises(AssertionError, match="separations read"):
         class_constant(_POWER, 0.5, 0.5, 0.3, t)
-
-
-def test_range_min_is_the_slice_minimum():
-    rng = np.random.default_rng(5)
-    for size in (1, 2, 3, 7, 64, 100, 1000):
-        a = rng.standard_normal(size)
-        lo = rng.integers(0, size, 400)
-        hi = lo + 1 + (rng.integers(0, size, 400) % (size - lo))
-        want = [a[x:y].min() for x, y in zip(lo, hi)]
-        assert growth._range_min(a, lo, hi).tolist() == want
 
 
 def test_class_constant_forms_no_pairs_at_zero_omega(monkeypatch):

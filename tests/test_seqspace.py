@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dwlab.dyadic import CubeId, Truncation, ancestor, enumerate_cubes
-from dwlab.growth import make_growth
+from dwlab.growth import GrowthFn, make_growth
 from dwlab.reducing import build_family
 from dwlab.seqspace import (
     UNDERFLOW_CLAMP,
@@ -467,6 +467,33 @@ def test_la_norms_reject_levels_outside_the_window():
             la_norm(fields, _params(), t)
         with pytest.raises(SeqSpaceError, match="outside the window"):
             la_norms({j: f[None] for j, f in fields.items()}, _params(), t)
+
+
+@pytest.mark.parametrize("family", ["B", "F"])
+def test_a_nan_field_is_an_error_not_a_norm(family):
+    # the levels were once merged with np.fmax, which drops a NaN: 0.0
+    t = Truncation(1, 0, 0, 1)
+    with pytest.raises(SeqSpaceError, match="NaN"):
+        la_norm({0: np.array([np.nan])}, _params(family), t)
+    with pytest.raises(SeqSpaceError, match="NaN"):
+        la_norms({0: np.array([[1.0], [np.nan]])}, _params(family), t)
+
+
+def test_growth_is_evaluated_once_per_level_over_seq_norms_calls():
+    calls = []
+
+    def ev(j, k):
+        calls.append(j)
+        return (2.0 ** (-j * k.shape[-1])) ** 0.5
+
+    t = Truncation(1, -1, 4, 2)
+    params = _params("F", v=GrowthFn(ev))
+    tvs = [build_random(t, seed=s, density=0.5) for s in range(3)]
+    first = seq_norms(tvs, params, t)
+    for _ in range(3):
+        assert np.array_equal(seq_norms(tvs, params, t), first)
+        seq_norm(tvs[0], _params("B", v=params.v), t)
+    assert sorted(calls) == list(range(t.j_min, t.j_max + 1))
 
 
 def test_la_norms_read_their_grid_from_the_fields():

@@ -736,3 +736,26 @@ def test_non_finite_weight_values_are_a_weight_error(bad):
     for call in calls:
         with pytest.raises(WeightError, match="broken"):
             call()
+
+
+def test_an_overflowing_weight_power_is_a_weight_error():
+    # W^2 of 1e200 is not a float: the norm once came out as 0, the
+    # A-infinity characteristic and the dimensions raised numpy's
+    # LinAlgError, and the MVEE backend reported a vanishing average
+    from dwlab.reducing import build_family
+
+    with pytest.raises(WeightError, match="overflows"):
+        matrix_power(np.diag([1e200, 1.0]), 2.0)
+    with pytest.raises(WeightError, match="overflows"):
+        matrix_power(np.diag([1e-200, 1.0]), -2.0)
+    W = constant_weight(np.diag([1e200, 1.0]))
+    t, quad = Truncation(1, 0, 4, 4), QuadratureSpec(3)
+    params = SpaceParams("B", 0.0, 0.5, 2.0, make_growth("power", tau=0.0),
+                         mode="matrix", weight=W, quad=quad)
+    calls = [lambda: apinf_characteristic(W, 0.5, t, quad),
+             lambda: estimate_dimensions(W, 0.5, t),
+             lambda: seq_norm(build_random(t, m=2, seed=1), params, t),
+             lambda: build_family(W, 0.5, t, quad, backend="mvee")]
+    for call in calls:
+        with pytest.raises(WeightError, match="overflows"):
+            call()
