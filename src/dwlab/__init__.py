@@ -51,9 +51,11 @@ from .adops import (
     MoleculeThresholds,
     Thresholds,
     ad_apply,
+    ad_apply_stack,
     ad_entry,
     ad_thresholds,
     majorant,
+    majorant_stack,
     molecule_thresholds,
 )
 from .transforms import (

@@ -21,8 +21,11 @@ O(L N log N + L^2 N) time, 2L transforms and O(N) memory per call for
 N window cubes on L levels.  The kernel spectra depend only on the
 grid, the level gap and D, so they are computed once and shared by
 every call (``_kernel_spectrum``, and ``_kernel_hat`` for the
-majorant).  The tests hold ``ad_apply`` to a dense entry table built
-from ``ad_entry``'s formula.
+majorant).  ``ad_apply_stack`` and ``majorant_stack`` take a stack of
+sequences on one window and transform its members together, in chunks
+of at most ``STACK_ENTRIES`` spectrum entries; ``ad_apply`` and
+``majorant`` are their one-member stacks.  The tests hold ``ad_apply``
+to a dense entry table built from ``ad_entry``'s formula.
 """
 
 from __future__ import annotations
@@ -33,9 +36,13 @@ from typing import Optional
 
 import numpy as np
 
-from .dyadic import (CubeId, DwlabError, Truncation, check_exponent,
-                     check_finite, separation)
+from .dyadic import (PAIR_BLOCK, CubeId, DwlabError, Truncation,
+                     check_exponent, check_finite, separation)
 from .seqspace import CoeffSeq, SeqSpaceError
+
+
+# spectrum entries that one chunk of a stacked call holds, over its members
+STACK_ENTRIES = PAIR_BLOCK // 4
 
 
 class ADError(DwlabError):
@@ -127,9 +134,25 @@ def _split(x, n, r):
     return x.reshape(x.shape[:-n] + (r, x.shape[-1] // r) * n)
 
 
+def _on_window(tvs, t):
+    """ADError unless every sequence of the stack lives on ``t``."""
+    for tv in tvs:
+        if tv.t != t:
+            raise ADError(f"sequence lives on {tv.t}, not on {t}")
+
+
+def _chunks(members, entries):
+    """Consecutive slices of ``members``, each holding at most
+    STACK_ENTRIES spectrum entries at ``entries`` per member (one member
+    at least)."""
+    step = max(1, STACK_ENTRIES // entries)
+    return [members[i:i + step] for i in range(0, len(members), step)]
+
+
 def ad_apply(U: ADParams, tv: CoeffSeq, t: Truncation):
     """(Ut)_Q = sum_R u_{Q,R} t_R over the window ``t``, on which ``tv``
-    must live (ADError otherwise), for the (D, E, F) envelope ``U``.
+    must live (ADError otherwise), for the (D, E, F) envelope ``U``: a
+    one-member ``ad_apply_stack``.
 
     For levels b <= a with d = a - b, the offset k_Q - 2^d k_R (target
     on level a) or 2^d k_Q - k_R (target on level b) equals the same
@@ -150,45 +173,79 @@ def ad_apply(U: ADParams, tv: CoeffSeq, t: Truncation):
     neighbourhood (far from a lone source under a large D) is only
     accurate to that absolute level.
     """
+    return ad_apply_stack(U, [tv], t)[0]
+
+
+def ad_apply_stack(U: ADParams, tvs, t: Truncation):
+    """``ad_apply`` of each member of a stack of sequences that live on
+    ``t`` and share m (ADError otherwise), as a list.
+
+    The members lie side by side on the component axis, so each chunk of
+    members (at most STACK_ENTRIES spectrum entries, see ``_chunks``)
+    costs 2L batched transforms.  A member without entries gives zeros,
+    as alone.  Every operation acts on each member alone, so member i
+    equals the one-member call bit for bit.
+    """
     if not isinstance(U, ADParams):
         raise ADError(f"need ADParams (D, E, F), got {type(U).__name__}")
-    if tv.t != t:
-        raise ADError(f"sequence lives on {tv.t}, not on {t}")
+    _on_window(tvs, t)
+    ms = sorted({tv.m for tv in tvs})
+    if len(ms) > 1:
+        raise ADError(f"stack mixes m = {ms}")
     n = t.n
     levels = range(t.j_min, t.j_max + 1)
     top = _fft_len(t.cells_per_axis())
     size = {j: top >> (t.j_max - j) for j in levels}
-    axes = tuple(range(1, n + 1))
-    arrays = {j: np.moveaxis(a, -1, 0) for j, a in tv.levels.items()
-              if a.any()}
-    cplx = any(np.any(a.imag) for a in arrays.values())
-    spec = {j: np.fft.fftn(a if cplx else a.real, s=(size[j],) * n,
-                           axes=axes) for j, a in arrays.items()}
-    # each level's output spectrum; every level hears from every source
-    acc = {j: np.zeros((tv.m,) + (size[j],) * n, dtype=complex)
-           for j in levels} if spec else {}
-    for a in levels:
-        for b in range(t.j_min, a + 1):
-            d = a - b
-            up, down = b in spec, d > 0 and a in spec
-            if not (up or down):
-                continue
-            B = _kernel_spectrum(size[a], n, d, U.D)
-            if up:  # X_b broadcast over the 2^d tiles of each axis
-                tiles = _split(acc[a], n, 1 << d)
-                tiles += _split(B, n, 1 << d) * _split(
-                    (2.0 ** (-d)) ** U.E * spec[b], n, 1)
-            if down:
-                folded = _split(B * spec[a], n, 1 << d).sum(
-                    axis=tuple(range(1, 2 * n + 1, 2)))
-                folded *= (2.0 ** (-d)) ** U.F / 2.0 ** (d * n)
-                acc[b] += folded
-    res = CoeffSeq(t, tv.m)
-    for j, S in acc.items():
-        c = t.level_shape(j)[0]
-        v = np.fft.ifftn(S, axes=axes)[(slice(None),) + (slice(0, c),) * n]
-        res.levels[j][...] = np.moveaxis(v if cplx else v.real, 0, -1)
-    return _finite(res)
+    axes = tuple(range(2, n + 2))  # (member, component) lead
+    lead, back = (n,) + tuple(range(n)), tuple(range(1, n + 1)) + (0,)
+    res = []
+    entries = ms[0] * sum(size[j] ** n for j in levels) if ms else 1
+    for chunk in _chunks(range(len(tvs)), entries):
+        members = [tvs[i] for i in chunk]
+        cplx = [any(np.any(a.imag) for a in tv.levels.values())
+                for tv in members]
+        live = [False] * len(chunk)  # whether a member has entries
+        spec = {}
+        for j in levels:
+            z = [tv.levels[j] for tv in members]
+            hit = [a.any() for a in z]
+            if any(hit):
+                live = [x or y for x, y in zip(live, hit)]
+                x = np.array([(a if c else a.real).transpose(lead)
+                              for a, c in zip(z, cplx)])
+                spec[j] = np.fft.fftn(x, s=(size[j],) * n, axes=axes)
+        # each level's output spectrum; every level hears from every source
+        acc = {j: np.zeros((len(chunk), ms[0]) + (size[j],) * n,
+                           dtype=complex) for j in levels}
+        for a in levels:
+            for b in range(t.j_min, a + 1):
+                d = a - b
+                up, down = b in spec, d > 0 and a in spec
+                if not (up or down):
+                    continue
+                B = _kernel_spectrum(size[a], n, d, U.D)
+                if up:  # X_b broadcast over the 2^d tiles of each axis
+                    tiles = _split(acc[a], n, 1 << d)
+                    tiles += _split(B, n, 1 << d) * _split(
+                        (2.0 ** (-d)) ** U.E * spec[b], n, 1)
+                if down:
+                    folded = _split(B * spec[a], n, 1 << d).sum(
+                        axis=tuple(range(2, 2 * n + 2, 2)))
+                    folded *= (2.0 ** (-d)) ** U.F / 2.0 ** (d * n)
+                    acc[b] += folded
+        # outputs made only now, after the spectra: made before them,
+        # they shifted the heap so that a 1-d j_max = 12 call and the
+        # norm after it faulted in about four times as many fresh pages
+        out = [CoeffSeq(t, ms[0]) for _ in chunk]
+        for j, S in acc.items():
+            c = t.level_shape(j)[0]
+            v = np.fft.ifftn(S, axes=axes)[(slice(None),) * 2
+                                           + (slice(0, c),) * n]
+            for o, vi, cx, on in zip(out, v, cplx, live):
+                if on:  # a member without entries keeps its zeros
+                    o.levels[j][...] = (vi if cx else vi.real).transpose(back)
+        res += out
+    return [_finite(o) for o in res]
 
 
 def ad_thresholds(s, p, q, family, delta1, delta2, omega, n=1,
@@ -247,7 +304,8 @@ def majorant(tv: CoeffSeq, r, lam, t: Truncation):
         t*_Q = [ sum_{l(R)=l(Q)} |t_R|^r / (1 + l(R)^{-1}|x_Q - x_R|)^{lam r} ]^{1/r}
 
     for finite r > 0 and lam > 0 (ADError otherwise), on every window
-    cube of each level where ``tv`` has entries.
+    cube of each level where ``tv`` has entries: a one-member
+    ``majorant_stack``.
 
     In window-local indices l(R)^{-1}|x_Q - x_R| = |k_Q - k_R|, so each
     level is one FFT convolution of |t|^r with (1 + |o|)^{-lam r}:
@@ -255,25 +313,42 @@ def majorant(tv: CoeffSeq, r, lam, t: Truncation):
     t*_Q >= |t_Q| holds without rounding slack.  The sequence must live
     on the window ``t`` (ADError otherwise).
     """
+    return majorant_stack([tv], r, lam, t)[0]
+
+
+def majorant_stack(tvs, r, lam, t: Truncation):
+    """``majorant`` of each member of a stack of sequences on ``t``, as a
+    list.  Each level of a chunk of members (at most STACK_ENTRIES
+    spectrum entries, see ``_chunks``) is one batched convolution with a
+    leading member axis; member i equals the one-member call bit for bit
+    (a member without entries on a level gets +0.0 there, as alone)."""
     for name, x in (("r", r), ("lam", lam)):
         check_exponent(x, name, ADError)
         check_finite(x, name, ADError)
-    if tv.t != t:
-        raise ADError(f"sequence lives on {tv.t}, not on {t}")
+    _on_window(tvs, t)
     n = t.n
-    out = CoeffSeq(t, 1)
-    for j, a in tv.magnitudes().levels.items():
-        if not a.any():
-            continue
-        mag = a[..., 0].real
-        shape = (_fft_len(mag.shape[0]),) * n
-        axes = tuple(range(n))
-        w = mag**r
-        conv = np.fft.irfftn(_kernel_hat(shape[0], n, lam * r)
-                             * np.fft.rfftn(w, s=shape, axes=axes),
-                             s=shape, axes=axes)[(slice(0, mag.shape[0]),) * n]
-        out.levels[j][..., 0] = (w + np.maximum(conv, 0.0)) ** (1.0 / r)
-    return _finite(out)
+    mags = [tv.magnitudes().levels for tv in tvs]
+    res = [CoeffSeq(t, 1) for _ in tvs]
+    axes = tuple(range(1, n + 1))
+    top = _fft_len(t.cells_per_axis())  # bounds each level's length
+    entries = sum((top >> d) ** n for d in range(t.j_max - t.j_min + 1))
+    for chunk in _chunks(range(len(tvs)), entries):
+        for j in mags[chunk[0]]:
+            z = [mags[i][j] for i in chunk]
+            if not any(a.any() for a in z):
+                continue
+            mag = np.array([a[..., 0].real for a in z])
+            c = mag.shape[1]
+            s = (_fft_len(c),) * n
+            w = mag**r
+            conv = np.fft.irfftn(_kernel_hat(s[0], n, lam * r)
+                                 * np.fft.rfftn(w, s=s, axes=axes),
+                                 s=s, axes=axes)[(slice(None),)
+                                                 + (slice(0, c),) * n]
+            star = (w + np.maximum(conv, 0.0)) ** (1.0 / r)
+            for i, row in zip(chunk, star):
+                res[i].levels[j][..., 0] = row
+    return [_finite(out) for out in res]
 
 
 @dataclass(frozen=True)

@@ -215,8 +215,11 @@ def cmd_thresholds(args):
 def cmd_verify(args):
     try:
         seed = int(args.seed, 0)
+        if seed < 0:
+            raise ValueError(seed)
     except ValueError:
-        raise DwlabError(f"--seed must be an integer, got {args.seed!r}")
+        raise DwlabError(f"--seed must be a non-negative integer, "
+                         f"got {args.seed}")
     if args.experiment.lower() == "all":
         reports = run_all(seed=seed)
     else:

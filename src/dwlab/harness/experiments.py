@@ -31,6 +31,7 @@ from ..weights import (
 from ..reducing import build_family
 from ..seqspace import (
     SpaceParams,
+    _seq_fields,
     build_besov_counterexample,
     build_random,
     build_single_point,
@@ -40,7 +41,7 @@ from ..seqspace import (
     single_point_oracle,
     vector_norms,
 )
-from ..adops import ADParams, ad_apply, ad_thresholds, majorant
+from ..adops import ADParams, ad_apply_stack, ad_thresholds, majorant_stack
 from ..transforms import (
     GridFunction,
     build_lp_window,
@@ -70,6 +71,16 @@ def _windows(j_maxes=LADDER_1D):
 def _sample_seqs(t, m, count, seed):
     return [build_random(t, m=m, seed=seed + 7919 * i, density=0.3,
                          sigma=(-0.5, 0.0, 0.5)[i % 3]) for i in range(count)]
+
+
+def _on_ladder(windows, deep):
+    """The sequences ``deep``, drawn on the last and deepest window of a
+    ladder, restricted to each window in turn.  By build_random's prefix
+    property a restricted _sample_seqs draw is that window's own draw,
+    so one draw serves the ladder."""
+    for t in windows[:-1]:
+        yield [tv.restrict(t) for tv in deep]
+    yield deep
 
 
 def _band_limited(w, seed):
@@ -159,7 +170,9 @@ def exp_eq_aw(seed=DEFAULT_SEED):
     quad = QuadratureSpec(3)
     rungs = []
     exact_dev = 0.0
-    for t in _windows():
+    windows = _windows()
+    for t, tvs in zip(windows, _on_ladder(
+            windows, _sample_seqs(windows[-1], 2, 30, seed))):
         fam = build_family(W, 2, t, quad, backend="exact_p2")
         # p = q = 2: int_Q |W^{1/2} t_Q|^2 = |A_Q t_Q|^2 |Q| exactly, so
         # the two norms agree to rounding -- a sharp oracle
@@ -172,10 +185,11 @@ def exp_eq_aw(seed=DEFAULT_SEED):
                           weight=W, quad=quad)
         pa1 = SpaceParams("F", 0.0, 2, 1, _pow0(), mode="averaging",
                           reducing=fam)
-        tvs = _sample_seqs(t, 2, 30, seed)
-        r2 = seq_norms(tvs, pm2, t) / seq_norms(tvs, pa2, t)
+        # the fields do not depend on q: each mode builds them once
+        fm, fa = _seq_fields(tvs, pm2, t), _seq_fields(tvs, pa2, t)
+        r2 = la_norms(fm, pm2, t) / la_norms(fa, pa2, t)
         exact_dev = max(exact_dev, float(np.max(np.abs(r2 - 1.0))))
-        rungs.append((seq_norms(tvs, pm1, t), seq_norms(tvs, pa1, t)))
+        rungs.append((la_norms(fm, pm1, t), la_norms(fa, pa1, t)))
     rung_stats, drift = _ladder(rungs)
     stats = {f"j_max={jm}": st for jm, st in zip(LADDER_1D, rung_stats)}
     stats["drift"] = drift
@@ -201,16 +215,17 @@ def exp_eq_gstar(seed=DEFAULT_SEED):
     # quasi-Banach tail sums converge slowly in the window, so the
     # ladder starts deeper than the default
     ladder = (6, 8, 10)
-    # one draw per window serves every space
-    samples = [(t, [tv.magnitudes() for tv in _sample_seqs(t, 1, 10, seed)])
-               for t in _windows(ladder)]
+    windows = _windows(ladder)
+    # one draw serves every window and every space
+    deep = [tv.magnitudes() for tv in _sample_seqs(windows[-1], 1, 10, seed)]
+    samples = list(zip(windows, _on_ladder(windows, deep)))
     for family, p, q, r in spaces:
         gamma = min(p, q) if family == "F" else p
         lam = 1.0 / min(r, gamma) + 0.25
         rungs = []
         for t, seqs in samples:
             params = SpaceParams(family, 0.0, p, q, _pow0())
-            stars = [majorant(mags, r, lam, t) for mags in seqs]
+            stars = majorant_stack(seqs, r, lam, t)
             for star, mags in zip(stars, seqs):
                 for j, a in mags.levels.items():
                     all_ok &= not np.any(np.abs(star.levels[j])
@@ -243,10 +258,11 @@ def exp_ad_bound(seed=DEFAULT_SEED):
     # at a thin +0.25 margin the operator constant converges slowly, so
     # the ladder starts deeper than the default
     ladder = (8, 10, 12)
+    windows = _windows(ladder)
     rungs = []
-    for t in _windows(ladder):
-        mags = [tv.magnitudes() for tv in _sample_seqs(t, 1, 10, seed)]
-        rungs.append((seq_norms([ad_apply(ad, a, t) for a in mags], params, t),
+    deep = [tv.magnitudes() for tv in _sample_seqs(windows[-1], 1, 10, seed)]
+    for t, mags in zip(windows, _on_ladder(windows, deep)):
+        rungs.append((seq_norms(ad_apply_stack(ad, mags, t), params, t),
                       seq_norms(mags, params, t)))
     rung_stats, drift = _ladder(rungs)
     stats = {f"j_max={jm}": {"min": st["min"], "max": st["max"]}
@@ -274,7 +290,7 @@ def exp_ad_nec(seed=DEFAULT_SEED):
     t = Truncation(1, 0, 8, 1)
     probe_levels = [2, 4, 6, 8]
     tvs = [build_single_point(CubeId(j, (0,)), 1.0, t) for j in probe_levels]
-    ratios = (seq_norms([ad_apply(ad, tv, t) for tv in tvs], params, t)
+    ratios = (seq_norms(ad_apply_stack(ad, tvs, t), params, t)
               / seq_norms(tvs, params, t)).tolist()
     monotone, growth = _growth(ratios)
     return Report(
@@ -328,14 +344,15 @@ def exp_inv_f(seed=DEFAULT_SEED):
     Wsuf = diag_power_weight(-0.5, -0.5)
     p, q = 1.0, 2.0
     rungs = []
-    for t in _windows():
+    windows = _windows()
+    for t, tvs in zip(windows, _on_ladder(
+            windows, _sample_seqs(windows[-1], 2, 10, seed))):
         vq = make_growth("weight_power", field=wfield, tau=1.0 / q)
         vp = make_growth("weight_power", field=wfield, tau=1.0 / p)
         sq = SpaceParams("F", 0.0, q, q, vq, mode="matrix", weight=Wsuf,
                          quad=quad)
         sp = SpaceParams("F", 0.0, p, q, vp, mode="matrix", weight=Wsuf,
                          quad=quad)
-        tvs = _sample_seqs(t, 2, 10, seed)
         rungs.append((seq_norms(tvs, sq, t), seq_norms(tvs, sp, t)))
     rung_stats, drift = _ladder(rungs)
     stats = {f"sufficiency_j_max={jm}": st
@@ -379,8 +396,9 @@ def exp_sob(seed=DEFAULT_SEED):
     P0 = SpaceParams("B", s0, p0, q, _pow0())
     P1 = SpaceParams("B", s1, p1, q, _pow0())
     rungs = []
-    for t in _windows():
-        tvs = _sample_seqs(t, 1, 10, seed)
+    windows = _windows()
+    for t, tvs in zip(windows, _on_ladder(
+            windows, _sample_seqs(windows[-1], 1, 10, seed))):
         rungs.append((seq_norms(tvs, P1, t), seq_norms(tvs, P0, t)))
     rung_stats, _ = _ladder(rungs)
     stats = {f"j_max={jm}": {"min": st["min"], "max": st["max"]}
@@ -451,7 +469,9 @@ def exp_fs_gamma(seed=DEFAULT_SEED):
     quad = QuadratureSpec(3)
     p = 2.0
     rungs = {"B": [], "F": []}
-    for t in _windows((4, 6)):
+    windows = _windows((4, 6))
+    for t, tvs in zip(windows, _on_ladder(
+            windows, _sample_seqs(windows[-1], 2, 8, seed))):
         fam = build_family(W, p, t, quad, backend="exact_p2")
         R = t.cells_per_axis() * quad.G
         wp = W.power_at(window_nodes(t, quad.G), 1.0 / p)
@@ -460,7 +480,6 @@ def exp_fs_gamma(seed=DEFAULT_SEED):
                                  @ np.linalg.inv(A)[:, None])
                for j, A in fam.levels.items()}
         # the deviation fields do not depend on the family: build them once
-        tvs = _sample_seqs(t, 2, 8, seed)
         fields = {}
         for j, A in fam.levels.items():
             z = np.stack([tv.levels[j] for tv in tvs])

@@ -17,6 +17,7 @@ leading sample axis (``seq_norms``, ``la_norms``).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field as dc_field
 from types import MappingProxyType
 from typing import Optional
@@ -64,10 +65,11 @@ class CoeffSeq:
     through tv[Q], tv[Q] = z and ``entries``."""
 
     def __init__(self, t: Truncation, m):
+        if isinstance(m, bool) or not isinstance(m, numbers.Integral) \
+                or m < 1:
+            raise SeqSpaceError(f"need an integer m >= 1, got {m!r}")
         self.t = t
         self.m = int(m)
-        if self.m < 1:
-            raise SeqSpaceError(f"need m >= 1, got {m}")
         self.levels = {j: np.zeros(t.level_shape(j) + (self.m,), dtype=complex)
                        for j in range(t.j_min, t.j_max + 1)}
 
@@ -101,6 +103,19 @@ class CoeffSeq:
             out.update((CubeId(j, k), z)
                        for k, z in zip(self.t.level_k(j)[hit].tolist(), a[hit]))
         return MappingProxyType(out)
+
+    def restrict(self, t: Truncation):
+        """A copy of this sequence's levels j <= t.j_max as a sequence on
+        ``t``, a window with the same n, j_min and root extent and a
+        j_max no deeper (SeqSpaceError otherwise)."""
+        s = self.t
+        if ((t.n, t.j_min, t.root_extent) != (s.n, s.j_min, s.root_extent)
+                or t.j_max > s.j_max):
+            raise SeqSpaceError(f"{t} is not a shallower window of {s}")
+        out = CoeffSeq(t, self.m)
+        for j, a in out.levels.items():
+            a[...] = self.levels[j]
+        return out
 
     def magnitudes(self):
         """The scalar sequence {|t_Q|} (Euclidean entry norms)."""
@@ -267,10 +282,9 @@ def la_norm(fields, params: SpaceParams, t: Truncation):
     ``fields`` maps level j to a piecewise-constant array on the finest
     grid; absent levels are zero.  A one-member ``la_norms``.
     """
-    if not fields:
-        return 0.0
     stack = {j: np.asarray(f, dtype=float)[None] for j, f in fields.items()}
-    return float(la_norms(stack, params, t)[0])
+    return float(la_norms(stack or {t.j_min: np.zeros((1,) + (1,) * t.n)},
+                          params, t)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -324,15 +338,22 @@ def _level_fields(tvs, params: SpaceParams, t: Truncation):
     return fields
 
 
+def _seq_fields(tvs, params: SpaceParams, t: Truncation):
+    """The fields {2^{js} g_j} that ``seq_norms`` hands to ``la_norms``
+    (one zero level if no member has entries).  They do not depend on
+    the family, q or the growth, so one set serves every space that
+    differs from ``params`` only in those."""
+    fields = _level_fields(tvs, params, t)
+    for j, f in fields.items():
+        f *= 2.0 ** (j * params.s)
+    return fields or {t.j_min: np.zeros((len(tvs),) + (1,) * t.n)}
+
+
 def seq_norms(tvs, params: SpaceParams, t: Truncation):
     """The quasi-norms ||{2^{js} g_j}||_{LA^v_{p,q}} of a stack of
     sequences that share the window ``t`` and m, as an array: W^{1/p},
     the reducing family and the growth are read once for the stack."""
-    fields = _level_fields(tvs, params, t)
-    for j, f in fields.items():
-        f *= 2.0 ** (j * params.s)
-    return la_norms(fields or {t.j_min: np.zeros((len(tvs),) + (1,) * t.n)},
-                    params, t)
+    return la_norms(_seq_fields(tvs, params, t), params, t)
 
 
 def seq_norm(tv: CoeffSeq, params: SpaceParams, t: Truncation):
@@ -391,10 +412,25 @@ def build_random(t: Truncation, m=1, seed=0, density=0.3, sigma=0.0):
     """Bernoulli(density) support over the window; |t_Q| scales like
     |Q|^sigma with standard-normal components.  Draws run cube by cube
     in (j, k) order: one uniform, then 2m normals for a kept cube; each
-    level's kept entries are written at once."""
+    level's kept entries are written at once.
+
+    Levels are filled coarse to fine, so the draw has the prefix
+    property: on a window with the same n, j_min and root extent and a
+    shallower j_max, the same seed gives the deeper draw restricted to
+    it (``CoeffSeq.restrict``), bit for bit.  The seed is a non-negative
+    integer, density lies in [0, 1] and sigma is finite
+    (SeqSpaceError otherwise).
+    """
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) \
+            or seed < 0:
+        raise SeqSpaceError(f"seed must be a non-negative integer, "
+                            f"got {seed!r}")
+    if not (isinstance(density, numbers.Real) and 0.0 <= density <= 1.0):
+        raise SeqSpaceError(f"density must lie in [0, 1], got {density!r}")
+    check_finite(sigma, "sigma", SeqSpaceError)
+    tv = CoeffSeq(t, m)
     rng = np.random.default_rng(seed)
     random, normal = rng.random, rng.standard_normal
-    tv = CoeffSeq(t, m)
     for j, a in tv.levels.items():
         rows = a.reshape(-1, m)
         kept, draws = [], []

@@ -191,26 +191,33 @@ def _get_filters(k):
 
 
 def _dwt_step(a, h, g):
-    """One periodic analysis step: returns (approx, detail)."""
+    """One periodic analysis step: returns (approx, detail).  Tap i reads
+    a[(2k + i) mod N] as a strided view of ``a`` extended once."""
+    N = a.shape[0]
+    ext = np.take(a, np.arange(N + h.size - 1), mode="wrap")
     lo = np.zeros_like(a[::2])
     hi = np.zeros_like(a[::2])
     for i in range(h.size):
-        rolled = np.roll(a, -i)[::2]
-        lo += h[i] * rolled
-        hi += g[i] * rolled
+        x = ext[i:i + N:2]
+        lo += h[i] * x
+        hi += g[i] * x
     return lo, hi
 
 
 def _idwt_step(lo, hi, h, g):
-    """Adjoint of _dwt_step (exact inverse for orthonormal filters)."""
-    out = np.zeros(2 * lo.shape[0], dtype=complex)
-    up_lo = np.zeros_like(out)
-    up_hi = np.zeros_like(out)
-    up_lo[::2] = lo
-    up_hi[::2] = hi
+    """Adjoint of _dwt_step (exact inverse for orthonormal filters).  Tap
+    i adds h[i] lo[k] + g[i] hi[k] at output 2k + i (mod 2M), so it
+    touches only the outputs of i's parity; the inputs are extended once
+    at the front and read as shifted views, in the tap order of the
+    zero-stuffed sum, whose skipped terms are zeros."""
+    M, s = lo.shape[0], (h.size - 1) // 2
+    lo_ext, hi_ext = (np.take(x, np.arange(-s, M), mode="wrap")
+                      for x in (lo, hi))
+    out = np.zeros(2 * M, dtype=complex)
     for i in range(h.size):
-        out += h[i] * np.roll(up_lo, i)
-        out += g[i] * np.roll(up_hi, i)
+        part, x = out[i % 2::2], slice(s - i // 2, s - i // 2 + M)
+        part += h[i] * lo_ext[x]
+        part += g[i] * hi_ext[x]
     return out
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -149,10 +150,17 @@ def _pointwise(fn, m):
 
 def _libm_pow(r, a):
     """r**a elementwise by scalar libm pow; numpy's SIMD power can differ
-    in the last bit, which would move reported values."""
+    in the last bit, which would move reported values.  Python's float
+    pow calls the same libm pow.  Where it raises instead (a zero base
+    under a negative power, a negative base under a fractional one, an
+    overflow), numpy's scalar pow gives its inf or nan as before."""
     r = np.asarray(r, dtype=float)
-    return np.fromiter((v ** a for v in r.ravel()), float,
-                       r.size).reshape(r.shape)
+    try:
+        vals = np.fromiter(map(pow, r.ravel().tolist(), repeat(a)), float,
+                           r.size)
+    except (ArithmeticError, TypeError):
+        vals = np.fromiter((v ** a for v in r.ravel()), float, r.size)
+    return vals.reshape(r.shape)
 
 
 class MatrixWeight:

@@ -171,3 +171,31 @@ def dimensions_per_cube(W, p, t: Truncation):
         d_low = max(d_low, float(np.polyfit(loglam, np.log(low), 1)[0]))
         d_up = max(d_up, float(np.polyfit(loglam, np.log(up), 1)[0]))
     return max(d_low, 0.0), max(d_up, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Periodic DWT steps by rolled copies
+# ---------------------------------------------------------------------------
+
+def dwt_step_rolled(a, h, g):
+    """One periodic analysis step, each tap a rolled copy of ``a``."""
+    lo = np.zeros_like(a[::2])
+    hi = np.zeros_like(a[::2])
+    for i in range(h.size):
+        rolled = np.roll(a, -i)[::2]
+        lo += h[i] * rolled
+        hi += g[i] * rolled
+    return lo, hi
+
+
+def idwt_step_rolled(lo, hi, h, g):
+    """The adjoint step as a sum of rolled zero-stuffed copies."""
+    out = np.zeros(2 * lo.shape[0], dtype=complex)
+    up_lo = np.zeros_like(out)
+    up_hi = np.zeros_like(out)
+    up_lo[::2] = lo
+    up_hi[::2] = hi
+    for i in range(h.size):
+        out += h[i] * np.roll(up_lo, i)
+        out += g[i] * np.roll(up_hi, i)
+    return out

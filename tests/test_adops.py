@@ -3,13 +3,16 @@ import itertools
 import numpy as np
 import pytest
 
+from dwlab import adops
 from dwlab.adops import (
     ADError,
     ADParams,
     ad_apply,
+    ad_apply_stack,
     ad_entry,
     ad_thresholds,
     majorant,
+    majorant_stack,
     molecule_thresholds,
 )
 from dwlab.dyadic import CubeId, Truncation, cube_geometry, enumerate_cubes
@@ -104,6 +107,12 @@ def test_ad_apply_transforms_each_level_at_most_twice(t, monkeypatch):
     ad_apply(F22, tv, t)
     levels = t.j_max - t.j_min + 1
     assert 0 < len(calls) <= 2 * levels, calls
+    # a stack within one chunk costs what one member costs (one member
+    # on the 2-d window alone holds more than STACK_ENTRIES)
+    monkeypatch.setattr(adops, "STACK_ENTRIES", 1 << 30)
+    calls.clear()
+    ad_apply_stack(F22, [tv, build_random(t, seed=6).magnitudes(), tv], t)
+    assert 0 < len(calls) <= 2 * levels, calls
 
 
 def test_ad_apply_single_point_and_empty():
@@ -128,14 +137,101 @@ def test_ad_apply_rejects_cubes_outside_window():
 
 def test_ad_apply_and_majorant_need_the_sequence_window():
     t = Truncation(1, 0, 3, 1)
+    on_t = build_random(t, seed=1, density=0.5)
     for other in (Truncation(1, 0, 3, 2), Truncation(1, 1, 3, 1)):
         tv = build_random(other, seed=1, density=0.5)
         for call in (lambda: ad_apply(F22, tv, t),
                      lambda: ad_apply({}, tv, t),
                      lambda: majorant(tv, 2.0, 1.0, t),
-                     lambda: ad_apply(F22, CoeffSeq(other, 1), t)):
+                     lambda: ad_apply(F22, CoeffSeq(other, 1), t),
+                     lambda: ad_apply_stack(F22, [on_t, tv], t),
+                     lambda: majorant_stack([on_t, tv], 2.0, 1.0, t)):
             with pytest.raises(ADError):
                 call()
+    with pytest.raises(ADError):  # a stack shares m
+        ad_apply_stack(F22, [on_t, CoeffSeq(t, 2)], t)
+    assert ad_apply_stack(F22, [], t) == []
+    assert majorant_stack([], 2.0, 1.0, t) == []
+
+
+def _bits(tv):
+    return {j: a.tobytes() for j, a in tv.levels.items()}
+
+
+def _mixed_stack(t, m):
+    """Complex and real members, an all-zero member, and one whose
+    entries sit on every other level only."""
+    tvs = [build_random(t, m=m, seed=s, density=d, sigma=sg)
+           for s, d, sg in ((1, 0.3, -0.5), (2, 0.05, 0.0), (3, 0.6, 0.5))]
+    tvs.insert(1, tvs[0].magnitudes() if m == 1 else
+               CoeffSeq(t, m))
+    sparse = build_random(t, m=m, seed=4, density=0.5, sigma=0.5)
+    for j in range(t.j_min, t.j_max + 1, 2):
+        sparse.levels[j][...] = 0.0
+    real = build_random(t, m=m, seed=5, density=0.4)
+    for a in real.levels.values():
+        a.imag = 0.0
+    return tvs + [CoeffSeq(t, m), sparse, real]
+
+
+_STACK_WINDOWS = [(Truncation(1, 0, 8, 1), 1), (Truncation(1, 2, 7, 3), 2),
+                  (Truncation(2, 0, 4, 1), 1), (Truncation(2, 1, 4, 3), 2),
+                  (Truncation(1, -2, 6, 3), 2)]
+
+
+@pytest.mark.parametrize("t, m", _STACK_WINDOWS)
+@pytest.mark.parametrize("entries", [adops.STACK_ENTRIES, 1])
+def test_stacked_calls_equal_one_member_calls_bit_for_bit(t, m, entries,
+                                                          monkeypatch):
+    # entries = 1 puts every member in a chunk of its own
+    monkeypatch.setattr(adops, "STACK_ENTRIES", entries)
+    tvs = _mixed_stack(t, m)
+    for U in (F22, ADParams(6.0, 3.0, 2.0)):
+        for tv, out in zip(tvs, ad_apply_stack(U, tvs, t)):
+            assert _bits(out) == _bits(ad_apply(U, tv, t))
+    for r, lam in ((2.0, 0.75), (0.5, 2.25)):
+        for tv, out in zip(tvs, majorant_stack(tvs, r, lam, t)):
+            assert _bits(out) == _bits(majorant(tv, r, lam, t))
+
+
+def test_stacks_cross_chunk_boundaries_bit_for_bit(monkeypatch):
+    t = Truncation(1, 0, 7, 1)
+    tvs = [build_random(t, m=1, seed=s, density=0.3, sigma=0.5)
+           for s in range(7)]
+    want_ad = [_bits(ad_apply(F22, tv, t)) for tv in tvs]
+    want_star = [_bits(majorant(tv, 1.0, 1.25, t)) for tv in tvs]
+    sizes = []
+    real_chunks = adops._chunks
+
+    def recording(members, entries):
+        chunks = real_chunks(members, entries)
+        sizes.append([len(c) for c in chunks])
+        return chunks
+
+    monkeypatch.setattr(adops, "_chunks", recording)
+    # three members' spectra per chunk: level j is transformed on 2^(j+1)
+    # points by ad_apply, on at most that many by majorant
+    monkeypatch.setattr(adops, "STACK_ENTRIES",
+                        3 * sum(2 << j for j in range(8)))
+    assert [_bits(o) for o in ad_apply_stack(F22, tvs, t)] == want_ad
+    assert [_bits(o) for o in majorant_stack(tvs, 1.0, 1.25, t)] == want_star
+    assert sizes == [[3, 3, 1], [3, 3, 1]]
+
+
+@pytest.mark.parametrize("t, m", _STACK_WINDOWS)
+def test_stacked_ad_apply_matches_the_dense_oracle(t, m):
+    U = ADParams(4.0, 2.5, 1.0)  # E != F
+    tvs = _mixed_stack(t, m)
+    cubes = enumerate_cubes(t)
+    for tv, out in zip(tvs, ad_apply_stack(U, tvs, t)):
+        support = list(tv.entries)
+        got = np.stack([out[Q] for Q in cubes])
+        if not support:
+            assert not got.any()
+            continue
+        want = (_entry_matrix(cubes, support, U)
+                @ np.stack([tv[R] for R in support]))
+        assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
 
 
 def test_thresholds_f22_unweighted():

@@ -390,3 +390,12 @@ def test_weight_statistics_reject_bad_exponents(p):
     for stat in (dwlab.estimate_dimensions, dwlab.apinf_characteristic):
         with pytest.raises(dwlab.DwlabError):
             stat(W, p, t)
+
+
+@pytest.mark.parametrize("seed", ["-1", "-5", "zz", "1.5"])
+def test_verify_names_the_seed_option_in_its_error(seed, capsys):
+    assert main(["verify", "EMB", "--seed", seed]) == 2
+    cap = capsys.readouterr()
+    assert cap.err.strip() == ("dwlab: error: --seed must be a non-negative "
+                               f"integer, got {seed}")
+    assert cap.out == ""

@@ -50,6 +50,65 @@ def test_coeffseq_validation():
     assert abs(tv.magnitudes()[CubeId(0, (0,))][0] - np.sqrt(5.0)) < 1e-12
 
 
+@pytest.mark.parametrize("call", [
+    lambda t: CoeffSeq(t, 1.5),
+    lambda t: CoeffSeq(t, True),
+    lambda t: CoeffSeq(t, 0),
+    lambda t: build_random(t, m=1.5),
+    lambda t: build_random(t, density=-0.1),
+    lambda t: build_random(t, density=1.5),
+    lambda t: build_random(t, density=np.nan),
+    lambda t: build_random(t, sigma=np.nan),
+    lambda t: build_random(t, sigma=np.inf),
+    lambda t: build_random(t, seed=-1),
+    lambda t: build_random(t, seed=2.0),
+], ids=["m=1.5", "m=True", "m=0", "build-m=1.5", "density=-0.1",
+        "density=1.5", "density=nan", "sigma=nan", "sigma=inf", "seed=-1",
+        "seed=2.0"])
+def test_sampler_input_is_a_seqspace_error(call):
+    with pytest.raises(SeqSpaceError):
+        call(Truncation(1, 0, 3, 1))
+
+
+def test_sampler_accepts_numpy_integers_and_the_density_ends():
+    t = Truncation(1, 0, 3, 1)
+    assert CoeffSeq(t, np.int64(2)).m == 2
+    assert len(build_random(t, m=np.int64(1), seed=np.uint32(3),
+                            density=1.0)) == 15
+    assert len(build_random(t, density=0)) == 0
+
+
+@pytest.mark.parametrize("n, deep, shallow", [
+    (1, Truncation(1, 0, 9, 1), (0, 4, 8)),
+    (1, Truncation(1, -2, 5, 3), (-2, 1, 4)),
+    (2, Truncation(2, 0, 4, 1), (0, 2, 3)),
+    (2, Truncation(2, -1, 2, 2), (-1, 0, 1)),
+])
+@pytest.mark.parametrize("m", [1, 2])
+def test_a_shallower_window_draws_the_deeper_draw_restricted(n, deep,
+                                                             shallow, m):
+    for sigma in (-0.5, 0.0, 0.5):
+        full = build_random(deep, m=m, seed=11, density=0.4, sigma=sigma)
+        for jm in shallow:
+            t = Truncation(n, deep.j_min, jm, deep.root_extent)
+            got = full.restrict(t)
+            want = build_random(t, m=m, seed=11, density=0.4, sigma=sigma)
+            assert got.t == t and got.m == m
+            assert {j: a.tobytes() for j, a in got.levels.items()} == {
+                j: a.tobytes() for j, a in want.levels.items()}
+    # a restriction is a copy
+    got.levels[deep.j_min][...] = 0.0
+    assert full.restrict(t).levels[deep.j_min].any()
+
+
+def test_restrict_needs_a_shallower_window_of_the_same_root():
+    tv = build_random(Truncation(1, 0, 4, 1), seed=1)
+    for t in (Truncation(1, 0, 5, 1), Truncation(1, 1, 4, 1),
+              Truncation(1, 0, 3, 2), Truncation(2, 0, 3, 1)):
+        with pytest.raises(SeqSpaceError):
+            tv.restrict(t)
+
+
 def test_space_params_validation():
     with pytest.raises(SeqSpaceError):
         _params(family="G")
@@ -95,6 +154,10 @@ def test_la_norm_constant_level_zero_field():
     for v in (V0, V1):
         got = la_norm(fields, _params(p=1.0, q=2.0, v=v), t)
         assert abs(got - 1.0) < 1e-12
+    # no field at all is the zero field
+    for family, p, q in (("B", 2.0, 2.0), ("F", 1.0, np.inf),
+                         ("B", np.inf, 1.0)):
+        assert la_norm({}, _params(family, p=p, q=q, v=V1), t) == 0.0
 
 
 def test_single_entry_norm_hand_value():

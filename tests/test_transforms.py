@@ -24,6 +24,7 @@ from dwlab.transforms import (
 )
 from dwlab.weights import (MatrixWeight, diag_power_weight, identity_weight,
                            power_weight)
+from oracles import dwt_step_rolled, idwt_step_rolled
 
 
 def _random_grid(N, seed=0):
@@ -519,3 +520,22 @@ def test_db_filters_are_orthonormal():
             dot = float(np.dot(h[: h.size - shift], h[shift:]))
             assert abs(dot - (1.0 if shift == 0 else 0.0)) <= 1e-14, (k, shift)
         assert abs(np.sum(h) - np.sqrt(2.0)) <= 1e-13, k
+
+
+@pytest.mark.parametrize("k", sorted(transforms.DB_FILTERS))
+def test_dwt_steps_equal_the_rolled_sums_bit_for_bit(k):
+    h, g = transforms._get_filters(k)
+    rng = np.random.default_rng(k)
+    for N in (h.size, 2 * h.size, 64, 2 ** 10):
+        for a in (rng.standard_normal(N),
+                  rng.standard_normal(N) + 1j * rng.standard_normal(N)):
+            got, want = transforms._dwt_step(a, h, g), dwt_step_rolled(a, h, g)
+            for x, y in zip(got, want):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+            lo, hi = got
+            assert (transforms._idwt_step(lo, hi, h, g).tobytes()
+                    == idwt_step_rolled(lo, hi, h, g).tobytes())
+    # inputs shorter than the filter wrap around more than once
+    lo, hi = rng.standard_normal((2, 2)) + 0.5j
+    assert (transforms._idwt_step(lo, hi, h, g).tobytes()
+            == idwt_step_rolled(lo, hi, h, g).tobytes())

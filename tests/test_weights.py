@@ -759,3 +759,21 @@ def test_an_overflowing_weight_power_is_a_weight_error():
     for call in calls:
         with pytest.raises(WeightError, match="overflows"):
             call()
+
+
+def test_libm_pow_is_numpys_scalar_pow_bit_for_bit():
+    rng = np.random.default_rng(3)
+    r = np.concatenate([rng.random(2000) * 4,
+                        10.0 ** rng.uniform(-300, 300, 494),
+                        [0.0, 1.0, 5e-324, np.inf, np.nan, 1e300]])
+    with np.errstate(all="ignore"):
+        # zero bases under negative powers, negative bases under
+        # fractional ones and overflow give numpy's inf and nan
+        cases = [(r, a) for a in (-0.5, -0.25, 0.3, 0.5, 2.0, 3, -1.0)]
+        cases += [(np.array([0.0, 2.0]), -0.5), (np.array([-2.0, 4.0]), 0.5),
+                  (np.array([1e300, 2.0]), 2.0), (r.reshape(-1, 4, 5), 0.5)]
+        for x, a in cases:
+            want = np.array([np.float64(v) ** a for v in x.ravel()])
+            got = weights._libm_pow(x, a)
+            assert got.shape == x.shape
+            assert got.tobytes() == want.reshape(x.shape).tobytes(), a
