@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .dyadic import (PAIR_BLOCK, CubeId, DwlabError, Truncation,
-                     check_exponent, check_finite, separation)
+                     check_exponent, check_finite, check_integer, separation)
 from .seqspace import CoeffSeq, SeqSpaceError
 
 
@@ -269,8 +269,7 @@ def ad_thresholds(s, p, q, family, delta1, delta2, omega, n=1,
     for name, x in (("s", s), ("delta1", delta1), ("delta2", delta2),
                     ("omega", omega)):
         check_finite(x, name, ADError)
-    if not n >= 1:
-        raise ADError(f"need n >= 1, got {n}")
+    check_integer(n, "n", ADError, 1)
     if delta2 < delta1:
         raise ADError("need delta2 >= delta1")
     if not (0 <= omega <= n * (delta2 - delta1) + 1e-12):

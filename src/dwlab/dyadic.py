@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PAIR_BLOCK = 1 << 16  # ordered cube pairs per pair_blocks block
+PAIR_BLOCK = 1 << 16  # cube, node or grid-point pairs per block of a kernel
 
 
 class DwlabError(ValueError):
@@ -30,6 +30,13 @@ def check_exponent(x, name, error):
     """Raise ``error`` unless x is a real number in (0, inf]; NaN fails."""
     if not (isinstance(x, numbers.Real) and float(x) > 0):
         raise error(f"{name} must lie in (0, inf], got {x!r}")
+
+
+def check_integer(x, name, error, least):
+    """Raise ``error`` unless x is an integer >= least; numpy integers
+    pass, True and False do not."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < least:
+        raise error(f"need an integer {name} >= {least}, got {x!r}")
 
 
 def check_finite(x, name, error):
@@ -182,36 +189,16 @@ def enumerate_cubes(t: Truncation):
             for k in t.level_k(j).reshape(-1, t.n).tolist()]
 
 
-def _spread_at(i, total, cap):
-    """The entries i (< min(total, cap)) of spread(total, cap)."""
-    if total <= cap or cap < 2:  # a cap of one keeps index 0
-        return i
-    q, r = divmod(total - 1, cap - 1)  # i (total - 1) without overflow
-    f = i * r
-    f //= cap - 1  # in place: a block's int64 temporaries dominate its cost
-    f += i * q
-    return f
-
-
 def spread(total, cap):
     """The one subsample rule of every window-wide statistic: all of
     range(total) within the cap, else the cap indices i (total - 1) //
     (cap - 1), i < cap, evenly spread from 0 to total - 1 and exact in
     integers."""
-    return _spread_at(np.arange(min(total, cap)), total, cap)
-
-
-def pair_blocks(count, cap):
-    """The ordered pairs (i, j) of range(count) in row-major order, or
-    the cap of them that spread picks above the cap, as index arrays
-    (I, J) of at most PAIR_BLOCK pairs, built one block at a time."""
-    total = count * count
-    for s in range(0, min(total, cap), PAIR_BLOCK):
-        i = np.arange(s, min(s + PAIR_BLOCK, total, cap))
-        f = _spread_at(i, total, cap)
-        I = f // count  # a scalar floor division, far faster than np.divmod
-        f -= I * count
-        yield I, f
+    i = np.arange(min(total, cap))
+    if total <= cap or cap < 2:  # a cap of one keeps index 0
+        return i
+    q, r = divmod(total - 1, cap - 1)  # i (total - 1) without overflow
+    return i * q + i * r // (cap - 1)
 
 
 def _window_cubes(t: Truncation):
@@ -222,20 +209,3 @@ def _window_cubes(t: Truncation):
     lev = np.concatenate([np.full(len(k), j) for j, k in zip(js, ks)])
     ell = np.ldexp(1.0, -lev)
     return lev, ell, np.concatenate(ks) * ell[:, None]
-
-
-def window_pairs(t: Truncation, cap):
-    """The cube pairs (Q_I, Q_J) of pair_blocks(cube count, cap), with the
-    cubes in enumerate_cubes order, block by block: the index arrays I, J
-    and the level differences j_I - j_J."""
-    lev = _window_cubes(t)[0]
-    for I, J in pair_blocks(len(lev), cap):
-        yield I, J, lev[I] - lev[J]
-
-
-def pair_separations(t: Truncation):
-    """The function (I, J) -> separation(Q_I, Q_J) on index arrays of
-    window_pairs(t, ...), built on the window geometry once."""
-    _, ell, x = _window_cubes(t)
-    return lambda I, J: (1.0 + _radius(x[I] - x[J])
-                         / np.maximum(ell[I], ell[J]))

@@ -22,11 +22,9 @@ from typing import Callable
 
 import numpy as np
 
-from .dyadic import (DwlabError, Truncation, check_finite, pair_separations,
-                     window_pairs)
+from .dyadic import DwlabError, Truncation, check_finite
 from .weights import _libm_pow, box_nodes
 
-PAIR_CAP = 2_000_000  # class_constant's pairs at omega > 0, spread above it
 FIELD_NODES = 16  # midpoint nodes per axis of a weight_power cell integral
 
 
@@ -126,22 +124,22 @@ def class_constant(v: GrowthFn, delta1, delta2, omega, t: Truncation):
     """Worst ratio of v(Q)/v(R) to the class bound over window pairs.
 
     Finite by construction on a finite window; growth of this constant
-    across nested windows signals non-membership.  The volume factor
-    comes from a table over the level gaps.
-
-    At omega = 0 the bound depends on the pair only through the two
-    levels, and correctly rounded division is monotone, so the worst
-    ratio over all pairs of levels a and b is max v on a over min v on b,
-    over the table entry, bit for bit: the constant over every window
-    pair, from the L x L level pairs, with no pair formed and no cap.  At
-    omega > 0 the separations enter; the pairs are those of
-    dyadic.pair_blocks(cube count, PAIR_CAP), run in window_pairs blocks,
-    so memory stays bounded at any depth.
+    across nested windows signals non-membership.  Only omega = 0 is
+    computed (any other omega is a GrowthError).  There the bound depends
+    on the pair only through the two levels, and correctly rounded
+    division is monotone, so the worst ratio over all pairs of levels a
+    and b is max v on a over min v on b, over the volume factor of the
+    level gap (a table over the gaps), bit for bit: the constant over
+    every window pair, from the L x L level pairs, with no pair formed.
+    omega stays in the signature, where callers pass it by position.
     """
     for x, name in ((delta1, "delta1"), (delta2, "delta2"), (omega, "omega")):
         check_finite(x, name, GrowthError)
-    if delta2 < delta1 or omega < 0:
-        raise GrowthError("need delta2 >= delta1 and omega >= 0")
+    if delta2 < delta1:
+        raise GrowthError("need delta2 >= delta1")
+    if omega != 0:
+        raise GrowthError(f"class_constant computes omega = 0 only, got "
+                          f"{omega!r}")
     js = range(t.j_min, t.j_max + 1)
     vals = [v.on_level(j, t.level_k(j).reshape(-1, t.n)) for j in js]
     # (|Q_I| / |Q_J|)^(delta1 if ell(Q_I) <= ell(Q_J) else delta2) by the
@@ -149,17 +147,9 @@ def class_constant(v: GrowthFn, delta1, delta2, omega, t: Truncation):
     span = t.j_max - t.j_min
     gaps = np.arange(-span, span + 1)
     tab = (2.0 ** (-gaps * float(t.n))) ** np.where(gaps >= 0, delta1, delta2)
-    if not omega:
-        # levels a and b (indices into js) have the gap dj = a - b
-        hi = np.array([np.max(a) for a in vals])
-        lo = np.array([np.min(a) for a in vals])
-        idx = np.arange(len(vals))
-        return float(np.max(hi[:, None] / lo[None, :]
-                            / tab[idx[:, None] - idx[None, :] + span]))
-    vals = np.concatenate(vals)
-    sep = pair_separations(t)
-    worst = []
-    for I, J, dj in window_pairs(t, PAIR_CAP):
-        bound = sep(I, J) ** omega * tab[dj + span]
-        worst.append(np.max(vals[I] / vals[J] / bound))
-    return float(np.max(worst))
+    # levels a and b (indices into js) have the gap dj = a - b
+    hi = np.array([np.max(a) for a in vals])
+    lo = np.array([np.min(a) for a in vals])
+    idx = np.arange(len(vals))
+    return float(np.max(hi[:, None] / lo[None, :]
+                        / tab[idx[:, None] - idx[None, :] + span]))

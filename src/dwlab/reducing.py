@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import (CubeId, DwlabError, Truncation, check_exponent,
-                     pair_separations, spread, window_pairs)
+from .dyadic import (PAIR_BLOCK, CubeId, DwlabError, Truncation, _radius,
+                     _window_cubes, check_exponent, spread)
 from .weights import (
     MatrixWeight,
     QuadratureSpec,
@@ -210,7 +210,8 @@ def doubling_orders(F: ReducingFamily, t: Truncation):
 
     holding at C = DOUBLING_C over the window pairs (a small linear
     program): every ordered pair Q != R, or those among the
-    DOUBLING_PAIR_CAP pairs that window_pairs picks above that cap.
+    DOUBLING_PAIR_CAP row-major pairs that dyadic.spread picks above
+    that cap.
     beta_weak is the least-squares slope of the upper envelope of
     log||A_Q A_R^{-1}|| against log sep over equal-level pairs (each
     unordered pair contributes max(v, -v), since the ordered pairs come
@@ -228,15 +229,18 @@ def doubling_orders(F: ReducingFamily, t: Truncation):
     if len(A) < 2:
         raise ReducingError("doubling orders need two window cubes or more")
     Ainv = np.linalg.inv(A)
-    # ordered pairs Q != R, row-major, and ||A_Q A_R^{-1}|| on them
-    sep = pair_separations(t)
-    pairs = [[a[I != J] for a in (I, J, dj, sep(I, J))]
-             for I, J, dj in window_pairs(t, DOUBLING_PAIR_CAP)]
+    # ordered pairs Q != R, row-major (spread above the cap), and
+    # ||A_Q A_R^{-1}|| on them in slices of PAIR_BLOCK pairs
+    f = spread(len(A) ** 2, DOUBLING_PAIR_CAP)
+    I = f // len(A)
+    J = f - I * len(A)
+    I, J = I[I != J], J[I != J]
+    lev, ell, x = _window_cubes(t)
+    dj = lev[I] - lev[J]
+    ls = np.log(1.0 + _radius(x[I] - x[J]) / np.maximum(ell[I], ell[J]))
     v = np.log(np.maximum(np.concatenate(
-        [spectral_norms(A[I] @ Ainv[J]) for I, J, *_ in pairs]),
-        1e-300))
-    dj = np.concatenate([dj for _, _, dj, _ in pairs])
-    ls = np.log(np.concatenate([sep for *_, sep in pairs]))
+        [spectral_norms(A[I[s:s + PAIR_BLOCK]] @ Ainv[J[s:s + PAIR_BLOCK]])
+         for s in range(0, len(I), PAIR_BLOCK)]), 1e-300))
     dl = -dj * np.log(2.0)  # log(ell(Q)/ell(R))
     # ell(Q) < ell(R): branch (lR/lQ)^b1; ell(Q) > ell(R): (lQ/lR)^b2
     rows = np.stack([np.where(dj > 0, dl - ls, -ls),

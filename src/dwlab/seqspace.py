@@ -31,6 +31,7 @@ from .dyadic import (
     ancestor,
     check_exponent,
     check_finite,
+    check_integer,
     cube_geometry,
 )
 from .growth import GrowthFn
@@ -65,9 +66,7 @@ class CoeffSeq:
     through tv[Q], tv[Q] = z and ``entries``."""
 
     def __init__(self, t: Truncation, m):
-        if isinstance(m, bool) or not isinstance(m, numbers.Integral) \
-                or m < 1:
-            raise SeqSpaceError(f"need an integer m >= 1, got {m!r}")
+        check_integer(m, "m", SeqSpaceError, 1)
         self.t = t
         self.m = int(m)
         self.levels = {j: np.zeros(t.level_shape(j) + (self.m,), dtype=complex)
@@ -143,9 +142,10 @@ class SpaceParams:
     quad: QuadratureSpec = dc_field(default_factory=QuadratureSpec)
 
     def __post_init__(self):
+        if not (isinstance(self.family, str)
+                and self.family.upper() in ("B", "F")):
+            raise SeqSpaceError(f"family must be B or F, got {self.family!r}")
         self.family = self.family.upper()
-        if self.family not in ("B", "F"):
-            raise SeqSpaceError("family must be B or F")
         if self.mode not in MODES:
             raise SeqSpaceError(f"mode must be one of {MODES}, "
                                 f"got {self.mode!r}")
@@ -421,10 +421,7 @@ def build_random(t: Truncation, m=1, seed=0, density=0.3, sigma=0.0):
     integer, density lies in [0, 1] and sigma is finite
     (SeqSpaceError otherwise).
     """
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) \
-            or seed < 0:
-        raise SeqSpaceError(f"seed must be a non-negative integer, "
-                            f"got {seed!r}")
+    check_integer(seed, "seed", SeqSpaceError, 0)
     if not (isinstance(density, numbers.Real) and 0.0 <= density <= 1.0):
         raise SeqSpaceError(f"density must lie in [0, 1], got {density!r}")
     check_finite(sigma, "sigma", SeqSpaceError)

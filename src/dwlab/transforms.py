@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .dyadic import (PAIR_BLOCK, DwlabError, Truncation, check_exponent,
-                     check_finite)
+                     check_finite, check_integer)
 from .seqspace import CoeffSeq
 
 
@@ -36,6 +36,7 @@ class GridFunction:
     def __post_init__(self):
         if self.n != 1:
             raise TransformError(f"only n = 1 is supported, got n = {self.n}")
+        check_integer(self.N, "N", TransformError, 1)
         if self.N & (self.N - 1):
             raise TransformError("N must be a power of two")
         self.values = np.asarray(self.values, dtype=complex)
@@ -91,6 +92,7 @@ class LPWindow:
 
 
 def build_lp_window(N):
+    check_integer(N, "N", TransformError, 1)
     J = int(np.log2(N))
     if 2**J != N:
         raise TransformError("need N = 2^J")
@@ -260,8 +262,7 @@ def dwt_analyze(f: GridFunction, k=4, levels=None):
     J = f.J
     if levels is None:
         levels = J
-    elif levels < 1:
-        raise TransformError(f"levels must be >= 1, got {levels}")
+    check_integer(levels, "levels", TransformError, 1)
     a = f.values
     details = {}
     for step in range(1, levels + 1):

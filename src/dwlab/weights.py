@@ -28,7 +28,7 @@ from itertools import repeat
 import numpy as np
 
 from .dyadic import (PAIR_BLOCK, DwlabError, Truncation, _radius,
-                     check_exponent, spread)
+                     _window_cubes, check_exponent, check_integer, spread)
 
 HERMITIAN_TOL = 1e-12
 SINGULAR_TOL = 1e-14  # distance at which a point hits the singular set
@@ -128,13 +128,13 @@ def spectral_norms(M):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Midpoint tensor quadrature: G nodes per axis per finest cell."""
+    """Midpoint tensor quadrature: G nodes per axis per finest cell, an
+    integer >= 1 (WeightError otherwise)."""
 
     nodes_per_axis_per_finest_cell: int = 3
 
     def __post_init__(self):
-        if self.nodes_per_axis_per_finest_cell < 1:
-            raise WeightError("quadrature needs G >= 1")
+        check_integer(self.nodes_per_axis_per_finest_cell, "G", WeightError, 1)
 
     @property
     def G(self):
@@ -252,8 +252,7 @@ def _constant(M):
 
 
 def identity_weight(m=1):
-    if not m >= 1:
-        raise WeightError(f"identity weight needs m >= 1, got {m}")
+    check_integer(m, "m", WeightError, 1)
     return MatrixWeight.from_batched(m, _constant(np.eye(m)),
                                      label=f"identity({m})")
 
@@ -429,10 +428,8 @@ def estimate_dimensions(W: MatrixWeight, p, t: Truncation):
     check_exponent(p, "p", WeightError)
     lams, g = np.asarray(DILATIONS), 40 if t.n == 1 else 8
     # every window cube's center and edge, in (j, k) order
-    js = range(t.j_min, t.j_max + 1)
-    ks = [t.level_k(j).reshape(-1, t.n) for j in js]
-    ell = np.concatenate([np.full(len(k), 2.0 ** (-j)) for j, k in zip(js, ks)])
-    mid = np.concatenate(ks) * ell[:, None] + 0.5 * ell[:, None]
+    _, ell, corner = _window_cubes(t)
+    mid = corner + 0.5 * ell[:, None]
     lo, hi = t.k_origin, t.k_origin + t.root_extent  # the window, in 2^-j_min
     half = (0.5 * lams.max() * ell)[:, None]
     fits = np.flatnonzero(

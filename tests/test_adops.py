@@ -352,6 +352,15 @@ def test_thresholds_validation():
         ad_thresholds(0.0, 2.0, 2.0, "F", 0.0, 0.0, 0.0, weighted=(1.5, 0.0))
 
 
+@pytest.mark.parametrize("n", [1.5, True, 0, np.float64(2.0)])
+def test_thresholds_need_an_integer_dimension(n):
+    # n = 1.5 once gave Thresholds(n=1.5) and n = True counted as 1
+    with pytest.raises(ADError, match="need an integer n"):
+        ad_thresholds(0.0, 2.0, 2.0, "F", 0.0, 0.0, 0.0, n=n)
+    assert ad_thresholds(0.0, 2.0, 2.0, "F", 0.0, 0.0, 0.0,
+                         n=np.int64(2)).n == 2
+
+
 def test_majorant_hand_values():
     t = Truncation(1, 0, 1, 1)
     tv = build_single_point(CubeId(1, (0,)), 1.0, t)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dwlab import dyadic
 from dwlab.dyadic import (
     CubeId,
     DyadicError,
@@ -10,7 +9,6 @@ from dwlab.dyadic import (
     ancestor,
     cube_geometry,
     enumerate_cubes,
-    pair_blocks,
     separation,
     spread,
 )
@@ -169,32 +167,6 @@ def test_spread_is_exact_and_even(total, cap):
     assert got.tolist() == want
     gaps = np.diff(got)
     assert len(gaps) == 0 or gaps.max() - gaps.min() <= 1
-
-
-def _pairs(count, cap):
-    blocks = list(pair_blocks(count, cap))
-    assert all(len(I) == len(J) <= dyadic.PAIR_BLOCK for I, J in blocks)
-    return [(int(i), int(j)) for I, J in blocks for i, j in zip(I, J)]
-
-
-def test_pair_blocks_are_row_major_within_the_cap(monkeypatch):
-    monkeypatch.setattr(dyadic, "PAIR_BLOCK", 7)
-    for count in (1, 2, 5):
-        for cap in (count * count, count * count + 3):
-            assert _pairs(count, cap) == [(i, j) for i in range(count)
-                                          for j in range(count)]
-
-
-@pytest.mark.parametrize("count,cap", [(9, 20), (9, 80), (40, 7), (101, 500)])
-def test_pair_blocks_pick_cap_spread_pairs_above_it(monkeypatch, count, cap):
-    monkeypatch.setattr(dyadic, "PAIR_BLOCK", 7)
-    pairs = _pairs(count, cap)
-    flat = [i * count + j for i, j in pairs]
-    assert len(set(pairs)) == cap and flat == sorted(flat)
-    assert all(0 <= i < count and 0 <= j < count for i, j in pairs)
-    assert flat[0] == 0 and flat[-1] == count * count - 1
-    gaps = np.diff(flat)
-    assert gaps.max() - gaps.min() <= 1
 
 
 @pytest.mark.parametrize("args", [(1, 0, 2.5, 1), (1, 0, 2, 1.5),

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dwlab import dyadic, growth
-from dwlab.dyadic import (CubeId, Truncation, _radius, enumerate_cubes,
-                          separation, spread)
+from dwlab.dyadic import CubeId, Truncation, _radius
 from dwlab.growth import (
     FIELD_NODES,
     GrowthError,
@@ -201,38 +199,6 @@ def _shifted_field(x):
     return 1.0 + np.sum((x - 0.3) ** 2, axis=-1)
 
 
-# class_constant(weight_power(_shifted_field, 1.5), 0, 0.2, 0.4, t) as
-# float.hex, from the all-pairs table that window_pairs replaced
-@pytest.mark.parametrize("t,want", [
-    (Truncation(1, 0, 6, 1), "0x1.e73420e6979c6p+7"),
-    (Truncation(1, -1, 4, 2), "0x1.5f5db17718d75p+8"),
-    (Truncation(2, 0, 3, 1), "0x1.16aef5d2cbcb6p+8"),
-], ids=["1d", "1d-extent2", "2d"])
-def test_class_constant_keeps_its_bits_within_the_cap(t, want):
-    v = make_growth("weight_power", field=_shifted_field, tau=1.5)
-    assert class_constant(v, 0.0, 0.2, 0.4, t).hex() == want
-
-
-def test_class_constant_above_the_cap_runs_on_the_spread_pairs(monkeypatch):
-    t = Truncation(2, 0, 2, 1)  # 21 cubes, 441 ordered pairs
-    monkeypatch.setattr(growth, "PAIR_CAP", 100)
-    v = make_growth("weight_power", field=_shifted_field, tau=1.5)
-    cubes = enumerate_cubes(t)
-    N = len(cubes)
-
-    def ratio(Q, R):
-        expo = 0.0 if Q.j >= R.j else 0.2  # delta1 if ell(Q) <= ell(R)
-        bound = (separation(Q, R) ** 0.4
-                 * (2.0 ** (-(Q.j - R.j) * t.n)) ** expo)
-        return _at(v, Q) / _at(v, R) / bound
-
-    want = max(ratio(cubes[f // N], cubes[f % N]) for f in spread(N * N, 100))
-    got = class_constant(v, 0.0, 0.2, 0.4, t)
-    assert abs(got - want) <= 1e-12 * want
-    monkeypatch.setattr(growth, "PAIR_CAP", N * N)
-    assert class_constant(v, 0.0, 0.2, 0.4, t) >= got
-
-
 def test_class_constant_memory_stays_bounded():
     # 2,047 cubes: the all-pairs table peaked at 123 MB here
     v = make_growth("power", tau=0.5)
@@ -245,26 +211,22 @@ def test_class_constant_memory_stays_bounded():
     assert c == 1.0 and peak < 32e6
 
 
-def _class_constant_per_pair(v, delta1, delta2, omega, t, cap):
+def _class_constant_per_pair(v, delta1, delta2, t):
     """class_constant by the per-pair formula it had before its gap table:
-    separation, volume ratio and exponent of every spread pair, computed
-    for each pair, in blocks of 2^16 pairs."""
+    volume ratio and exponent of every ordered window pair, computed for
+    each pair, in blocks of 2^16 pairs."""
     js = range(t.j_min, t.j_max + 1)
     ks = [t.level_k(j).reshape(-1, t.n) for j in js]
     lev = np.concatenate([np.full(len(k), j) for j, k in zip(js, ks)])
-    ell = np.ldexp(1.0, -lev)
-    x = np.concatenate(ks) * ell[:, None]
     vals = np.concatenate([v.on_level(j, k) for j, k in zip(js, ks)])
-    flat = spread(len(lev) ** 2, cap)
+    flat = np.arange(len(lev) ** 2)
     worst = []
     for s in range(0, len(flat), 1 << 16):
         I, J = np.divmod(flat[s:s + (1 << 16)], len(lev))
         dj = lev[I] - lev[J]
-        sep = 1.0 + _radius(x[I] - x[J]) / np.maximum(ell[I], ell[J])
         vol_ratio = 2.0 ** (-dj * float(t.n))
         expo = np.where(dj >= 0, delta1, delta2)
-        bound = sep**omega * vol_ratio**expo
-        worst.append(np.max(vals[I] / vals[J] / bound))
+        worst.append(np.max(vals[I] / vals[J] / vol_ratio**expo))
     return float(np.max(worst))
 
 
@@ -274,70 +236,42 @@ _POWER = make_growth("power", tau=0.5)
 _DIP = GrowthFn(lambda j, k: np.where((j == 4) & (k[..., 0] == 5), 0.5, 1.0))
 
 
-# (window, growth, delta1, delta2, omega, pair cap; None keeps PAIR_CAP)
-@pytest.mark.parametrize("t,v,d1,d2,omega,cap", [
-    (Truncation(1, 0, 6, 1), _POWER, 0.5, 0.5, 0.0, None),
-    (Truncation(1, -2, 3, 3), _FIELD, 0.0, 0.2, 0.4, 50),
-    (Truncation(1, -1, 4, 2), _FIELD, 0.1, 0.3, 0.0, 1000),
-    (Truncation(2, -1, 2, 2), _FIELD, 0.1, 0.5, 0.0, 1000),
-    (Truncation(2, 0, 3, 1), _FIELD, -0.2, 0.3, 0.7, None),
-    (Truncation(2, -1, 1, 3), _POWER, 0.25, 0.75, 0.3, 50),
-    (Truncation(1, 0, 10, 1), _POWER, 0.5, 0.5, 0.0, None),
-    (Truncation(1, -1, 9, 1), _FIELD, 0.1, 0.6, 0.25, None),
-    (Truncation(1, -1, 4, 2), _FIELD, 0.1, 0.3, 0.0, 1),
-    (Truncation(1, -1, 4, 2), _FIELD, 0.1, 0.3, 0.0, 2),
-    (Truncation(2, -1, 2, 2), _POWER, 0.5, 0.5, 0.0, 2),
-    (Truncation(2, 0, 3, 3), _POWER, 0.25, 0.75, 0.0, 1000),
-    (Truncation(2, 0, 3, 3), _FIELD, 0.0, 0.2, 0.0, 1000),
-    (Truncation(1, -1, 4, 2), _DIP, 0.1, 0.3, 0.0, None),
-    (Truncation(1, -1, 4, 2), _DIP, 0.1, 0.3, 0.0, 300),
-    (Truncation(2, 0, 4, 1), _DIP, 0.0, 0.0, 0.0, 1000),
-], ids=["1d", "1d-cap50", "1d-cap1000", "2d-cap1000", "2d", "2d-extent3",
-        "1d-above-cap", "1d-above-cap-omega", "1d-cap1", "1d-cap2",
-        "2d-cap2", "2d-above-cap", "2d-above-cap-field", "1d-dip",
+# (window, growth, delta1, delta2); an id that names a cap gives the pair
+# cap the case once ran under, which never entered the omega = 0 constant
+@pytest.mark.parametrize("t,v,d1,d2", [
+    (Truncation(1, 0, 6, 1), _POWER, 0.5, 0.5),
+    (Truncation(1, -1, 4, 2), _FIELD, 0.1, 0.3),
+    (Truncation(2, -1, 2, 2), _FIELD, 0.1, 0.5),
+    (Truncation(1, 0, 10, 1), _POWER, 0.5, 0.5),
+    (Truncation(1, -1, 4, 2), _FIELD, 0.1, 0.3),
+    (Truncation(1, -1, 4, 2), _FIELD, 0.1, 0.3),
+    (Truncation(2, -1, 2, 2), _POWER, 0.5, 0.5),
+    (Truncation(2, 0, 3, 3), _POWER, 0.25, 0.75),
+    (Truncation(2, 0, 3, 3), _FIELD, 0.0, 0.2),
+    (Truncation(1, -1, 4, 2), _DIP, 0.1, 0.3),
+    (Truncation(1, -1, 4, 2), _DIP, 0.1, 0.3),
+    (Truncation(2, 0, 4, 1), _DIP, 0.0, 0.0),
+], ids=["1d", "1d-cap1000", "2d-cap1000", "1d-above-cap", "1d-cap1",
+        "1d-cap2", "2d-cap2", "2d-above-cap", "2d-above-cap-field", "1d-dip",
         "1d-dip-cap300", "2d-dip-above-cap"])
-def test_class_constant_matches_the_per_pair_formula_bit_for_bit(
-        t, v, d1, d2, omega, cap, monkeypatch):
-    # the cap subsamples the pairs at omega > 0 only; at omega = 0 the
-    # constant is the maximum over all window pairs, whatever the cap
-    if cap is not None:
-        monkeypatch.setattr(growth, "PAIR_CAP", cap)
-    pairs = growth.PAIR_CAP if omega else len(enumerate_cubes(t)) ** 2
-    want = _class_constant_per_pair(v, d1, d2, omega, t, pairs)
-    assert class_constant(v, d1, d2, omega, t).hex() == want.hex()
+def test_class_constant_matches_the_per_pair_formula_bit_for_bit(t, v, d1,
+                                                                 d2):
+    want = _class_constant_per_pair(v, d1, d2, t)
+    assert class_constant(v, d1, d2, 0.0, t).hex() == want.hex()
 
 
-def test_class_constant_at_zero_omega_ignores_the_pair_cap(monkeypatch):
-    # a cap of one pair once reported 1.0, the ratio of (Q_0, Q_0) alone
-    t = Truncation(1, -1, 4, 2)
-    full = class_constant(_FIELD, 0.1, 0.3, 0.0, t)
-    monkeypatch.setattr(growth, "PAIR_CAP", 1)
-    assert class_constant(_FIELD, 0.1, 0.3, 0.0, t) == full
+def test_class_constant_at_zero_omega_ignores_the_pair_cap():
+    # a cap of one pair once reported 1.0, the ratio of (Q_0, Q_0) alone;
+    # the constant is that of every window pair, with no cap at all
+    full = class_constant(_FIELD, 0.1, 0.3, 0.0, Truncation(1, -1, 4, 2))
     assert full.hex() == "0x1.4fe21a27ebbd3p+8"  # 335.883...
 
 
-def test_class_constant_reads_separations_only_at_positive_omega(
-        monkeypatch):
-    def unreachable(t):
-        raise AssertionError("separations read")
-
-    monkeypatch.setattr(growth, "pair_separations", unreachable)
-    t = Truncation(2, 0, 3, 1)
-    assert class_constant(_POWER, 0.5, 0.5, 0.0, t) == 1.0
-    with pytest.raises(AssertionError, match="separations read"):
-        class_constant(_POWER, 0.5, 0.5, 0.3, t)
-
-
-def test_class_constant_forms_no_pairs_at_zero_omega(monkeypatch):
-    def unreachable(*args):
-        raise AssertionError("pairs formed")
-
-    monkeypatch.setattr(growth, "window_pairs", unreachable)
-    monkeypatch.setattr(dyadic, "pair_blocks", unreachable)
-    t = Truncation(2, 0, 3, 1)
-    assert class_constant(_POWER, 0.5, 0.5, 0.0, t) == 1.0
-    with pytest.raises(AssertionError, match="pairs formed"):
-        class_constant(_POWER, 0.5, 0.5, 0.3, t)
+@pytest.mark.parametrize("omega", [0.4, 1e-300, -0.5, 2])
+def test_class_constant_at_nonzero_omega_is_an_error(omega):
+    # the omega > 0 pair sweep is gone; it once ran on subsampled pairs
+    with pytest.raises(GrowthError, match="omega = 0 only"):
+        class_constant(_POWER, 0.5, 0.5, omega, Truncation(1, 0, 4, 1))
 
 
 @pytest.mark.parametrize("kind,params,named", [

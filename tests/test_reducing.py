@@ -361,20 +361,26 @@ def test_doubling_orders_match_per_pair_oracle(W, t, pair_cap, monkeypatch):
         assert abs(g - w) <= 1e-12 * max(abs(w), 1.0), (got, want)
 
 
-# doubling_orders at C = 1.1 as float.hex, from the all-pairs table that
-# window_pairs replaced (no pair cap binds on these windows)
-@pytest.mark.parametrize("W,t,want", [
-    (power_weight(-0.5), Truncation(1, 0, 5, 1),
+# doubling_orders at C = 1.1 as float.hex, computed before its pair set
+# was last rewritten; the "capped" cases run above their pair caps, those
+# of test_doubling_orders_match_per_pair_oracle
+@pytest.mark.parametrize("W,t,pair_cap,want", [
+    (power_weight(-0.5), Truncation(1, 0, 5, 1), 400_000,
      ("0x1.dd12b33362d29p-3", "0x1.ce40d9ae51d76p-3", "0x1.cc2f7adfbda88p-3")),
-    (diag_power_weight(-0.5, -0.25), Truncation(1, 0, 4, 2),
+    (diag_power_weight(-0.5, -0.25), Truncation(1, 0, 4, 2), 400_000,
      ("0x1.cd48469a6534fp-3", "0x1.bb2ff9623aeb9p-3", "0x0.0p+0")),
-    (diag_power_weight(-0.5, 0.5, n=2), Truncation(2, 0, 2, 1),
+    (diag_power_weight(-0.5, 0.5, n=2), Truncation(2, 0, 2, 1), 400_000,
      ("0x1.66b1eb6210036p-3", "0x1.7742f4b8702f3p-3", "0x1.c0e0387a13565p-3")),
-], ids=["1d", "1d-extent2", "2d"])
-def test_doubling_orders_keep_their_bits_within_the_cap(W, t, want,
+    (diag_power_weight(-0.5, -0.25), Truncation(1, 0, 5, 1), 700,
+     ("0x1.c43c1ffe50104p-2", "0x0.0p+0", "0x1.251a0cf3fe92cp-2")),
+    (power_weight(-1.0, n=2), Truncation(2, 0, 2, 1), 150,
+     ("0x1.24e446a1655e3p-1", "0x0.0p+0", "0x1.e9c4de511faddp-2")),
+], ids=["1d", "1d-extent2", "2d", "1d-capped", "2d-capped"])
+def test_doubling_orders_keep_their_bits_within_the_cap(W, t, pair_cap, want,
                                                          monkeypatch):
     fam = build_family(W, 2.0, t, QuadratureSpec(2))
     monkeypatch.setattr(reducing, "DOUBLING_C", 1.1)
+    monkeypatch.setattr(reducing, "DOUBLING_PAIR_CAP", pair_cap)
     assert tuple(b.hex() for b in doubling_orders(fam, t)) == want
 
 

@@ -125,6 +125,7 @@ def test_space_params_validation():
     {"q": 0.0}, {"q": -2.0}, {"q": np.nan}, {"q": "nan"},
     {"s": np.inf}, {"s": -np.inf}, {"s": np.nan},
     {"mode": "bogus"}, {"mode": "scalar_weight"},
+    {"family": 3}, {"family": None},  # once an AttributeError
 ])
 def test_space_params_rejects_bad_values(bad):
     with pytest.raises(SeqSpaceError):

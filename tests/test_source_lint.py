@@ -167,3 +167,30 @@ def test_every_private_name_is_referenced():
                for i, name in _private_definitions(tree)
                if not sites[name] - {(rel, i)}]
     assert orphans == []
+
+
+def _yields(fn):
+    """True if fn's own body yields; nested functions and classes are
+    their own scopes and do not count."""
+    todo = list(fn.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.Yield, ast.YieldFrom)):
+            return True
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+    return False
+
+
+def test_no_public_function_is_a_generator():
+    # perfbench/spans.py times a public call from entry to return, and a
+    # generator returns when it is created, before any of its work: the
+    # work would be booked to whichever caller iterates it;
+    # _keyword_parameters walks every public function and method
+    generators = [f"{path.relative_to(SRC).as_posix()}:{fn.name}"
+                  for path in sorted(SRC.rglob("*.py"))
+                  for _, fn, _ in _keyword_parameters(ast.parse(
+                      path.read_text()))
+                  if _yields(fn)]
+    assert generators == []

@@ -57,6 +57,24 @@ def test_lp_window_validation():
         build_lp_window(4)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: GridFunction(1, 0, []),
+    lambda: GridFunction(1, 64.0, np.zeros(64)),
+    lambda: GridFunction(1, True, np.zeros(1)),
+    lambda: build_lp_window(0),
+    lambda: build_lp_window(64.0),
+    lambda: dwt_analyze(GridFunction(1, 64, np.zeros(64)), levels=1.5),
+    lambda: dwt_analyze(GridFunction(1, 64, np.zeros(64)), levels=True),
+], ids=["grid-N=0", "grid-N=64.0", "grid-N=True", "window-N=0",
+        "window-N=64.0", "levels=1.5", "levels=True"])
+def test_grid_sizes_and_levels_are_integers(call):
+    # N = 0 passed the power-of-two test (0 & -1 == 0); build_lp_window(0)
+    # ended in an OverflowError, 64.0 in a raw numpy ValueError, and
+    # levels = 1.5 in a raw TypeError
+    with pytest.raises(TransformError, match="need an integer"):
+        call()
+
+
 def test_single_mode_coefficients_stay_in_their_octave():
     N = 64
     w = build_lp_window(N)

@@ -88,6 +88,29 @@ def test_weight_presets_validate():
     assert identity_weight(3).m == 3
 
 
+@pytest.mark.parametrize("call", [
+    lambda: QuadratureSpec(1.5),
+    lambda: QuadratureSpec("3"),
+    lambda: QuadratureSpec(np.nan),
+    lambda: QuadratureSpec(True),
+    lambda: QuadratureSpec(0),
+    lambda: identity_weight(1.5),
+    lambda: identity_weight(True),
+    lambda: identity_weight(0),
+], ids=["G=1.5", "G='3'", "G=nan", "G=True", "G=0", "m=1.5", "m=True",
+        "m=0"])
+def test_quadrature_and_identity_sizes_are_integers(call):
+    # G = 1.5 and G = NaN were once accepted, to fail or mislead later;
+    # G = "3" and m = 1.5 ended in a raw TypeError
+    with pytest.raises(WeightError, match="need an integer"):
+        call()
+
+
+def test_quadrature_and_identity_take_numpy_integers():
+    assert QuadratureSpec(np.int64(2)).G == 2
+    assert identity_weight(np.uint8(2)).m == 2
+
+
 def test_apinf_identity_is_one():
     t = Truncation(1, 0, 2, 1)
     assert abs(apinf_characteristic(identity_weight(2), 2.0, t) - 1.0) < 1e-10
